@@ -60,25 +60,25 @@ def _trace_csv(traj: dynamics.Trajectory,
     return "\n".join(lines) + "\n"
 
 
-def _schedule_from_args(args) -> dynamics.DriveSchedule:
-    return dynamics.DriveSchedule(kind=args.schedule, theta0=args.theta,
-                                  phi_final=args.phi_final, tau=args.tau,
+def _schedule_from_args(args, theta0: float = 0.0,
+                        phi_final: float = 0.0) -> dynamics.DriveSchedule:
+    return dynamics.DriveSchedule(kind=args.schedule, theta0=theta0,
+                                  phi_final=phi_final, tau=args.tau,
                                   dt=args.dt if args.dt else 1e-3 * args.tau)
 
 
 def cmd_check(args) -> int:
     net = _load_network(args.network)
+    gate_masks = {g.name: statics.gate_mask(net, g) for g in net.gates}
     out = []
     out.append(f"nodes: {net.n_nodes} ({' '.join(net.nodes)})")
     for g in net.gates:
-        mask = statics.gate_mask(net, g)
-        ham = statics.gate_hamiltonian(net, g)
         dim_local = 2 ** len(g.nodes)
         local_dim = len(g.table.rows)
         out.append(f"gate {g.name}: in({','.join(g.in_nodes)}) "
                    f"out({','.join(g.out_nodes)}) "
                    f"subspace dim: {local_dim} of {dim_local}; "
-                   f"ground-space size {len(statics.ground_space(ham))} "
+                   f"ground-space size {gate_masks[g.name].support_size()} "
                    f"of {net.dim}")
     for p in net.pins:
         out.append(f"pin {p.node}={p.value} ({p.kind})")
@@ -92,8 +92,7 @@ def cmd_check(args) -> int:
     if args.dump:
         dump = {
             "nodes": list(net.nodes),
-            "masks": {g.name: statics.gate_mask(net, g).bits.tolist()
-                      for g in net.gates},
+            "masks": {name: m.bits.tolist() for name, m in gate_masks.items()},
             "pin_masks": {p.node: statics.pin_mask(net, p).bits.tolist()
                           for p in net.pins},
             "network_mask": full.bits.tolist(),
@@ -116,7 +115,7 @@ def cmd_solve_brute(args) -> int:
 
 
 def cmd_simulate_link(args) -> int:
-    schedule = _schedule_from_args(args)
+    schedule = _schedule_from_args(args, args.theta, args.phi_final)
     net = network.parse_network("nodes r s\nlink r -> s\n")
     mask = statics.gate_mask(net, net.gates[0])
     ham = statics.gate_hamiltonian(net, net.gates[0])
@@ -130,7 +129,7 @@ def cmd_simulate_link(args) -> int:
 
 
 def cmd_simulate_triplet(args) -> int:
-    schedule = _schedule_from_args(args)
+    schedule = _schedule_from_args(args, args.theta, args.phi_final)
     traj = dynamics.triplet_watchdog_demo(args.theta, schedule,
                                           drive=args.drive)
     _write(args.out, _trace_csv(traj, closed_form=dynamics.closed_form_triplet))
@@ -147,62 +146,56 @@ def cmd_run(args) -> int:
     return 0 if result.decision == "satisfiable" else 1
 
 
+_FLAGS = {
+    "network": dict(default="fig1",
+                    help="path to a network DSL file, or a builtin name "
+                         f"({'|'.join(network.BUILTIN_NETWORKS)})"),
+    "dt": dict(type=float, default=0.0, help="step size (default tau/1000)"),
+    "tau": dict(type=float, default=1.0, help="total drive duration"),
+    "schedule": dict(default="linear-ramp", choices=dynamics.SCHEDULE_KINDS),
+    "theta": dict(type=float, default=math.pi / 6,
+                  help="initial mixing angle"),
+    "phi-final": dict(type=float, default=math.pi / 3,
+                      help="total drive rotation"),
+    "shots": dict(type=int, default=100),
+    "seed": dict(type=int, default=0),
+    "leak": dict(default="none", choices=("none", "uniform-excited")),
+    "no-mask": dict(action="store_true",
+                    help="drop condition (i): drive without the projector"),
+    "drive": dict(default="p1", choices=("p1", "p2", "both")),
+    "dump": dict(action="store_true",
+                 help="dump masks/Hamiltonian diagonals as JSON"),
+    "out": dict(default=None, help="output path (default stdout)"),
+}
+
+_DEMO_DRIVE = ("dt", "tau", "schedule", "theta", "phi-final")
+
+# name, help, handler, the flags the handler reads.
+_COMMANDS = (
+    ("check", "parse and report constraint statics", cmd_check,
+     ("network", "dump", "out")),
+    ("solve-brute", "exhaustive SAT oracle", cmd_solve_brute,
+     ("network", "out")),
+    ("simulate-link", "watchdog evolution of a single inverting wire",
+     cmd_simulate_link, _DEMO_DRIVE + ("leak", "no-mask", "out")),
+    ("simulate-triplet", "two-identical-particle symmetrizer demo",
+     cmd_simulate_triplet, _DEMO_DRIVE + ("drive", "out")),
+    ("run", "drive-relax-measure decision procedure", cmd_run,
+     ("network", "dt", "tau", "schedule", "shots", "seed", "leak", "out")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="statnet",
         description="Watchdog-projection simulator for constrained Boolean "
                     "networks deployed in space.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_network=True):
-        if needs_network:
-            p.add_argument("--network", default="fig1",
-                           help="path to a network DSL file, or a builtin "
-                                f"name ({'|'.join(network.BUILTIN_NETWORKS)})")
-        p.add_argument("--dt", type=float, default=0.0,
-                       help="step size (default tau/1000)")
-        p.add_argument("--tau", type=float, default=1.0,
-                       help="total drive duration")
-        p.add_argument("--schedule", default="linear-ramp",
-                       choices=dynamics.SCHEDULE_KINDS)
-        p.add_argument("--theta", type=float, default=math.pi / 6,
-                       help="initial mixing angle for the demos")
-        p.add_argument("--phi-final", type=float, default=math.pi / 3,
-                       help="total drive rotation for the demos")
-        p.add_argument("--shots", type=int, default=100)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--leak", default="none",
-                       choices=("none", "uniform-excited"))
-        p.add_argument("--format", default="csv", choices=("csv", "json"))
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--no-mask", action="store_true",
-                       help="drop condition (i): drive without the projector")
-        p.add_argument("--dump", action="store_true",
-                       help="dump masks/Hamiltonian diagonals as JSON (check)")
-
-    p_check = sub.add_parser("check", help="parse and report constraint statics")
-    common(p_check)
-    p_check.set_defaults(fn=cmd_check)
-
-    p_brute = sub.add_parser("solve-brute", help="exhaustive SAT oracle")
-    common(p_brute)
-    p_brute.set_defaults(fn=cmd_solve_brute)
-
-    p_link = sub.add_parser("simulate-link",
-                            help="watchdog evolution of a single inverting wire")
-    common(p_link, needs_network=False)
-    p_link.set_defaults(fn=cmd_simulate_link)
-
-    p_trip = sub.add_parser("simulate-triplet",
-                            help="two-identical-particle symmetrizer demo")
-    common(p_trip, needs_network=False)
-    p_trip.add_argument("--drive", default="p1", choices=("p1", "p2", "both"))
-    p_trip.set_defaults(fn=cmd_simulate_triplet)
-
-    p_run = sub.add_parser("run", help="drive-relax-measure decision procedure")
-    common(p_run)
-    p_run.set_defaults(fn=cmd_run)
-
+    for name, help_text, handler, flags in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        p.set_defaults(fn=handler)
     return parser
 
 

@@ -178,12 +178,12 @@ def evolve(psi0: StateVector, mask: ConstraintMask | None, drive_node: str,
         alpha_sq = float(probs[diag_bits > 0].sum()) if diag_bits is not None else 1.0
         energy = float(np.sum(energies * probs)) if energies is not None else 0.0
         return TrajectoryPoint(
-            t=t, state=StateVector(psi0.node_order, amps.copy()),
+            t=t, state=StateVector(psi0.node_order, amps),
             p0=float(probs[idx0].sum()), p1=float(probs[idx1].sum()),
             alpha_sq=alpha_sq, beta_sq=1.0 - alpha_sq,
             energy=energy, step_overlap=overlap)
 
-    amps = psi0.amps.copy()
+    amps = psi0.amps
     points = [diagnostics(0.0, amps, 1.0)]
     n = schedule.n_steps()
     for k in range(1, n + 1):
@@ -267,19 +267,21 @@ def triplet_watchdog_demo(theta: float, schedule: DriveSchedule,
             if np.linalg.norm(nxt - current) < _FIXPOINT_TOL:
                 return nxt
             current = nxt
-        return current
+        raise DegenerateDynamicsError(
+            f"symmetrizer fixed point did not converge in "
+            f"{_FIXPOINT_MAX_ITER} iterations")
 
     def diagnostics(t, amps, overlap):
         probs = np.abs(amps) ** 2
         sym_part = sym @ amps
         alpha_sq = min(float(np.linalg.norm(sym_part) ** 2), 1.0)
         return TrajectoryPoint(
-            t=t, state=StateVector(node_order, amps.copy()),
+            t=t, state=StateVector(node_order, amps),
             p0=float(probs[[0, 1]].sum()), p1=float(probs[[2, 3]].sum()),
             alpha_sq=alpha_sq, beta_sq=1.0 - alpha_sq,
             energy=1.0 - alpha_sq, step_overlap=overlap)
 
-    amps = closed_form_triplet(theta, 0.0).amps.copy()
+    amps = closed_form_triplet(theta, 0.0).amps
     points = [diagnostics(0.0, amps, 1.0)]
     n = schedule.n_steps()
     for k in range(1, n + 1):

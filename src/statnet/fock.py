@@ -44,7 +44,7 @@ class FockVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=complex)
+        amps = np.array(self.amps, dtype=complex)
         if amps.shape != (2 ** self.basis.n_modes,):
             raise ValueError(f"amps shape {amps.shape} does not match "
                              f"{self.basis.n_modes} modes")

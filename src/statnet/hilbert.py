@@ -2,7 +2,8 @@
 
 Bit convention, shared by every module: the first declared node is the most
 significant bit of the basis index.  All values are immutable after
-construction and all operations are pure functions.
+construction and all operations are pure functions.  Constructors copy the
+caller's array and freeze the copy.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ class StateVector:
     def __post_init__(self):
         if len(set(self.node_order)) != len(self.node_order):
             raise ValueError(f"duplicate nodes in {self.node_order}")
-        amps = np.asarray(self.amps, dtype=complex)
+        amps = np.array(self.amps, dtype=complex)
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
         if amps.shape != (2 ** len(self.node_order),):

@@ -126,9 +126,6 @@ class Network:
                 return p
         return None
 
-    def gate_output_nodes(self) -> set[str]:
-        return {n for g in self.gates for n in g.out_nodes}
-
 
 _NODES_RE = re.compile(r"nodes\s+(.+)$")
 _GATE_RE = re.compile(

@@ -17,18 +17,24 @@ import numpy as np
 
 from .dynamics import DriveSchedule, Trajectory, evolve
 from .errors import DegenerateDynamicsError, UnpreparableNetworkError
-from .hilbert import StateVector, basis_index, index_assignment, node_bit_values
-from .network import Network, assignment_satisfies, render
-from .statics import network_mask
+from .hilbert import (StateVector, basis_index, index_assignment,
+                      node_bit_values, reduced_diag)
+from .network import Network, render
+from .statics import ConstraintMask, network_mask
 
 # Reference per-shot success probability used for the stated confidence of a
-# negative (unsatisfiable) decision: 1 - (1 - p_ref)^shots.
+# negative (unsatisfiable) decision: 1 - (1 - p_ref)^shots.  It is a fixed
+# reference figure: the confidence does not depend on the measured
+# good_universe_prob_final.
 DEFAULT_P_GOOD_REF = 0.5
 
 
 @dataclass(frozen=True)
 class Preparation:
+    """The prepared state and the input-constrained mask it is evolved under."""
+
     state: StateVector
+    mask: ConstraintMask
     n_sector0: int
     n_sector1: int
     theta: float | None
@@ -74,20 +80,6 @@ def network_hash(net: Network) -> str:
     return hashlib.sha256(render(net).encode()).hexdigest()[:16]
 
 
-def _input_constrained_support(net: Network) -> list[str]:
-    """Assignments satisfying every gate and every input pin."""
-    pos = {n: i for i, n in enumerate(net.nodes)}
-    input_pins = [p for p in net.pins if p.kind == "input"]
-    support = []
-    for k in range(net.dim):
-        a = index_assignment(net.nodes, k)
-        if not assignment_satisfies(net, a, include_pins=False):
-            continue
-        if all(a[pos[p.node]] == str(p.value) for p in input_pins):
-            support.append(a)
-    return support
-
-
 def prepare_ground(net: Network,
                    weights: dict[str, complex] | None = None) -> Preparation:
     """Equal-phase superposition over the input-constrained solution set.
@@ -95,32 +87,36 @@ def prepare_ground(net: Network,
     `weights` optionally assigns unnormalized amplitudes per assignment, for
     experiments with non-uniform (e.g. exponentially rare) sectors.
     """
-    support = _input_constrained_support(net)
-    if not support:
+    mask = network_mask(net, include_output_pins=False)
+    support = np.flatnonzero(mask.bits)
+    if not support.size:
         raise UnpreparableNetworkError(
             "no assignment satisfies the gates and input pins")
     amps = np.zeros(net.dim, dtype=complex)
-    for a in support:
-        amps[basis_index(net.nodes, a)] = weights.get(a, 0.0) if weights else 1.0
+    if weights:
+        amps[support] = [weights.get(index_assignment(net.nodes, k), 0.0)
+                         for k in support]
+    else:
+        amps[support] = 1.0
     norm = np.linalg.norm(amps)
     if norm == 0:
         raise UnpreparableNetworkError("supplied weights vanish on the support")
     state = StateVector(net.nodes, amps / norm)
 
     if net.drive_node is None:
-        return Preparation(state, len(support), 0, None)
-    pos = net.nodes.index(net.drive_node)
-    n1 = sum(1 for a in support if a[pos] == "1")
-    n0 = len(support) - n1
-    probs = np.abs(state.amps) ** 2
-    p1 = float(probs[node_bit_values(net.n_nodes, pos) == 1].sum())
+        return Preparation(state, mask, support.size, 0, None)
+    drive_bits = node_bit_values(net.n_nodes, net.nodes.index(net.drive_node))
+    n1 = int(drive_bits[support].sum())
+    p1 = reduced_diag(state, net.drive_node).p1
     theta = math.asin(math.sqrt(min(p1, 1.0)))
-    return Preparation(state, n0, n1, theta)
+    return Preparation(state, mask, support.size - n1, n1, theta)
 
 
 def _drive_schedule_for(net: Network, prep: Preparation,
                         schedule: DriveSchedule) -> DriveSchedule:
     """Fix theta0 from the preparation and phi_final from the output pin."""
+    if net.drive_node is None:
+        raise ValueError("network has no drive node")
     pin = net.pin(net.drive_node)
     target_angle = math.pi / 2 if pin.value == 1 else 0.0
     return replace(schedule, theta0=prep.theta,
@@ -131,12 +127,9 @@ def run_once(net: Network, schedule: DriveSchedule, leak_model: str,
              rng: np.random.Generator,
              prep: Preparation | None = None) -> tuple[Trajectory, str]:
     """One drive-relax-measure shot; returns the trajectory and the sample."""
-    if net.drive_node is None:
-        raise ValueError("network has no drive node")
     if prep is None:
         prep = prepare_ground(net)
-    mask = network_mask(net, include_output_pins=False)
-    traj = evolve(prep.state, mask, net.drive_node,
+    traj = evolve(prep.state, prep.mask, net.drive_node,
                   _drive_schedule_for(net, prep, schedule),
                   leak_model=leak_model, record=False)
     sample = measure_sample(traj.final_state, rng)
@@ -152,12 +145,17 @@ def measure_sample(v: StateVector, rng: np.random.Generator) -> str:
 
 
 def run_protocol(net: Network, schedule: DriveSchedule, shots: int, seed: int,
-                 leak_model: str = "none",
-                 p_good_ref: float = DEFAULT_P_GOOD_REF) -> ProtocolResult:
-    """Repeat run_once with per-shot derived rng streams and decide."""
+                 leak_model: str = "none") -> ProtocolResult:
+    """Repeat run_once with per-shot derived rng streams and decide.
+
+    The result reports the driven schedule: theta0 and phi_final as fixed
+    by the preparation and the drive node's output pin.
+    """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     prep = prepare_ground(net)
+    schedule = _drive_schedule_for(net, prep, schedule)
+    solutions = network_mask(net).bits
     samples: list[str | None] = []
     n_solutions = 0
     alpha_final = []
@@ -170,14 +168,14 @@ def run_protocol(net: Network, schedule: DriveSchedule, shots: int, seed: int,
             continue
         samples.append(sample)
         alpha_final.append(traj.points[-1].alpha_sq)
-        if assignment_satisfies(net, sample, include_pins=True):
+        if solutions[basis_index(net.nodes, sample)]:
             n_solutions += 1
 
     if n_solutions > 0:
         decision, confidence = "satisfiable", 1.0
     elif any(s is not None for s in samples):
         decision = "unsatisfiable"
-        confidence = 1.0 - (1.0 - p_good_ref) ** shots
+        confidence = 1.0 - (1.0 - DEFAULT_P_GOOD_REF) ** shots
     else:
         decision, confidence = "inconclusive", 0.0
 

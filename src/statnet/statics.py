@@ -15,8 +15,6 @@ from .hilbert import StateVector, node_bit_values
 from .network import Gate, Network, Pin
 
 DEFAULT_PENALTY = 1.0
-# E_z << E without modeling any physical temperature scale.
-DEFAULT_DRIVE_PENALTY = 0.01 * DEFAULT_PENALTY
 
 
 @dataclass(frozen=True)
@@ -54,7 +52,7 @@ class PenaltyHamiltonian:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        energies = np.asarray(self.energies, dtype=float)
+        energies = np.array(self.energies, dtype=float)
         if energies.shape != (self.dim,):
             raise ValueError(f"energies shape {energies.shape} != dim {self.dim}")
         if (energies < 0).any():

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, output contracts, determinism."""
 import json
+import math
 import subprocess
 import sys
 
@@ -152,6 +153,13 @@ def test_run_unsat(capsys):
     assert json.loads(out)["decision"] == "unsatisfiable"
 
 
+def test_run_reports_driven_schedule(capsys):
+    _, out, _ = run_cli(["run", "--network", "fig1", "--shots", "1"], capsys)
+    schedule = json.loads(out)["schedule"]
+    assert schedule["theta0"] == pytest.approx(math.pi / 4)
+    assert schedule["theta0"] + schedule["phi_final"] == pytest.approx(math.pi / 2)
+
+
 def test_run_byte_deterministic(capsys):
     args = ["run", "--network", "fig1", "--shots", "5", "--seed", "3"]
     _, out1, _ = run_cli(args, capsys)
@@ -181,6 +189,16 @@ def test_unknown_command_exit_code(capsys):
 
 def test_bad_flag_value_exit_code(capsys):
     assert main(["run", "--shots", "many"]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["check", "--shots", "5"],
+    ["run", "--no-mask"],
+    ["run", "--theta", "1.2"],
+    ["simulate-link", "--format", "json"],
+])
+def test_flag_of_another_command_exit_code(args, capsys):
+    assert main(args) == 2
 
 
 def test_console_script_installed():

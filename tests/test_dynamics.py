@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from statnet import dynamics
 from statnet.dynamics import (
     DriveSchedule,
     closed_form_link,
@@ -310,6 +311,12 @@ def test_triplet_rejects_boundary_theta():
 def test_triplet_rejects_unknown_drive():
     with pytest.raises(ValueError):
         triplet_watchdog_demo(0.3, linear(0.3, 0.1), drive="p3")
+
+
+def test_triplet_fixed_point_cap_raises(monkeypatch):
+    monkeypatch.setattr(dynamics, "_FIXPOINT_MAX_ITER", 1)
+    with pytest.raises(DegenerateDynamicsError):
+        triplet_watchdog_demo(0.3, linear(0.3, 0.1, dt=1e-2))
 
 
 def test_rank_one_projection_freezes_evolution():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from statnet.errors import DegenerateStateError
+from statnet.fock import FockVector, ModeBasis
 from statnet.hilbert import (
     StateVector,
     apply_mask,
@@ -18,10 +19,24 @@ from statnet.hilbert import (
     reduced_diag,
     sector_split,
 )
-from statnet.statics import ConstraintMask
+from statnet.statics import ConstraintMask, PenaltyHamiltonian
 
 EIGHT = tuple("abcdefgh")
 TWO = ("r", "s")
+
+
+@pytest.mark.parametrize("stored, dtype", [
+    (lambda a: StateVector(TWO, a).amps, complex),
+    (lambda a: StateVector(TWO, a).amps, float),
+    (lambda a: FockVector(ModeBasis(("r",)), a).amps, complex),
+    (lambda a: PenaltyHamiltonian(4, a).energies, float),
+], ids=["state-complex", "state-float", "fock", "penalty"])
+def test_construction_leaves_caller_array_writeable(stored, dtype):
+    caller = np.array([0.5, 0.5, 0.5, 0.5], dtype=dtype)
+    kept = stored(caller)
+    assert caller.flags.writeable
+    caller[0] = 0.0
+    assert kept[0] == 0.5 and not kept.flags.writeable
 
 
 def test_basis_index_all_zeros():

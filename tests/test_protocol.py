@@ -3,12 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from statnet import protocol
 from statnet.dynamics import DriveSchedule
 from statnet.errors import UnpreparableNetworkError
 from statnet.hilbert import StateVector, basis_index, basis_state, reduced_diag
 from statnet.network import (
+    Gate,
+    Network,
+    Pin,
+    TruthTable,
     assignment_satisfies,
+    brute_force_solutions,
     builtin_fig1,
     builtin_fig1_unsat,
     parse_network,
@@ -185,6 +192,19 @@ def test_network_hash_distinguishes_variants():
     assert network_hash(builtin_fig1()) == network_hash(builtin_fig1())
 
 
+def test_protocol_builds_each_mask_once_per_decision(monkeypatch):
+    calls = []
+    real = protocol.network_mask
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "network_mask", counted)
+    run_protocol(builtin_fig1(), SCHED, shots=5, seed=0)
+    assert calls == [{"include_output_pins": False}, {}]
+
+
 def test_good_universe_probability_reported():
     res = run_protocol(builtin_fig1(), SCHED, shots=2, seed=0)
     assert res.good_universe_prob_final == pytest.approx(1.0, abs=1e-9)
@@ -213,3 +233,51 @@ def test_repetition_bound_validates_inputs():
         repetition_bound(0.0, 0.9)
     with pytest.raises(ValueError):
         repetition_bound(0.5, 1.0)
+
+
+# --- mask against the string oracle ------------------------------------------
+
+@st.composite
+def small_networks(draw):
+    """1-2 random gates over 2-5 nodes, random pins, a driven output pin."""
+    nodes = tuple("abcde"[:draw(st.integers(2, 5))])
+    gates = []
+    for i in range(draw(st.integers(1, 2))):
+        order = draw(st.permutations(nodes))
+        n_in = draw(st.integers(1, min(2, len(nodes) - 1)))
+        n_out = draw(st.integers(1, min(2, len(nodes) - n_in)))
+        ins = draw(st.lists(st.integers(0, 2 ** n_in - 1), min_size=1,
+                            unique=True))
+        rows = tuple((format(k, f"0{n_in}b"),
+                      format(draw(st.integers(0, 2 ** n_out - 1)), f"0{n_out}b"))
+                     for k in sorted(ins))
+        gates.append(Gate(f"g{i}", tuple(order[:n_in]),
+                          tuple(order[n_in:n_in + n_out]),
+                          TruthTable(n_in, n_out, rows)))
+    drive = draw(st.sampled_from(nodes))
+    pins = [Pin(drive, draw(st.integers(0, 1)), "output")]
+    for node in nodes:
+        kind = draw(st.sampled_from((None, "input", "output")))
+        if node != drive and kind:
+            pins.append(Pin(node, draw(st.integers(0, 1)), kind))
+    return Network(nodes, tuple(gates), tuple(pins), drive)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_networks(), st.integers(0, 2 ** 16))
+def test_mask_kernel_matches_string_oracle(net, seed):
+    inputs_only = Network(net.nodes, net.gates,
+                          tuple(p for p in net.pins if p.kind == "input"))
+    expected = [basis_index(net.nodes, a)
+                for a in brute_force_solutions(inputs_only)]
+    if not expected:
+        with pytest.raises(UnpreparableNetworkError):
+            prepare_ground(net)
+        return
+    assert np.flatnonzero(prepare_ground(net).state.amps).tolist() == expected
+
+    sched = DriveSchedule(kind="linear-ramp", tau=1.0, dt=1e-2)
+    res = run_protocol(net, sched, shots=3, seed=seed)
+    assert res.n_solutions == sum(
+        1 for s in res.samples
+        if s is not None and assignment_satisfies(net, s, include_pins=True))
