@@ -3,7 +3,7 @@
 Commands: check, solve-brute, simulate-link, simulate-triplet, run.
 All outputs are byte-deterministic given (inputs, flags, seed); floats are
 printed with 17 significant digits and lines end with '\\n'.  The env var
-STATNET_SEED overrides --seed.
+STATNET_SEED overrides --seed of the one command that takes it, run.
 
 Exit codes: 0 success (satisfiable for solve-brute/run), 1 unsatisfiable,
 2 error (parse failure, bad flags, degenerate dynamics).
@@ -206,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     env_seed = os.environ.get("STATNET_SEED")
-    if env_seed is not None:
+    if env_seed is not None and "seed" in vars(args):
         try:
             args.seed = int(env_seed)
         except ValueError:

@@ -110,17 +110,26 @@ def _rescale_sector(amps: np.ndarray, idx: np.ndarray, target: float,
     if norm > _MASS_EPS:
         out[idx] = math.sqrt(target) * component / norm
         return out
-    # The previous state carries no mass here; fall back to a uniform
-    # equal-phase superposition over the constrained part of the sector.
+    refill = _refill_indices(idx, allowed, leak_model)
+    out[refill] = math.sqrt(target / refill.size)
+    return out
+
+
+def _refill_indices(idx: np.ndarray, allowed: np.ndarray,
+                    leak_model: str) -> np.ndarray:
+    """Where a drive sector that carries no mass is refilled, uniformly.
+
+    The refill is an equal-phase superposition over the constrained part of
+    the sector; with the uniform-excited leak model, over its excited part
+    when the constrained part is empty.
+    """
     constrained = idx[allowed[idx] > 0]
     if constrained.size:
-        out[constrained] = math.sqrt(target / constrained.size)
-        return out
+        return constrained
     if leak_model == "uniform-excited":
         excited = idx[allowed[idx] == 0]
         if excited.size:
-            out[excited] = math.sqrt(target / excited.size)
-            return out
+            return excited
         raise DegenerateDynamicsError("drive sector is empty")
     raise DegenerateDynamicsError(
         "drive demands mass in a sector outside the constrained subspace")
@@ -164,6 +173,17 @@ def evolve(psi0: StateVector, mask: ConstraintMask | None, drive_node: str,
     `mask` is always used for the good/bad-universe diagnostics; condition (i)
     is only enforced when `enforce_mask` is set (the no-mask variant exists to
     demonstrate when the projection is and is not redundant).
+
+    With `record` set, every grid point is stepped and kept.  Otherwise only
+    the start and the end are kept, and the end is computed without stepping
+    (see `_closed_form_last_steps`).  That rests on the stepper's invariant
+    for diagonal masks: each step multiplies a drive sector by a positive
+    factor, so the sector keeps the direction of its component c_s of the
+    projected psi0 and the state after step k is the sum over sectors of
+    sqrt(p_s(t_k)) * c_s/|c_s|, until the sector's target first falls to
+    zero.  From then on, or from the start when c_s is empty, the sector is
+    the uniform refill.  The final point's `step_overlap` compares the states
+    after steps n-1 and n, as when stepping.
     """
     pos = psi0.node_position(drive_node)
     node_bits = node_bit_values(psi0.n_nodes, pos)
@@ -186,15 +206,59 @@ def evolve(psi0: StateVector, mask: ConstraintMask | None, drive_node: str,
     amps = psi0.amps
     points = [diagnostics(0.0, amps, 1.0)]
     n = schedule.n_steps()
+    if not record:
+        prev, final = _closed_form_last_steps(amps, bits, (idx0, idx1),
+                                              schedule, leak_model)
+        points.append(diagnostics(schedule.tau, final,
+                                  float(abs(np.vdot(final, prev)))))
+        return Trajectory(schedule, tuple(points), leak_model)
     for k in range(1, n + 1):
         t = k * schedule.dt if k < n else schedule.tau
         new = _step_amps(amps, bits, idx0, idx1, schedule_targets(schedule, t),
                          leak_model)
         overlap = float(abs(np.vdot(new, amps)))
         amps = new
-        if record or k == n:
-            points.append(diagnostics(t, amps, overlap))
+        points.append(diagnostics(t, amps, overlap))
     return Trajectory(schedule, tuple(points), leak_model)
+
+
+def _closed_form_last_steps(psi0: np.ndarray, bits: np.ndarray | None,
+                            sectors: tuple[np.ndarray, np.ndarray],
+                            schedule: DriveSchedule,
+                            leak_model: str) -> tuple[np.ndarray, np.ndarray]:
+    """The stepper's amplitudes after steps n-1 and n, without stepping.
+
+    Only the sector targets are scanned over the grid.  A sector is refilled
+    at a step whose target is above _MASS_EPS if its component of the
+    projected psi0 is empty or its target was at most _MASS_EPS at an earlier
+    step; such a step raises `DegenerateDynamicsError` where the stepper
+    would.  With a single step, the state before it is psi0, unprojected.
+    """
+    n = schedule.n_steps()
+    targets = [schedule_targets(schedule,
+                                k * schedule.dt if k < n else schedule.tau)
+               for k in range(1, n + 1)]
+    projected = psi0 * bits if bits is not None else psi0
+    allowed = bits if bits is not None else np.ones_like(psi0, dtype=float)
+    prev, final = np.zeros_like(psi0), np.zeros_like(psi0)
+    for s, idx in enumerate(sectors):
+        mass = [p[s] for p in targets]
+        component = projected[idx]
+        norm = np.linalg.norm(component)
+        # Grid position (0-based) from which the sector holds the refill.
+        emptied = -1
+        if norm > _MASS_EPS:
+            emptied = next((k for k, p in enumerate(mass) if p <= _MASS_EPS), n)
+        if any(p > _MASS_EPS for p in mass[emptied + 1:]):
+            refill = _refill_indices(idx, allowed, leak_model)
+        for out, k in ((prev, n - 2), (final, n - 1)):
+            if k < 0 or mass[k] <= _MASS_EPS:
+                continue
+            if k < emptied:
+                out[idx] = math.sqrt(mass[k]) * component / norm
+            else:
+                out[refill] = math.sqrt(mass[k] / refill.size)
+    return (psi0 if n == 1 else prev), final
 
 
 def closed_form_link(theta: float, phi: float) -> StateVector:

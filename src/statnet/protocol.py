@@ -3,9 +3,11 @@
 The ground state is constructed analytically as the uniform superposition of
 every assignment satisfying the gates and the input pins (output pins are
 withheld at preparation and enforced through the drive and the offline
-check).  Each shot evolves that preparation until the drive node's sector
-mass sits on the pinned output value, measures once in the computational
-basis, and checks the sample offline against the full constraint set.
+check).  The evolution is deterministic, so a decision evolves that
+preparation once, until the drive node's sector mass sits on the pinned
+output value; each shot then measures the final state once in the
+computational basis, and the sample is checked offline against the full
+constraint set.
 """
 from __future__ import annotations
 
@@ -80,28 +82,16 @@ def network_hash(net: Network) -> str:
     return hashlib.sha256(render(net).encode()).hexdigest()[:16]
 
 
-def prepare_ground(net: Network,
-                   weights: dict[str, complex] | None = None) -> Preparation:
-    """Equal-phase superposition over the input-constrained solution set.
-
-    `weights` optionally assigns unnormalized amplitudes per assignment, for
-    experiments with non-uniform (e.g. exponentially rare) sectors.
-    """
+def prepare_ground(net: Network) -> Preparation:
+    """Equal-phase superposition over the input-constrained solution set."""
     mask = network_mask(net, include_output_pins=False)
     support = np.flatnonzero(mask.bits)
     if not support.size:
         raise UnpreparableNetworkError(
             "no assignment satisfies the gates and input pins")
     amps = np.zeros(net.dim, dtype=complex)
-    if weights:
-        amps[support] = [weights.get(index_assignment(net.nodes, k), 0.0)
-                         for k in support]
-    else:
-        amps[support] = 1.0
-    norm = np.linalg.norm(amps)
-    if norm == 0:
-        raise UnpreparableNetworkError("supplied weights vanish on the support")
-    state = StateVector(net.nodes, amps / norm)
+    amps[support] = 1 / math.sqrt(support.size)
+    state = StateVector(net.nodes, amps)
 
     if net.drive_node is None:
         return Preparation(state, mask, support.size, 0, None)
@@ -146,43 +136,42 @@ def measure_sample(v: StateVector, rng: np.random.Generator) -> str:
 
 def run_protocol(net: Network, schedule: DriveSchedule, shots: int, seed: int,
                  leak_model: str = "none") -> ProtocolResult:
-    """Repeat run_once with per-shot derived rng streams and decide.
+    """Evolve once, measure each shot with its own derived rng, and decide.
 
-    The result reports the driven schedule: theta0 and phi_final as fixed
-    by the preparation and the drive node's output pin.
+    Shot i draws from `default_rng([seed, i])`.  If the evolution raises
+    `DegenerateDynamicsError`, every shot's sample is None.  The result
+    reports the driven schedule: theta0 and phi_final as fixed by the
+    preparation and the drive node's output pin.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     prep = prepare_ground(net)
     schedule = _drive_schedule_for(net, prep, schedule)
     solutions = network_mask(net).bits
-    samples: list[str | None] = []
-    n_solutions = 0
-    alpha_final = []
-    for shot in range(shots):
-        rng = np.random.default_rng([int(seed), shot])
-        try:
-            traj, sample = run_once(net, schedule, leak_model, rng, prep=prep)
-        except DegenerateDynamicsError:
-            samples.append(None)
-            continue
-        samples.append(sample)
-        alpha_final.append(traj.points[-1].alpha_sq)
-        if solutions[basis_index(net.nodes, sample)]:
-            n_solutions += 1
+    try:
+        final = evolve(prep.state, prep.mask, net.drive_node, schedule,
+                       leak_model=leak_model, record=False).points[-1]
+    except DegenerateDynamicsError:
+        final = None
+    samples = tuple(
+        measure_sample(final.state, np.random.default_rng([int(seed), shot]))
+        if final is not None else None
+        for shot in range(shots))
+    n_solutions = sum(1 for s in samples if s is not None
+                      and solutions[basis_index(net.nodes, s)])
 
     if n_solutions > 0:
         decision, confidence = "satisfiable", 1.0
-    elif any(s is not None for s in samples):
+    elif final is not None:
         decision = "unsatisfiable"
         confidence = 1.0 - (1.0 - DEFAULT_P_GOOD_REF) ** shots
     else:
         decision, confidence = "inconclusive", 0.0
 
     return ProtocolResult(
-        shots=shots, samples=tuple(samples), n_solutions=n_solutions,
+        shots=shots, samples=samples, n_solutions=n_solutions,
         decision=decision, confidence=confidence, seed=int(seed),
-        good_universe_prob_final=float(np.mean(alpha_final)) if alpha_final else 0.0,
+        good_universe_prob_final=final.alpha_sq if final is not None else 0.0,
         network_hash=network_hash(net), schedule=schedule)
 
 

@@ -181,6 +181,44 @@ def test_run_bad_env_seed(capsys, monkeypatch):
     assert "STATNET_SEED" in err
 
 
+@pytest.mark.parametrize("args", [["check", "--network", "fig1"],
+                                  ["solve-brute", "--network", "fig1"]])
+def test_bad_env_seed_ignored_without_seed_flag(args, capsys, monkeypatch):
+    monkeypatch.setenv("STATNET_SEED", "not-a-number")
+    code, _, err = run_cli(args, capsys)
+    assert code == 0
+    assert err == ""
+
+
+# A link forces b = 0 under the input pin a = 1, so the drive toward the
+# output pin b = 1 demands mass where the constrained subspace has none.
+STUCK_NET = ("nodes a b\nlink a -> b\nfix a=1 input\nfix b=1 output\n"
+             "drive b\n")
+
+
+def test_run_degenerate_dynamics_inconclusive(tmp_path, capsys):
+    f = tmp_path / "stuck.net"
+    f.write_text(STUCK_NET)
+    code, out, _ = run_cli(["run", "--network", str(f), "--shots", "3"],
+                           capsys)
+    assert code == 1
+    res = json.loads(out)
+    assert res["samples"] == [None, None, None]
+    assert res["decision"] == "inconclusive"
+    assert res["confidence"] == 0.0
+
+
+def test_run_degenerate_dynamics_leak_unsat(tmp_path, capsys):
+    f = tmp_path / "stuck.net"
+    f.write_text(STUCK_NET)
+    code, out, _ = run_cli(["run", "--network", str(f), "--shots", "3",
+                            "--leak", "uniform-excited"], capsys)
+    assert code == 1
+    res = json.loads(out)
+    assert res["decision"] == "unsatisfiable"
+    assert set(res["samples"]) <= {"01", "11"}
+
+
 # --- argument handling -------------------------------------------------------
 
 def test_unknown_command_exit_code(capsys):

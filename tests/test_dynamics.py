@@ -385,3 +385,54 @@ def test_evolve_endpoint_hits_target_angle(theta):
     sched = linear(theta, phi_final, dt=1e-2)
     traj = evolve(closed_form_link(theta, 0.0), LINK_MASK, "r", sched)
     assert traj.points[-1].p1 == pytest.approx(1.0, abs=1e-12)
+
+
+# Angles on which a sector target lands on zero at a grid point.
+crossing_angles = st.sampled_from((0.0, math.pi / 4, math.pi / 2, math.pi,
+                                   -math.pi / 2, 3 * math.pi / 2, 2 * math.pi))
+
+
+@st.composite
+def closed_form_cases(draw):
+    """Random mask, complex psi0 with mass off the mask, and a schedule."""
+    n_nodes = draw(st.integers(2, 4))
+    dim = 2 ** n_nodes
+    nodes = tuple("abcd"[:n_nodes])
+    bits = draw(st.lists(st.integers(0, 1), min_size=dim, max_size=dim))
+    parts = st.sampled_from((0.0, 1.0, -0.5)) | st.floats(-1.0, 1.0)
+    amps = np.array([complex(draw(parts), draw(parts)) for _ in range(dim)])
+    if np.linalg.norm(amps) == 0:
+        amps[draw(st.integers(0, dim - 1))] = 1.0
+    psi0 = StateVector(nodes, amps / np.linalg.norm(amps))
+    n_steps = draw(st.sampled_from((1, 2, 3, 4, 10, 40)))
+    schedule = DriveSchedule(
+        kind=draw(st.sampled_from(dynamics.SCHEDULE_KINDS)),
+        theta0=draw(crossing_angles | st.floats(-math.pi, math.pi)),
+        phi_final=draw(crossing_angles | st.floats(-2 * math.pi, 2 * math.pi)),
+        tau=1.0, dt=1.0 / n_steps)
+    return (psi0, ConstraintMask(dim, np.array(bits)),
+            draw(st.sampled_from(nodes)), schedule,
+            draw(st.sampled_from(("none", "uniform-excited"))),
+            draw(st.booleans()))
+
+
+@given(closed_form_cases())
+@settings(max_examples=300, deadline=None)
+def test_closed_form_final_state_matches_stepper(case):
+    psi0, mask, drive, schedule, leak_model, enforce_mask = case
+
+    def run(record):
+        try:
+            return evolve(psi0, mask, drive, schedule, leak_model=leak_model,
+                          enforce_mask=enforce_mask, record=record)
+        except DegenerateDynamicsError:
+            return None
+
+    stepped, closed = run(True), run(False)
+    assert (stepped is None) == (closed is None)
+    if stepped is None:
+        return
+    assert len(closed.points) == 2
+    assert np.abs(closed.final_state.amps - stepped.final_state.amps).max() <= 1e-14
+    assert abs(closed.points[-1].step_overlap
+               - stepped.points[-1].step_overlap) <= 1e-14

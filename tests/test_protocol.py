@@ -85,12 +85,6 @@ def test_prepare_contradictory_inputs_raise():
         prepare_ground(net)
 
 
-def test_prepare_custom_weights():
-    net = parse_network("nodes a\n")
-    prep = prepare_ground(net, weights={"0": 1.0, "1": 3.0})
-    assert np.abs(prep.state.amps[1]) ** 2 == pytest.approx(0.9)
-
-
 # --- single shots ------------------------------------------------------------
 
 def test_run_once_lands_on_solution():
@@ -203,6 +197,20 @@ def test_protocol_builds_each_mask_once_per_decision(monkeypatch):
     monkeypatch.setattr(protocol, "network_mask", counted)
     run_protocol(builtin_fig1(), SCHED, shots=5, seed=0)
     assert calls == [{"include_output_pins": False}, {}]
+
+
+@pytest.mark.parametrize("shots", [1, 50])
+def test_protocol_evolves_once_per_decision(monkeypatch, shots):
+    calls = []
+    real = protocol.evolve
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "evolve", counted)
+    run_protocol(builtin_fig1(), SCHED, shots=shots, seed=0)
+    assert len(calls) == 1
 
 
 def test_good_universe_probability_reported():
