@@ -62,14 +62,12 @@ from .dynamics import (
     evolve,
     q_rs_apply,
     triplet_watchdog_demo,
-    watchdog_step,
 )
 from .protocol import (
     Preparation,
     ProtocolResult,
     prepare_ground,
     repetition_bound,
-    run_once,
     run_protocol,
 )
 
@@ -117,10 +115,8 @@ __all__ = [
     "reduced_diag",
     "render",
     "repetition_bound",
-    "run_once",
     "run_protocol",
     "sector_split",
     "total_hamiltonian",
     "triplet_watchdog_demo",
-    "watchdog_step",
 ]

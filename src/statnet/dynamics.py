@@ -9,9 +9,15 @@ reproduces its closed form to machine precision at any step size.
 
 The two-identical-particle demo replaces the mask with the symmetrizer.  The
 symmetrizer does not commute with the sector projectors, so the step iterates
-projection and rescale to their joint fixed point; the drive target is applied
-to both particles because a symmetric state has equal marginals (driving one
-particle drags the other through the symmetry).
+projection and rescale to their joint fixed point.  The drive target is
+imposed on the reduced diagonals of both particles, whichever particle the
+caller names as driven: a symmetric state has equal marginals, so the two
+targets agree.  Rescaling only the named particle and leaving the other to
+the symmetrizer lags the closed form by O(dt).
+
+Both evolutions walk the grid in one loop (`_walk_grid`) and rescale the two
+drive sectors in one routine (`_rescale`); they differ only in the projection
+and in the diagnostics they record.
 """
 from __future__ import annotations
 
@@ -95,26 +101,6 @@ class Trajectory:
         return self.points[-1].state
 
 
-def _rescale_sector(amps: np.ndarray, idx: np.ndarray, target: float,
-                    allowed: np.ndarray, leak_model: str) -> np.ndarray:
-    """Place mass `target` on one drive sector, preserving direction and phase.
-
-    `idx` selects the sector's basis indices; `allowed` is the constraint
-    indicator over the whole space (all ones when condition (i) is off).
-    """
-    out = np.zeros_like(amps)
-    if target <= _MASS_EPS:
-        return out
-    component = amps[idx]
-    norm = np.linalg.norm(component)
-    if norm > _MASS_EPS:
-        out[idx] = math.sqrt(target) * component / norm
-        return out
-    refill = _refill_indices(idx, allowed, leak_model)
-    out[refill] = math.sqrt(target / refill.size)
-    return out
-
-
 def _refill_indices(idx: np.ndarray, allowed: np.ndarray,
                     leak_model: str) -> np.ndarray:
     """Where a drive sector that carries no mass is refilled, uniformly.
@@ -135,33 +121,50 @@ def _refill_indices(idx: np.ndarray, allowed: np.ndarray,
         "drive demands mass in a sector outside the constrained subspace")
 
 
-def _step_amps(prev: np.ndarray, bits: np.ndarray | None,
-               idx0: np.ndarray, idx1: np.ndarray,
-               targets: tuple[float, float], leak_model: str) -> np.ndarray:
-    """One watchdog step on raw amplitudes (diagonal constraint)."""
-    projected = prev * bits if bits is not None else prev
-    allowed = bits if bits is not None else np.ones_like(prev, dtype=float)
-    new = (_rescale_sector(projected, idx0, targets[0], allowed, leak_model)
-           + _rescale_sector(projected, idx1, targets[1], allowed, leak_model))
-    return new
+def _rescale(amps: np.ndarray, sectors: tuple[np.ndarray, np.ndarray],
+             targets: tuple[float, float], allowed: np.ndarray,
+             leak_model: str) -> np.ndarray:
+    """Place each target mass on its drive sector, preserving direction and phase.
+
+    `sectors` holds the two sectors' basis indices; `allowed` is the
+    constraint indicator over the whole space.  A demanded sector that carries
+    no mass is refilled at `_refill_indices`, which raises when there is
+    nowhere to refill.
+    """
+    out = np.zeros_like(amps)
+    for idx, target in zip(sectors, targets):
+        if target <= _MASS_EPS:
+            continue
+        component = amps[idx]
+        norm = np.linalg.norm(component)
+        if norm > _MASS_EPS:
+            out[idx] = math.sqrt(target) * component / norm
+        else:
+            refill = _refill_indices(idx, allowed, leak_model)
+            out[refill] = math.sqrt(target / refill.size)
+    return out
 
 
-def watchdog_step(prev: StateVector, mask: ConstraintMask | None, drive_node: str,
-                  targets: tuple[float, float],
-                  leak_model: str = "none") -> StateVector:
-    """Project onto the mask, then rescale the drive node's sectors to `targets`."""
-    if abs(targets[0] + targets[1] - 1.0) > 1e-9:
-        raise ValueError("sector targets must sum to 1")
-    bits = None
-    if mask is not None:
-        if mask.dim != prev.dim:
-            raise ValueError("mask dimension mismatch")
-        bits = mask.bits
-    node_bits = node_bit_values(prev.n_nodes, prev.node_position(drive_node))
-    idx0 = np.flatnonzero(node_bits == 0)
-    idx1 = np.flatnonzero(node_bits == 1)
-    new = _step_amps(prev.amps, bits, idx0, idx1, targets, leak_model)
-    return StateVector(prev.node_order, new)
+def _grid_times(schedule: DriveSchedule) -> list[float]:
+    """The times after steps 1..n: k*dt, except that the last step ends at tau."""
+    n = schedule.n_steps()
+    return [k * schedule.dt for k in range(1, n)] + [schedule.tau]
+
+
+def _walk_grid(amps: np.ndarray, schedule: DriveSchedule, step,
+               diagnostics) -> tuple[TrajectoryPoint, ...]:
+    """Step over the schedule's grid and record a point at t=0 and after each step.
+
+    `step(prev, targets)` returns the next amplitudes for the sector targets
+    at the step's end time; `diagnostics(t, amps, step_overlap)` builds a
+    point.
+    """
+    points = [diagnostics(0.0, amps, 1.0)]
+    for t in _grid_times(schedule):
+        new = step(amps, schedule_targets(schedule, t))
+        points.append(diagnostics(t, new, float(abs(np.vdot(new, amps)))))
+        amps = new
+    return tuple(points)
 
 
 def evolve(psi0: StateVector, mask: ConstraintMask | None, drive_node: str,
@@ -185,13 +188,14 @@ def evolve(psi0: StateVector, mask: ConstraintMask | None, drive_node: str,
     the uniform refill.  The final point's `step_overlap` compares the states
     after steps n-1 and n, as when stepping.
     """
-    pos = psi0.node_position(drive_node)
-    node_bits = node_bit_values(psi0.n_nodes, pos)
-    idx0 = np.flatnonzero(node_bits == 0)
-    idx1 = np.flatnonzero(node_bits == 1)
+    if mask is not None and mask.dim != psi0.dim:
+        raise ValueError("mask dimension mismatch")
+    node_bits = node_bit_values(psi0.n_nodes, psi0.node_position(drive_node))
+    sectors = (np.flatnonzero(node_bits == 0), np.flatnonzero(node_bits == 1))
     bits = mask.bits if (mask is not None and enforce_mask) else None
     diag_bits = mask.bits if mask is not None else None
     energies = hamiltonian.energies if hamiltonian is not None else None
+    allowed = bits if bits is not None else np.ones(psi0.dim)
 
     def diagnostics(t, amps, overlap):
         probs = np.abs(amps) ** 2
@@ -199,30 +203,29 @@ def evolve(psi0: StateVector, mask: ConstraintMask | None, drive_node: str,
         energy = float(np.sum(energies * probs)) if energies is not None else 0.0
         return TrajectoryPoint(
             t=t, state=StateVector(psi0.node_order, amps),
-            p0=float(probs[idx0].sum()), p1=float(probs[idx1].sum()),
+            p0=float(probs[sectors[0]].sum()),
+            p1=float(probs[sectors[1]].sum()),
             alpha_sq=alpha_sq, beta_sq=1.0 - alpha_sq,
             energy=energy, step_overlap=overlap)
 
-    amps = psi0.amps
-    points = [diagnostics(0.0, amps, 1.0)]
-    n = schedule.n_steps()
     if not record:
-        prev, final = _closed_form_last_steps(amps, bits, (idx0, idx1),
-                                              schedule, leak_model)
-        points.append(diagnostics(schedule.tau, final,
-                                  float(abs(np.vdot(final, prev)))))
-        return Trajectory(schedule, tuple(points), leak_model)
-    for k in range(1, n + 1):
-        t = k * schedule.dt if k < n else schedule.tau
-        new = _step_amps(amps, bits, idx0, idx1, schedule_targets(schedule, t),
-                         leak_model)
-        overlap = float(abs(np.vdot(new, amps)))
-        amps = new
-        points.append(diagnostics(t, amps, overlap))
-    return Trajectory(schedule, tuple(points), leak_model)
+        prev, final = _closed_form_last_steps(psi0.amps, bits, allowed,
+                                              sectors, schedule, leak_model)
+        points = (diagnostics(0.0, psi0.amps, 1.0),
+                  diagnostics(schedule.tau, final,
+                              float(abs(np.vdot(final, prev)))))
+        return Trajectory(schedule, points, leak_model)
+
+    def step(prev, targets):
+        projected = prev * bits if bits is not None else prev
+        return _rescale(projected, sectors, targets, allowed, leak_model)
+
+    return Trajectory(schedule, _walk_grid(psi0.amps, schedule, step, diagnostics),
+                      leak_model)
 
 
 def _closed_form_last_steps(psi0: np.ndarray, bits: np.ndarray | None,
+                            allowed: np.ndarray,
                             sectors: tuple[np.ndarray, np.ndarray],
                             schedule: DriveSchedule,
                             leak_model: str) -> tuple[np.ndarray, np.ndarray]:
@@ -234,12 +237,9 @@ def _closed_form_last_steps(psi0: np.ndarray, bits: np.ndarray | None,
     step; such a step raises `DegenerateDynamicsError` where the stepper
     would.  With a single step, the state before it is psi0, unprojected.
     """
-    n = schedule.n_steps()
-    targets = [schedule_targets(schedule,
-                                k * schedule.dt if k < n else schedule.tau)
-               for k in range(1, n + 1)]
+    targets = [schedule_targets(schedule, t) for t in _grid_times(schedule)]
+    n = len(targets)
     projected = psi0 * bits if bits is not None else psi0
-    allowed = bits if bits is not None else np.ones_like(psi0, dtype=float)
     prev, final = np.zeros_like(psi0), np.zeros_like(psi0)
     for s, idx in enumerate(sectors):
         mass = [p[s] for p in targets]
@@ -288,28 +288,16 @@ def q_rs_apply(phi: float, v: StateVector) -> StateVector:
     return StateVector(v.node_order, q @ v.amps)
 
 
-def _rescale_particle(amps: np.ndarray, idx0: np.ndarray, idx1: np.ndarray,
-                      targets: tuple[float, float]) -> np.ndarray:
-    """Sector rescale without constraint bookkeeping (demo space is unmasked)."""
-    out = np.zeros_like(amps)
-    for idx, target in ((idx0, targets[0]), (idx1, targets[1])):
-        if target <= _MASS_EPS:
-            continue
-        norm = np.linalg.norm(amps[idx])
-        if norm <= _MASS_EPS:
-            raise DegenerateDynamicsError("drive sector lost all mass")
-        out[idx] = math.sqrt(target) * amps[idx] / norm
-    return out
-
-
 def triplet_watchdog_demo(theta: float, schedule: DriveSchedule,
                           drive: str = "p1") -> Trajectory:
     """Two identical two-state particles under the symmetrizer watchdog.
 
-    `drive` selects whose reduced diagonal carries the schedule: "p1", "p2",
-    or "both".  A symmetric state has identical marginals, so the symmetry
-    constraint propagates the drive target to the undriven particle; the
-    three choices produce one and the same trajectory.
+    `drive` names the driven particle: "p1", "p2", or "both".  It is checked
+    and otherwise unused: every step imposes the schedule's sector targets on
+    the reduced diagonals of both particles, so the three choices produce one
+    and the same trajectory.  A sector that loses all its mass while its
+    target is positive raises `DegenerateDynamicsError`; the demo space has no
+    constraint to refill it from.
     """
     if drive not in ("p1", "p2", "both"):
         raise ValueError("drive must be 'p1', 'p2', or 'both'")
@@ -318,16 +306,18 @@ def triplet_watchdog_demo(theta: float, schedule: DriveSchedule,
     schedule = replace(schedule, theta0=theta)
     sym = symmetrizer_two().matrix
     node_order = ("p1", "p2")
-    splits = {"p1": (np.array([0, 1]), np.array([2, 3])),
-              "p2": (np.array([0, 2]), np.array([1, 3]))}
+    # The drive sectors of p1 and of p2; nothing is allowed as a refill.
+    particles = ((np.array([0, 1]), np.array([2, 3])),
+                 (np.array([0, 2]), np.array([1, 3])))
+    no_refill = np.zeros(4)
 
     def step(prev: np.ndarray, targets: tuple[float, float]) -> np.ndarray:
         current = prev
         for _ in range(_FIXPOINT_MAX_ITER):
             nxt = sym @ current
             nxt = nxt / np.linalg.norm(nxt)
-            for particle in ("p1", "p2"):
-                nxt = _rescale_particle(nxt, *splits[particle], targets)
+            for sectors in particles:
+                nxt = _rescale(nxt, sectors, targets, no_refill, "none")
             if np.linalg.norm(nxt - current) < _FIXPOINT_TOL:
                 return nxt
             current = nxt
@@ -345,16 +335,8 @@ def triplet_watchdog_demo(theta: float, schedule: DriveSchedule,
             alpha_sq=alpha_sq, beta_sq=1.0 - alpha_sq,
             energy=1.0 - alpha_sq, step_overlap=overlap)
 
-    amps = closed_form_triplet(theta, 0.0).amps
-    points = [diagnostics(0.0, amps, 1.0)]
-    n = schedule.n_steps()
-    for k in range(1, n + 1):
-        t = k * schedule.dt if k < n else schedule.tau
-        new = step(amps, schedule_targets(schedule, t))
-        overlap = float(abs(np.vdot(new, amps)))
-        amps = new
-        points.append(diagnostics(t, amps, overlap))
-    return Trajectory(schedule, tuple(points))
+    return Trajectory(schedule, _walk_grid(closed_form_triplet(theta, 0.0).amps,
+                                           schedule, step, diagnostics))
 
 
 def singlet_amplitude(state: StateVector) -> complex:

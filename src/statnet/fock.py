@@ -93,18 +93,6 @@ def create(basis: ModeBasis, chi: int, site: str, state: FockVector) -> FockVect
     return FockVector(basis, out)
 
 
-def annihilate(basis: ModeBasis, chi: int, site: str, state: FockVector) -> FockVector:
-    """Fermionic a_(chi,site)."""
-    m = basis.mode_index(chi, site)
-    out = np.zeros_like(state.amps)
-    for config in np.flatnonzero(state.amps):
-        config = int(config)
-        if not config >> m & 1:
-            continue
-        out[config & ~(1 << m)] += _parity_below(config, m) * state.amps[config]
-    return FockVector(basis, out)
-
-
 def creation_matrix(basis: ModeBasis, chi: int, site: str) -> np.ndarray:
     """a†_(chi,site) as a matrix over the full occupation space."""
     dim = 2 ** basis.n_modes

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import DriveSchedule, Trajectory, evolve
+from .dynamics import DriveSchedule, evolve
 from .errors import DegenerateDynamicsError, UnpreparableNetworkError
 from .hilbert import (StateVector, basis_index, index_assignment,
                       node_bit_values, reduced_diag)
@@ -111,19 +111,6 @@ def _drive_schedule_for(net: Network, prep: Preparation,
     target_angle = math.pi / 2 if pin.value == 1 else 0.0
     return replace(schedule, theta0=prep.theta,
                    phi_final=target_angle - prep.theta)
-
-
-def run_once(net: Network, schedule: DriveSchedule, leak_model: str,
-             rng: np.random.Generator,
-             prep: Preparation | None = None) -> tuple[Trajectory, str]:
-    """One drive-relax-measure shot; returns the trajectory and the sample."""
-    if prep is None:
-        prep = prepare_ground(net)
-    traj = evolve(prep.state, prep.mask, net.drive_node,
-                  _drive_schedule_for(net, prep, schedule),
-                  leak_model=leak_model, record=False)
-    sample = measure_sample(traj.final_state, rng)
-    return traj, sample
 
 
 def measure_sample(v: StateVector, rng: np.random.Generator) -> str:

@@ -7,7 +7,7 @@ basis state its mask forbids and zero to each one it allows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ class ConstraintMask:
 
     dim: int
     bits: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         bits = np.asarray(self.bits)
@@ -48,8 +47,6 @@ class PenaltyHamiltonian:
 
     dim: int
     energies: np.ndarray
-    label: str = ""
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         energies = np.array(self.energies, dtype=float)
@@ -76,14 +73,14 @@ def gate_mask(net: Network, gate: Gate) -> ConstraintMask:
     local = _local_indices(net, gate.nodes)
     allowed = {int(ins + outs, 2) for ins, outs in gate.table.rows}
     bits = np.isin(local, sorted(allowed)).astype(float)
-    return ConstraintMask(net.dim, bits, label=f"A[{gate.name}]")
+    return ConstraintMask(net.dim, bits)
 
 
 def pin_mask(net: Network, pin: Pin) -> ConstraintMask:
     """1 where the pinned node carries the pinned value."""
     pos = net.nodes.index(pin.node)
     bits = (node_bit_values(net.n_nodes, pos, net.dim) == pin.value).astype(float)
-    return ConstraintMask(net.dim, bits, label=f"A[pin {pin.node}={pin.value}]")
+    return ConstraintMask(net.dim, bits)
 
 
 def network_mask(net: Network, include_output_pins: bool = True) -> ConstraintMask:
@@ -95,8 +92,7 @@ def network_mask(net: Network, include_output_pins: bool = True) -> ConstraintMa
         if p.kind == "output" and not include_output_pins:
             continue
         bits = bits * pin_mask(net, p).bits
-    label = "A_N" if include_output_pins else "A_N\\outputs"
-    return ConstraintMask(net.dim, bits, label=label)
+    return ConstraintMask(net.dim, bits)
 
 
 def gate_hamiltonian(net: Network, gate: Gate, energy: float = DEFAULT_PENALTY,
@@ -119,8 +115,7 @@ def gate_hamiltonian(net: Network, gate: Gate, energy: float = DEFAULT_PENALTY,
     for pattern, e in overrides.items():
         penalties[int(pattern, 2)] = e
     energies = np.where(mask.bits == 1, 0.0, penalties[local])
-    return PenaltyHamiltonian(net.dim, energies, label=f"H[{gate.name}]",
-                              params={"E": energy, **overrides})
+    return PenaltyHamiltonian(net.dim, energies)
 
 
 def pin_hamiltonian(net: Network, pin: Pin,
@@ -141,8 +136,7 @@ def one_qubit_hamiltonian(node_order: tuple[str, ...], node: str,
     n = len(node_order)
     bits = node_bit_values(n, pos)
     energies = np.where(bits == excited_value, energy, 0.0)
-    return PenaltyHamiltonian(2 ** n, energies, label=f"H[{node}|{excited_value}]",
-                              params={"E": energy})
+    return PenaltyHamiltonian(2 ** n, energies)
 
 
 def total_hamiltonian(hamiltonians: list[PenaltyHamiltonian],
@@ -151,12 +145,12 @@ def total_hamiltonian(hamiltonians: list[PenaltyHamiltonian],
     if not hamiltonians:
         if dim is None:
             raise ValueError("dim required for an empty sum")
-        return PenaltyHamiltonian(dim, np.zeros(dim), label="H_N")
+        return PenaltyHamiltonian(dim, np.zeros(dim))
     d = hamiltonians[0].dim
     for h in hamiltonians:
         if h.dim != d:
             raise ValueError("Hamiltonian dimensions differ")
-    return PenaltyHamiltonian(d, sum(h.energies for h in hamiltonians), label="H_N")
+    return PenaltyHamiltonian(d, sum(h.energies for h in hamiltonians))
 
 
 def expected_energy(v: StateVector, h: PenaltyHamiltonian) -> float:
@@ -176,8 +170,7 @@ def mask_to_hamiltonian(mask: ConstraintMask,
     """The canonical penalty pairing of a mask: E on the complement of the support."""
     if energy <= 0:
         raise ValueError("penalty energy must be > 0")
-    return PenaltyHamiltonian(mask.dim, energy * (1.0 - mask.bits),
-                              label=f"H[{mask.label}]", params={"E": energy})
+    return PenaltyHamiltonian(mask.dim, energy * (1.0 - mask.bits))
 
 
 def network_hamiltonian(net: Network, energy: float = DEFAULT_PENALTY,

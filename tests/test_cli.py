@@ -135,6 +135,16 @@ def test_simulate_triplet_constant_when_undriven(capsys):
     assert max(p1_values) - min(p1_values) < 1e-12
 
 
+def test_simulate_triplet_lost_sector_exit_code(capsys):
+    # The p0 target reaches zero at t=0.5 and is demanded again after it.
+    code, out, err = run_cli(["simulate-triplet", "--theta", "0.7853981633974483",
+                              "--phi-final", "1.5707963267948966",
+                              "--dt", "0.1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 # --- run ---------------------------------------------------------------------
 
 def test_run_fig1(capsys):

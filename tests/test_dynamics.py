@@ -15,7 +15,6 @@ from statnet.dynamics import (
     schedule_targets,
     singlet_amplitude,
     triplet_watchdog_demo,
-    watchdog_step,
 )
 from statnet.errors import DegenerateDynamicsError
 from statnet.hilbert import StateVector, basis_state
@@ -30,6 +29,12 @@ LINK_H = gate_hamiltonian(LINK_NET, LINK_NET.gates[0])
 def linear(theta, phi_final, tau=1.0, dt=1e-3):
     return DriveSchedule(kind="linear-ramp", theta0=theta,
                          phi_final=phi_final, tau=tau, dt=dt)
+
+
+def one_step(prev, mask, angle, leak_model="none"):
+    """One evolve step of drive node r from `prev` to the targets of `angle`."""
+    sched = DriveSchedule(theta0=angle, phi_final=0.0, tau=1e-3, dt=1e-3)
+    return evolve(prev, mask, "r", sched, leak_model=leak_model).final_state
 
 
 # --- schedules ---------------------------------------------------------------
@@ -89,52 +94,51 @@ def test_schedule_rejects_bad_grid():
 def test_step_rotates_link_state():
     theta, delta = 0.5, 0.02
     prev = closed_form_link(theta, 0.0)
-    targets = (math.cos(theta + delta) ** 2, math.sin(theta + delta) ** 2)
-    new = watchdog_step(prev, LINK_MASK, "r", targets)
+    new = one_step(prev, LINK_MASK, theta + delta)
     assert np.allclose(new.amps, closed_form_link(theta, delta).amps,
                        atol=1e-15)
 
 
 def test_step_fixed_point():
     prev = closed_form_link(0.3, 0.0)
-    targets = (math.cos(0.3) ** 2, math.sin(0.3) ** 2)
-    new = watchdog_step(prev, LINK_MASK, "r", targets)
+    new = one_step(prev, LINK_MASK, 0.3)
     assert np.allclose(new.amps, prev.amps, atol=1e-15)
 
 
 def test_step_masked_never_populates_forbidden_state():
     # theta = 0: all mass starts on |01>; the |11> channel stays empty.
     prev = basis_state(("r", "s"), "01")
-    targets = (math.cos(0.01) ** 2, math.sin(0.01) ** 2)
-    new = watchdog_step(prev, LINK_MASK, "r", targets)
+    new = one_step(prev, LINK_MASK, 0.01)
     assert new.amps[3] == 0.0
     assert abs(new.amps[2]) > 0  # revived uniformly inside the constraint
 
 
 def test_step_unmasked_populates_forbidden_state():
     prev = basis_state(("r", "s"), "01")
-    targets = (math.cos(0.01) ** 2, math.sin(0.01) ** 2)
-    new = watchdog_step(prev, None, "r", targets)
+    new = one_step(prev, None, 0.01)
     assert abs(new.amps[3]) > 0
-
-
-def test_step_rejects_unbalanced_targets():
-    with pytest.raises(ValueError):
-        watchdog_step(basis_state(("r", "s"), "01"), LINK_MASK, "r", (0.7, 0.7))
 
 
 def test_step_empty_constrained_sector_raises():
     # Mask allows only r=0 states; demanding r=1 mass has nowhere to go.
     mask = ConstraintMask(4, np.array([1, 1, 0, 0]))
     with pytest.raises(DegenerateDynamicsError):
-        watchdog_step(basis_state(("r", "s"), "00"), mask, "r", (0.5, 0.5))
+        one_step(basis_state(("r", "s"), "00"), mask, math.pi / 4)
 
 
 def test_step_leak_model_uses_excited_states():
     mask = ConstraintMask(4, np.array([1, 1, 0, 0]))
-    new = watchdog_step(basis_state(("r", "s"), "00"), mask, "r", (0.5, 0.5),
-                        leak_model="uniform-excited")
+    new = one_step(basis_state(("r", "s"), "00"), mask, math.pi / 4,
+                   leak_model="uniform-excited")
     assert np.abs(new.amps[2]) ** 2 + np.abs(new.amps[3]) ** 2 == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("enforce_mask", [True, False])
+def test_evolve_rejects_mask_of_another_dimension(enforce_mask):
+    mask = ConstraintMask(8, np.ones(8))
+    with pytest.raises(ValueError, match="mask dimension mismatch"):
+        evolve(closed_form_link(0.3, 0.0), mask, "r", linear(0.3, 0.1),
+               enforce_mask=enforce_mask)
 
 
 # --- link evolution ----------------------------------------------------------
@@ -313,6 +317,14 @@ def test_triplet_rejects_unknown_drive():
         triplet_watchdog_demo(0.3, linear(0.3, 0.1), drive="p3")
 
 
+def test_triplet_lost_sector_raises():
+    # From theta = pi/4 the p0 target falls to zero at t=0.5 and is demanded
+    # again after it: the demo has no constraint to refill the sector from.
+    with pytest.raises(DegenerateDynamicsError):
+        triplet_watchdog_demo(math.pi / 4, linear(math.pi / 4, math.pi / 2,
+                                                  dt=0.1))
+
+
 def test_triplet_fixed_point_cap_raises(monkeypatch):
     monkeypatch.setattr(dynamics, "_FIXPOINT_MAX_ITER", 1)
     with pytest.raises(DegenerateDynamicsError):
@@ -359,7 +371,7 @@ def test_step_is_overlap_optimal(theta, delta):
     """
     prev = closed_form_link(theta, 0.0)
     targets = (math.cos(theta + delta) ** 2, math.sin(theta + delta) ** 2)
-    new = watchdog_step(prev, LINK_MASK, "r", targets)
+    new = one_step(prev, LINK_MASK, theta + delta)
     best = abs(np.vdot(new.amps, prev.amps))
     for phase in np.linspace(0, 2 * math.pi, 60):
         cand = np.array([0,

@@ -25,7 +25,6 @@ from statnet.protocol import (
     network_hash,
     prepare_ground,
     repetition_bound,
-    run_once,
     run_protocol,
 )
 from statnet.statics import (
@@ -88,25 +87,24 @@ def test_prepare_contradictory_inputs_raise():
 # --- single shots ------------------------------------------------------------
 
 def test_run_once_lands_on_solution():
-    net = builtin_fig1()
-    rng = np.random.default_rng(0)
-    traj, sample = run_once(net, SCHED, "none", rng)
-    assert sample == "11101011"
-    assert np.allclose(traj.final_state.amps,
-                       basis_state(net.nodes, "11101011").amps, atol=1e-9)
+    result = run_protocol(builtin_fig1(), SCHED, shots=1, seed=0)
+    assert result.samples == ("11101011",)
+    assert result.n_solutions == 1
+    assert result.good_universe_prob_final == pytest.approx(1.0, abs=1e-9)
 
 
 def test_run_once_unsat_sample_fails_offline_check():
     net = builtin_fig1_unsat()
-    rng = np.random.default_rng(0)
-    _, sample = run_once(net, SCHED, "none", rng)
+    result = run_protocol(net, SCHED, shots=1, seed=0)
+    (sample,) = result.samples
     assert not assignment_satisfies(net, sample, include_pins=True)
+    assert result.n_solutions == 0
 
 
 def test_run_once_requires_drive_node():
     net = parse_network("nodes a\n")
-    with pytest.raises(ValueError):
-        run_once(net, SCHED, "none", np.random.default_rng(0))
+    with pytest.raises(ValueError, match="no drive node"):
+        run_protocol(net, SCHED, shots=1, seed=0)
 
 
 # --- measurement -------------------------------------------------------------
