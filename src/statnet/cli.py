@@ -90,13 +90,17 @@ def cmd_check(args) -> int:
     out.append(f"solutions without output pins: {partial.support_size()}")
     text = "\n".join(out) + "\n"
     if args.dump:
+        def floats(mask):
+            # Masks are dumped as 0.0/1.0, like the Hamiltonian diagonal.
+            return mask.bits.astype(float).tolist()
+
         dump = {
             "nodes": list(net.nodes),
-            "masks": {name: m.bits.tolist() for name, m in gate_masks.items()},
-            "pin_masks": {p.node: statics.pin_mask(net, p).bits.tolist()
+            "masks": {name: floats(m) for name, m in gate_masks.items()},
+            "pin_masks": {p.node: floats(statics.pin_mask(net, p))
                           for p in net.pins},
-            "network_mask": full.bits.tolist(),
-            "network_mask_no_output_pins": partial.bits.tolist(),
+            "network_mask": floats(full),
+            "network_mask_no_output_pins": floats(partial),
             "hamiltonian": statics.network_hamiltonian(net).energies.tolist(),
         }
         text = json.dumps(dump, sort_keys=True, indent=2) + "\n"
@@ -118,11 +122,9 @@ def cmd_simulate_link(args) -> int:
     schedule = _schedule_from_args(args, args.theta, args.phi_final)
     net = network.parse_network("nodes r s\nlink r -> s\n")
     mask = statics.gate_mask(net, net.gates[0])
-    ham = statics.gate_hamiltonian(net, net.gates[0])
     psi0 = dynamics.closed_form_link(args.theta, 0.0)
     psi0 = StateVector(net.nodes, psi0.amps)
-    traj = dynamics.evolve(psi0, mask, "r", schedule,
-                           leak_model=args.leak, hamiltonian=ham,
+    traj = dynamics.evolve(psi0, mask, "r", schedule, leak_model=args.leak,
                            enforce_mask=not args.no_mask)
     _write(args.out, _trace_csv(traj, closed_form=dynamics.closed_form_link))
     return 0

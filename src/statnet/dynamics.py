@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DegenerateDynamicsError
 from .fock import symmetrizer_two
 from .hilbert import StateVector, node_bit_values
-from .statics import ConstraintMask, PenaltyHamiltonian
+from .statics import ConstraintMask
 
 SCHEDULE_KINDS = ("linear-ramp", "cosine-ramp", "exponential-relax")
 
@@ -94,7 +94,6 @@ class TrajectoryPoint:
 class Trajectory:
     schedule: DriveSchedule
     points: tuple[TrajectoryPoint, ...]
-    leak_model: str = "none"
 
     @property
     def final_state(self) -> StateVector:
@@ -105,20 +104,18 @@ def _refill_indices(idx: np.ndarray, allowed: np.ndarray,
                     leak_model: str) -> np.ndarray:
     """Where a drive sector that carries no mass is refilled, uniformly.
 
-    The refill is an equal-phase superposition over the constrained part of
-    the sector; with the uniform-excited leak model, over its excited part
-    when the constrained part is empty.
+    The refill is an equal-phase superposition over the sector's allowed
+    states; with the uniform-excited leak model, over the whole sector when
+    it has none.
     """
-    constrained = idx[allowed[idx] > 0]
+    constrained = idx[allowed[idx]]
     if constrained.size:
         return constrained
     if leak_model == "uniform-excited":
-        excited = idx[allowed[idx] == 0]
-        if excited.size:
-            return excited
-        raise DegenerateDynamicsError("drive sector is empty")
+        return idx
     raise DegenerateDynamicsError(
-        "drive demands mass in a sector outside the constrained subspace")
+        "drive demands mass in a sector that holds none and has no allowed "
+        "state to refill")
 
 
 def _rescale(amps: np.ndarray, sectors: tuple[np.ndarray, np.ndarray],
@@ -126,10 +123,10 @@ def _rescale(amps: np.ndarray, sectors: tuple[np.ndarray, np.ndarray],
              leak_model: str) -> np.ndarray:
     """Place each target mass on its drive sector, preserving direction and phase.
 
-    `sectors` holds the two sectors' basis indices; `allowed` is the
-    constraint indicator over the whole space.  A demanded sector that carries
-    no mass is refilled at `_refill_indices`, which raises when there is
-    nowhere to refill.
+    `sectors` holds the two sectors' basis indices; `allowed` is the boolean
+    constraint mask over the whole space.  A demanded sector that carries no
+    mass is refilled at `_refill_indices`, which raises when there is nowhere
+    to refill.
     """
     out = np.zeros_like(amps)
     for idx, target in zip(sectors, targets):
@@ -167,15 +164,16 @@ def _walk_grid(amps: np.ndarray, schedule: DriveSchedule, step,
     return tuple(points)
 
 
-def evolve(psi0: StateVector, mask: ConstraintMask | None, drive_node: str,
+def evolve(psi0: StateVector, mask: ConstraintMask, drive_node: str,
            schedule: DriveSchedule, leak_model: str = "none",
-           hamiltonian: PenaltyHamiltonian | None = None,
            enforce_mask: bool = True, record: bool = True) -> Trajectory:
     """Run the watchdog stepping over the schedule's uniform time grid.
 
-    `mask` is always used for the good/bad-universe diagnostics; condition (i)
-    is only enforced when `enforce_mask` is set (the no-mask variant exists to
-    demonstrate when the projection is and is not redundant).
+    `mask` always gives the diagnostics: `alpha_sq` is the mass on the states
+    it allows and `energy` the mass on those it forbids, its penalty at unit
+    energy.  Condition (i), the projection onto the mask, is only enforced
+    when `enforce_mask` is set (the no-mask variant exists to demonstrate
+    when the projection is and is not redundant).
 
     With `record` set, every grid point is stepped and kept.  Otherwise only
     the start and the end are kept, and the end is computed without stepping
@@ -188,19 +186,17 @@ def evolve(psi0: StateVector, mask: ConstraintMask | None, drive_node: str,
     the uniform refill.  The final point's `step_overlap` compares the states
     after steps n-1 and n, as when stepping.
     """
-    if mask is not None and mask.dim != psi0.dim:
+    if mask.dim != psi0.dim:
         raise ValueError("mask dimension mismatch")
     node_bits = node_bit_values(psi0.n_nodes, psi0.node_position(drive_node))
     sectors = (np.flatnonzero(node_bits == 0), np.flatnonzero(node_bits == 1))
-    bits = mask.bits if (mask is not None and enforce_mask) else None
-    diag_bits = mask.bits if mask is not None else None
-    energies = hamiltonian.energies if hamiltonian is not None else None
-    allowed = bits if bits is not None else np.ones(psi0.dim)
+    allowed = mask.bits if enforce_mask else np.ones(psi0.dim, dtype=bool)
+    forbidden = ~mask.bits
 
     def diagnostics(t, amps, overlap):
         probs = np.abs(amps) ** 2
-        alpha_sq = float(probs[diag_bits > 0].sum()) if diag_bits is not None else 1.0
-        energy = float(np.sum(energies * probs)) if energies is not None else 0.0
+        alpha_sq = float(probs[mask.bits].sum())
+        energy = float(probs[forbidden].sum())
         return TrajectoryPoint(
             t=t, state=StateVector(psi0.node_order, amps),
             p0=float(probs[sectors[0]].sum()),
@@ -209,23 +205,20 @@ def evolve(psi0: StateVector, mask: ConstraintMask | None, drive_node: str,
             energy=energy, step_overlap=overlap)
 
     if not record:
-        prev, final = _closed_form_last_steps(psi0.amps, bits, allowed,
-                                              sectors, schedule, leak_model)
+        prev, final = _closed_form_last_steps(psi0.amps, allowed, sectors,
+                                              schedule, leak_model)
         points = (diagnostics(0.0, psi0.amps, 1.0),
                   diagnostics(schedule.tau, final,
                               float(abs(np.vdot(final, prev)))))
-        return Trajectory(schedule, points, leak_model)
+        return Trajectory(schedule, points)
 
     def step(prev, targets):
-        projected = prev * bits if bits is not None else prev
-        return _rescale(projected, sectors, targets, allowed, leak_model)
+        return _rescale(prev * allowed, sectors, targets, allowed, leak_model)
 
-    return Trajectory(schedule, _walk_grid(psi0.amps, schedule, step, diagnostics),
-                      leak_model)
+    return Trajectory(schedule, _walk_grid(psi0.amps, schedule, step, diagnostics))
 
 
-def _closed_form_last_steps(psi0: np.ndarray, bits: np.ndarray | None,
-                            allowed: np.ndarray,
+def _closed_form_last_steps(psi0: np.ndarray, allowed: np.ndarray,
                             sectors: tuple[np.ndarray, np.ndarray],
                             schedule: DriveSchedule,
                             leak_model: str) -> tuple[np.ndarray, np.ndarray]:
@@ -239,7 +232,7 @@ def _closed_form_last_steps(psi0: np.ndarray, bits: np.ndarray | None,
     """
     targets = [schedule_targets(schedule, t) for t in _grid_times(schedule)]
     n = len(targets)
-    projected = psi0 * bits if bits is not None else psi0
+    projected = psi0 * allowed
     prev, final = np.zeros_like(psi0), np.zeros_like(psi0)
     for s, idx in enumerate(sectors):
         mass = [p[s] for p in targets]
@@ -309,7 +302,7 @@ def triplet_watchdog_demo(theta: float, schedule: DriveSchedule,
     # The drive sectors of p1 and of p2; nothing is allowed as a refill.
     particles = ((np.array([0, 1]), np.array([2, 3])),
                  (np.array([0, 2]), np.array([1, 3])))
-    no_refill = np.zeros(4)
+    no_refill = np.zeros(4, dtype=bool)
 
     def step(prev: np.ndarray, targets: tuple[float, float]) -> np.ndarray:
         current = prev

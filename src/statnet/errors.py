@@ -20,7 +20,11 @@ class DegenerateStateError(StatnetError):
 
 
 class DegenerateDynamicsError(StatnetError):
-    """The drive demands mass in a sector the constrained subspace cannot host."""
+    """The watchdog dynamics cannot take its next step.
+
+    The drive demands mass in a sector that holds none and has no allowed
+    state to refill, or the triplet fixed point does not converge.
+    """
 
 
 class UnpreparableNetworkError(StatnetError):

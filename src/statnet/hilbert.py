@@ -101,17 +101,15 @@ def normalize(v: StateVector) -> StateVector:
 
 
 def apply_mask(v: StateVector, mask) -> StateVector:
-    """Project onto a diagonal 0/1 mask.  Result is not renormalized."""
+    """Project onto a diagonal boolean mask.  Result is not renormalized."""
     if mask.dim != v.dim:
         raise ValueError(f"mask dim {mask.dim} != state dim {v.dim}")
     return StateVector(v.node_order, v.amps * mask.bits)
 
 
-def node_bit_values(n_nodes: int, position: int, dim: int | None = None) -> np.ndarray:
+def node_bit_values(n_nodes: int, position: int) -> np.ndarray:
     """Bit of the node at `position` for every basis index, as a 0/1 array."""
-    if dim is None:
-        dim = 2 ** n_nodes
-    return (np.arange(dim) >> (n_nodes - 1 - position)) & 1
+    return (np.arange(2 ** n_nodes) >> (n_nodes - 1 - position)) & 1
 
 
 def reduced_diag(v: StateVector, node: str) -> SectorDiag:

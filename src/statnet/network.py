@@ -317,11 +317,11 @@ def assignment_satisfies(net: Network, assignment: str,
     return True
 
 
-def brute_force_solutions(net: Network, include_pins: bool = True,
-                          limit: int = DEFAULT_NODE_LIMIT) -> list[str]:
+def brute_force_solutions(net: Network, include_pins: bool = True) -> list[str]:
     """All satisfying assignments in ascending basis-index order (exhaustive)."""
-    if net.n_nodes > limit:
-        raise ValueError(f"{net.n_nodes} nodes exceeds enumeration limit {limit}")
+    if net.n_nodes > DEFAULT_NODE_LIMIT:
+        raise ValueError(f"{net.n_nodes} nodes exceeds enumeration limit "
+                         f"{DEFAULT_NODE_LIMIT}")
     n = net.n_nodes
     return [a for k in range(2 ** n)
             if assignment_satisfies(net, a := format(k, f"0{n}b"), include_pins)]

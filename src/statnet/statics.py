@@ -1,9 +1,11 @@
-"""Diagonal constraint projectors and penalty Hamiltonians.
+"""Diagonal constraint projectors and the penalty Hamiltonians read from them.
 
 Every operator here is diagonal in the computational basis of the full
-network, so products commute exactly and a projector is just a 0/1 indicator
-array.  A constraint Hamiltonian assigns a strictly positive penalty to each
-basis state its mask forbids and zero to each one it allows.
+network, so products commute exactly and a projector is a boolean mask over
+basis indices: true where the constraint allows the basis state.  A mask is
+the whole constraint; every penalty Hamiltonian is derived from one by
+`mask_to_hamiltonian`, which puts a strictly positive energy on each state
+the mask forbids and zero on each one it allows.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ DEFAULT_PENALTY = 1.0
 
 @dataclass(frozen=True)
 class ConstraintMask:
-    """0/1 diagonal indicator over basis indices (a projector A_i)."""
+    """Boolean diagonal indicator over basis indices (a projector A_i)."""
 
     dim: int
     bits: np.ndarray
@@ -28,11 +30,11 @@ class ConstraintMask:
         bits = np.asarray(self.bits)
         if bits.shape != (self.dim,):
             raise ValueError(f"bits shape {bits.shape} != dim {self.dim}")
-        if not np.isin(bits, (0, 1)).all():
+        mask = bits.astype(bool)
+        if not np.array_equal(mask, bits):
             raise ValueError("mask entries must be 0 or 1")
-        bits = bits.astype(float)
-        bits.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
+        mask.setflags(write=False)
+        object.__setattr__(self, "bits", mask)
 
     def support(self) -> list[int]:
         return [int(k) for k in np.flatnonzero(self.bits)]
@@ -64,79 +66,45 @@ def _local_indices(net: Network, nodes: tuple[str, ...]) -> np.ndarray:
     m = len(nodes)
     local = np.zeros(net.dim, dtype=np.int64)
     for j, node in enumerate(nodes):
-        local |= node_bit_values(net.n_nodes, pos[node], net.dim) << (m - 1 - j)
+        local |= node_bit_values(net.n_nodes, pos[node]) << (m - 1 - j)
     return local
 
 
 def gate_mask(net: Network, gate: Gate) -> ConstraintMask:
-    """1 where the gate's nodes carry a truth-table row, 0 elsewhere."""
+    """True where the gate's nodes carry a truth-table row."""
     local = _local_indices(net, gate.nodes)
     allowed = {int(ins + outs, 2) for ins, outs in gate.table.rows}
-    bits = np.isin(local, sorted(allowed)).astype(float)
-    return ConstraintMask(net.dim, bits)
+    return ConstraintMask(net.dim, np.isin(local, sorted(allowed)))
 
 
 def pin_mask(net: Network, pin: Pin) -> ConstraintMask:
-    """1 where the pinned node carries the pinned value."""
+    """True where the pinned node carries the pinned value."""
     pos = net.nodes.index(pin.node)
-    bits = (node_bit_values(net.n_nodes, pos, net.dim) == pin.value).astype(float)
-    return ConstraintMask(net.dim, bits)
+    return ConstraintMask(net.dim, node_bit_values(net.n_nodes, pos) == pin.value)
 
 
 def network_mask(net: Network, include_output_pins: bool = True) -> ConstraintMask:
     """Conjunction of all gate masks, input-pin masks, and optionally output pins."""
-    bits = np.ones(net.dim)
+    bits = np.ones(net.dim, dtype=bool)
     for g in net.gates:
-        bits = bits * gate_mask(net, g).bits
+        bits &= gate_mask(net, g).bits
     for p in net.pins:
         if p.kind == "output" and not include_output_pins:
             continue
-        bits = bits * pin_mask(net, p).bits
+        bits &= pin_mask(net, p).bits
     return ConstraintMask(net.dim, bits)
 
 
-def gate_hamiltonian(net: Network, gate: Gate, energy: float = DEFAULT_PENALTY,
-                     overrides: dict[str, float] | None = None) -> PenaltyHamiltonian:
-    """Penalty `energy` on every violating basis state, zero on table rows.
-
-    `overrides` maps a violating local bit pattern over the gate's nodes
-    (inputs then outputs) to its own penalty, mirroring per-state constants.
-    """
-    if energy <= 0:
-        raise ValueError("penalty energy must be > 0")
-    overrides = overrides or {}
-    for pattern, e in overrides.items():
-        if e <= 0:
-            raise ValueError(f"penalty for pattern {pattern!r} must be > 0")
-    local = _local_indices(net, gate.nodes)
-    mask = gate_mask(net, gate)
-    m = len(gate.nodes)
-    penalties = np.full(2 ** m, energy)
-    for pattern, e in overrides.items():
-        penalties[int(pattern, 2)] = e
-    energies = np.where(mask.bits == 1, 0.0, penalties[local])
-    return PenaltyHamiltonian(net.dim, energies)
+def gate_hamiltonian(net: Network, gate: Gate,
+                     energy: float = DEFAULT_PENALTY) -> PenaltyHamiltonian:
+    """Penalty `energy` on every basis state that violates the gate's table."""
+    return mask_to_hamiltonian(gate_mask(net, gate), energy)
 
 
 def pin_hamiltonian(net: Network, pin: Pin,
                     energy: float = DEFAULT_PENALTY) -> PenaltyHamiltonian:
-    """One-qubit pin Hamiltonian: excited when the node disagrees with the pin."""
-    return one_qubit_hamiltonian(net.nodes, pin.node, excited_value=1 - pin.value,
-                                 energy=energy)
-
-
-def one_qubit_hamiltonian(node_order: tuple[str, ...], node: str,
-                          excited_value: int, energy: float) -> PenaltyHamiltonian:
-    """`energy` where the node bit equals `excited_value`, zero elsewhere."""
-    if energy <= 0:
-        raise ValueError("penalty energy must be > 0")
-    if excited_value not in (0, 1):
-        raise ValueError("excited_value must be 0 or 1")
-    pos = tuple(node_order).index(node)
-    n = len(node_order)
-    bits = node_bit_values(n, pos)
-    energies = np.where(bits == excited_value, energy, 0.0)
-    return PenaltyHamiltonian(2 ** n, energies)
+    """Penalty `energy` wherever the pinned node disagrees with the pin."""
+    return mask_to_hamiltonian(pin_mask(net, pin), energy)
 
 
 def total_hamiltonian(hamiltonians: list[PenaltyHamiltonian],
@@ -167,10 +135,10 @@ def ground_space(h: PenaltyHamiltonian) -> list[int]:
 
 def mask_to_hamiltonian(mask: ConstraintMask,
                         energy: float = DEFAULT_PENALTY) -> PenaltyHamiltonian:
-    """The canonical penalty pairing of a mask: E on the complement of the support."""
+    """The penalty Hamiltonian of a mask: `energy` off its support, zero on it."""
     if energy <= 0:
         raise ValueError("penalty energy must be > 0")
-    return PenaltyHamiltonian(mask.dim, energy * (1.0 - mask.bits))
+    return PenaltyHamiltonian(mask.dim, np.where(mask.bits, 0.0, energy))
 
 
 def network_hamiltonian(net: Network, energy: float = DEFAULT_PENALTY,

@@ -43,6 +43,16 @@ def test_check_dump_json(capsys):
     assert len(dump["hamiltonian"]) == 256
 
 
+def test_check_dump_masks_are_floats(capsys):
+    _, out, _ = run_cli(["check", "--network", "fig1", "--dump"], capsys)
+    dump = json.loads(out)
+    entries = dump["network_mask"] + dump["network_mask_no_output_pins"]
+    for masks in (dump["masks"], dump["pin_masks"]):
+        for bits in masks.values():
+            entries += bits
+    assert {repr(x) for x in entries} == {"0.0", "1.0"}
+
+
 def test_check_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.net"
     bad.write_text("nodes a\nfix a=2\n")
@@ -143,6 +153,7 @@ def test_simulate_triplet_lost_sector_exit_code(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    assert "constrained subspace" not in err
 
 
 # --- run ---------------------------------------------------------------------

@@ -19,11 +19,10 @@ from statnet.dynamics import (
 from statnet.errors import DegenerateDynamicsError
 from statnet.hilbert import StateVector, basis_state
 from statnet.network import parse_network
-from statnet.statics import ConstraintMask, gate_hamiltonian, gate_mask
+from statnet.statics import ConstraintMask, gate_mask
 
 LINK_NET = parse_network("nodes r s\nlink r -> s\n")
 LINK_MASK = gate_mask(LINK_NET, LINK_NET.gates[0])
-LINK_H = gate_hamiltonian(LINK_NET, LINK_NET.gates[0])
 
 
 def linear(theta, phi_final, tau=1.0, dt=1e-3):
@@ -31,10 +30,11 @@ def linear(theta, phi_final, tau=1.0, dt=1e-3):
                          phi_final=phi_final, tau=tau, dt=dt)
 
 
-def one_step(prev, mask, angle, leak_model="none"):
+def one_step(prev, mask, angle, leak_model="none", enforce_mask=True):
     """One evolve step of drive node r from `prev` to the targets of `angle`."""
     sched = DriveSchedule(theta0=angle, phi_final=0.0, tau=1e-3, dt=1e-3)
-    return evolve(prev, mask, "r", sched, leak_model=leak_model).final_state
+    return evolve(prev, mask, "r", sched, leak_model=leak_model,
+                  enforce_mask=enforce_mask).final_state
 
 
 # --- schedules ---------------------------------------------------------------
@@ -115,7 +115,7 @@ def test_step_masked_never_populates_forbidden_state():
 
 def test_step_unmasked_populates_forbidden_state():
     prev = basis_state(("r", "s"), "01")
-    new = one_step(prev, None, 0.01)
+    new = one_step(prev, LINK_MASK, 0.01, enforce_mask=False)
     assert abs(new.amps[3]) > 0
 
 
@@ -149,8 +149,7 @@ def test_link_tracks_closed_form(kind):
     theta = math.pi / 6
     sched = DriveSchedule(kind=kind, theta0=theta, phi_final=math.pi / 3,
                           tau=1.0, dt=1e-3)
-    traj = evolve(closed_form_link(theta, 0.0), LINK_MASK, "r", sched,
-                  hamiltonian=LINK_H)
+    traj = evolve(closed_form_link(theta, 0.0), LINK_MASK, "r", sched)
     for p in traj.points:
         ref = closed_form_link(theta, sched.phi(p.t))
         assert np.abs(p.state.amps - ref.amps).max() < 1e-9
@@ -171,8 +170,19 @@ def test_link_dt_halving_does_not_worsen():
 
 def test_link_energy_identically_zero():
     traj = evolve(closed_form_link(0.2, 0.0), LINK_MASK, "r",
-                  linear(0.2, 1.0, dt=1e-2), hamiltonian=LINK_H)
+                  linear(0.2, 1.0, dt=1e-2))
     assert all(p.energy == 0.0 for p in traj.points)
+
+
+def test_unmasked_energy_is_mass_off_the_mask():
+    # From |01> at theta = 0 the unmasked refill of the r=1 sector puts mass
+    # on |11>, which the link forbids; the energy is that forbidden mass.
+    traj = evolve(basis_state(("r", "s"), "01"), LINK_MASK, "r",
+                  linear(0.0, 1.0, dt=1e-2), enforce_mask=False)
+    for p in traj.points:
+        probs = np.abs(p.state.amps) ** 2
+        assert p.energy == pytest.approx(probs[0] + probs[3], abs=1e-15)
+    assert traj.points[-1].energy > 0
 
 
 def test_link_norm_preserved():
@@ -320,7 +330,8 @@ def test_triplet_rejects_unknown_drive():
 def test_triplet_lost_sector_raises():
     # From theta = pi/4 the p0 target falls to zero at t=0.5 and is demanded
     # again after it: the demo has no constraint to refill the sector from.
-    with pytest.raises(DegenerateDynamicsError):
+    with pytest.raises(DegenerateDynamicsError,
+                       match="holds none and has no allowed state to refill"):
         triplet_watchdog_demo(math.pi / 4, linear(math.pi / 4, math.pi / 2,
                                                   dt=0.1))
 

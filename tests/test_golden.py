@@ -1,0 +1,64 @@
+"""Golden output: the sha256 of stdout and the exit code of fixed CLI invocations.
+
+Every command is deterministic for a given seed, so its stdout bytes are a
+fixed function of its arguments.  A change that alters any of these digests
+changes what `statnet` prints; the digests are only re-recorded when that
+change is intended and stated.
+"""
+import hashlib
+
+import pytest
+
+from statnet.cli import main
+
+# (argv, exit code, sha256 of stdout)
+GOLDEN = [
+    (("check", "--network", "fig1"),
+     0, "8ab5ed119364810606dbc25fd9ddff3e52f5eea0ec305e056fcfcdc2bfc2030c"),
+    (("check", "--network", "fig1-unsat"),
+     0, "c5dc5e142c5e4bf834f2706ee9d7d56089b71806e3840946fc7c934f0049892a"),
+    (("check", "--network", "fig1", "--dump"),
+     0, "b41e12166554c99d65f437c67aaa23e026c501dfe408d3cbc3097d666c1ae425"),
+    (("check", "--network", "fig1-unsat", "--dump"),
+     0, "3e6039984aabde13b3dc5de1e98fe61d79ed65b808f00ae858cd91e4e3767b3c"),
+    (("solve-brute", "--network", "fig1"),
+     0, "d6a657d74f36229c8ac418a14bfc73d99563e632b967beb941529f31f34b901f"),
+    (("solve-brute", "--network", "fig1-unsat"),
+     1, "5dfecbf35de344dc6dc4b8a79c4e5327122b2737250403b04abf2060fbc3927f"),
+    (("run", "--shots", "100", "--network", "fig1", "--schedule", "linear-ramp"),
+     0, "2d34db058f33d943ec859407b7ef18a564141be5da13f404b07b7e0d3743e156"),
+    (("run", "--shots", "100", "--network", "fig1", "--schedule", "cosine-ramp"),
+     0, "3d0f79649a2a14338a2022e0d5e1e1be69d21dccc4472dbc15cd6b0f28e7e659"),
+    (("run", "--shots", "100", "--network", "fig1", "--schedule", "exponential-relax"),
+     0, "0f19dc2a5fe9e342e16f4caabf0ffc28583cdc62cea24efd81d00f11dc427162"),
+    (("run", "--shots", "100", "--network", "fig1", "--schedule", "linear-ramp", "--leak", "uniform-excited"),
+     0, "2d34db058f33d943ec859407b7ef18a564141be5da13f404b07b7e0d3743e156"),
+    (("run", "--shots", "100", "--network", "fig1", "--schedule", "cosine-ramp", "--leak", "uniform-excited"),
+     0, "3d0f79649a2a14338a2022e0d5e1e1be69d21dccc4472dbc15cd6b0f28e7e659"),
+    (("run", "--shots", "100", "--network", "fig1", "--schedule", "exponential-relax", "--leak", "uniform-excited"),
+     0, "0f19dc2a5fe9e342e16f4caabf0ffc28583cdc62cea24efd81d00f11dc427162"),
+    (("run", "--shots", "100", "--network", "fig1-unsat", "--schedule", "linear-ramp"),
+     1, "4c83f71421a2848f7aaf9114aff67fe6660fcbd99a3ebdd4f74662a953b71009"),
+    (("run", "--shots", "100", "--network", "fig1-unsat", "--schedule", "exponential-relax", "--leak", "uniform-excited"),
+     1, "434233382c4116f6aef185fb87e7a03fda92b0de66236b4847ffe6e78211880a"),
+    (("simulate-link", "--theta", "0.3"),
+     0, "c84bc02055d72792685fab547711a5276199c2a923e8a851e3b64784b277b3fb"),
+    (("simulate-link", "--theta", "0", "--schedule", "cosine-ramp"),
+     0, "e075286320511f43f0ff44a2ee64a78ab80f12296b08823282756a7bc6a4e6d2"),
+    (("simulate-link", "--theta", "0", "--schedule", "cosine-ramp", "--no-mask"),
+     0, "31e108dd16cc4fe469325e8bac3e45630f4982ddd39bdd6b75589bb6233efc2a"),
+    (("simulate-link", "--theta", "0", "--schedule", "cosine-ramp", "--no-mask", "--leak", "uniform-excited"),
+     0, "31e108dd16cc4fe469325e8bac3e45630f4982ddd39bdd6b75589bb6233efc2a"),
+    (("simulate-triplet", "--theta", "0.3"),
+     0, "119d0291638be27a9b291e316021fa6f28f0f6f8485f790dac37d416bd2edf5c"),
+    (("simulate-triplet", "--theta", "0.785398163397448", "--phi-final", "1.5707963267948966", "--dt", "0.1"),
+     2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN,
+                         ids=[" ".join(a) for a, _, _ in GOLDEN])
+def test_golden_stdout(argv, code, digest, capsys):
+    assert main(list(argv)) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -30,6 +30,7 @@ from statnet.protocol import (
 from statnet.statics import (
     expected_energy,
     gate_hamiltonian,
+    network_hamiltonian,
     pin_hamiltonian,
 )
 
@@ -287,3 +288,21 @@ def test_mask_kernel_matches_string_oracle(net, seed):
     assert res.n_solutions == sum(
         1 for s in res.samples
         if s is not None and assignment_satisfies(net, s, include_pins=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_networks(), st.floats(min_value=0.01, max_value=10.0))
+def test_penalty_counts_violated_constraints(net, energy):
+    """Each basis state's penalty is `energy` per gate and pin it violates.
+
+    The count comes from the string oracle: a gate is violated when its
+    one-gate sub-network is, and a pin when the node's bit differs.
+    """
+    h = network_hamiltonian(net, energy, include_output_pins=True)
+    pos = {n: i for i, n in enumerate(net.nodes)}
+    for k in range(net.dim):
+        a = format(k, f"0{net.n_nodes}b")
+        violated = sum(not assignment_satisfies(Network(net.nodes, (g,)), a)
+                       for g in net.gates)
+        violated += sum(a[pos[p.node]] != str(p.value) for p in net.pins)
+        assert h.energies[k] == pytest.approx(energy * violated, rel=1e-12)

@@ -21,7 +21,6 @@ from statnet.statics import (
     mask_to_hamiltonian,
     network_hamiltonian,
     network_mask,
-    one_qubit_hamiltonian,
     pin_hamiltonian,
     pin_mask,
     total_hamiltonian,
@@ -35,6 +34,14 @@ XOR_NET = parse_network(
 def test_link_mask_bits():
     mask = gate_mask(LINK_NET, LINK_NET.gates[0])
     assert np.array_equal(mask.bits, [0, 1, 1, 0])
+
+
+def test_mask_bits_are_boolean():
+    net = builtin_fig1()
+    masks = [gate_mask(net, g) for g in net.gates]
+    masks += [pin_mask(net, p) for p in net.pins]
+    masks += [network_mask(net), ConstraintMask(4, np.array([1, 0, 0, 1]))]
+    assert all(m.bits.dtype == bool for m in masks)
 
 
 def test_xor_mask_support():
@@ -102,30 +109,24 @@ def test_gate_hamiltonian_penalty_off_rows():
     assert expected_energy(basis_state(("r", "s"), "00"), h) == 2.5
 
 
-def test_gate_hamiltonian_per_pattern_overrides():
-    h = gate_hamiltonian(LINK_NET, LINK_NET.gates[0],
-                         overrides={"00": 3.0, "11": 4.0})
-    assert np.array_equal(h.energies, [3.0, 0.0, 0.0, 4.0])
-
-
 def test_gate_hamiltonian_rejects_nonpositive():
     with pytest.raises(ValueError):
         gate_hamiltonian(LINK_NET, LINK_NET.gates[0], energy=0.0)
-    with pytest.raises(ValueError):
-        gate_hamiltonian(LINK_NET, LINK_NET.gates[0], overrides={"00": -1.0})
 
 
-def test_one_qubit_hamiltonian_scales_with_sector_mass():
+def test_pin_hamiltonian_scales_with_sector_mass():
     theta = 0.3
     e_z = 0.01
-    h = one_qubit_hamiltonian(("r", "s"), "r", excited_value=0, energy=e_z)
+    net = parse_network("nodes r s\nfix r=1\n")
+    h = pin_hamiltonian(net, net.pins[0], energy=e_z)
     v = StateVector(("r", "s"),
                     np.array([0, math.cos(theta), math.sin(theta), 0]))
     assert expected_energy(v, h) == pytest.approx(e_z * math.cos(theta) ** 2)
 
 
-def test_one_qubit_hamiltonian_eigenstates():
-    h = one_qubit_hamiltonian(("r", "s"), "s", excited_value=1, energy=0.7)
+def test_pin_hamiltonian_eigenstates():
+    net = parse_network("nodes r s\nfix s=0\n")
+    h = pin_hamiltonian(net, net.pins[0], energy=0.7)
     assert expected_energy(basis_state(("r", "s"), "00"), h) == 0.0
     assert expected_energy(basis_state(("r", "s"), "01"), h) == 0.7
 
