@@ -5,9 +5,9 @@ projector and penalty Hamiltonian over qubit assignments; a continuous
 projection ("watchdog") drive rotates a prepared ground state toward the
 assignments that satisfy every constraint.  Subpackages:
 
-- hilbert: dense state vectors, basis indexing, sector bookkeeping
+- hilbert: dense state vectors, basis indexing, a node's drive sectors
 - network: the gate/pin DSL, parsing, and a brute-force oracle
-- statics: constraint masks and penalty Hamiltonians
+- statics: constraint masks as broadcast truth tables, penalty Hamiltonians
 - fock: fermionic mode algebra and (anti)symmetrizers
 - dynamics: the watchdog stepper, drive schedules, closed forms
 - protocol: prepare / drive / measure / decide with repetition statistics
@@ -22,14 +22,11 @@ from .errors import (
 )
 from .hilbert import (
     StateVector,
-    apply_mask,
     basis_index,
     basis_state,
     index_assignment,
-    inner,
     normalize,
     reduced_diag,
-    sector_split,
 )
 from .network import (
     Gate,
@@ -90,7 +87,6 @@ __all__ = [
     "Trajectory",
     "TruthTable",
     "UnpreparableNetworkError",
-    "apply_mask",
     "basis_index",
     "basis_state",
     "brute_force_solutions",
@@ -104,7 +100,6 @@ __all__ = [
     "gate_mask",
     "ground_space",
     "index_assignment",
-    "inner",
     "network_hamiltonian",
     "network_mask",
     "normalize",
@@ -116,7 +111,6 @@ __all__ = [
     "render",
     "repetition_bound",
     "run_protocol",
-    "sector_split",
     "total_hamiltonian",
     "triplet_watchdog_demo",
 ]

@@ -119,6 +119,9 @@ def cmd_solve_brute(args) -> int:
 
 
 def cmd_simulate_link(args) -> int:
+    if args.no_mask and args.leak != "none":
+        # Without the projection every state is allowed: the leak never acts.
+        raise ValueError("--leak has no effect with --no-mask")
     schedule = _schedule_from_args(args, args.theta, args.phi_final)
     net = network.parse_network("nodes r s\nlink r -> s\n")
     mask = statics.gate_mask(net, net.gates[0])

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DegenerateDynamicsError
 from .fock import symmetrizer_two
-from .hilbert import StateVector, node_bit_values
+from .hilbert import StateVector, node_sectors
 from .statics import ConstraintMask
 
 SCHEDULE_KINDS = ("linear-ramp", "cosine-ramp", "exponential-relax")
@@ -188,8 +188,7 @@ def evolve(psi0: StateVector, mask: ConstraintMask, drive_node: str,
     """
     if mask.dim != psi0.dim:
         raise ValueError("mask dimension mismatch")
-    node_bits = node_bit_values(psi0.n_nodes, psi0.node_position(drive_node))
-    sectors = (np.flatnonzero(node_bits == 0), np.flatnonzero(node_bits == 1))
+    sectors = node_sectors(psi0.n_nodes, psi0.node_position(drive_node))
     allowed = mask.bits if enforce_mask else np.ones(psi0.dim, dtype=bool)
     forbidden = ~mask.bits
 
@@ -300,8 +299,7 @@ def triplet_watchdog_demo(theta: float, schedule: DriveSchedule,
     sym = symmetrizer_two().matrix
     node_order = ("p1", "p2")
     # The drive sectors of p1 and of p2; nothing is allowed as a refill.
-    particles = ((np.array([0, 1]), np.array([2, 3])),
-                 (np.array([0, 2]), np.array([1, 3])))
+    particles = (node_sectors(2, 0), node_sectors(2, 1))
     no_refill = np.zeros(4, dtype=bool)
 
     def step(prev: np.ndarray, targets: tuple[float, float]) -> np.ndarray:
@@ -324,7 +322,8 @@ def triplet_watchdog_demo(theta: float, schedule: DriveSchedule,
         alpha_sq = min(float(np.linalg.norm(sym_part) ** 2), 1.0)
         return TrajectoryPoint(
             t=t, state=StateVector(node_order, amps),
-            p0=float(probs[[0, 1]].sum()), p1=float(probs[[2, 3]].sum()),
+            p0=float(probs[particles[0][0]].sum()),
+            p1=float(probs[particles[0][1]].sum()),
             alpha_sq=alpha_sq, beta_sq=1.0 - alpha_sq,
             energy=1.0 - alpha_sq, step_overlap=overlap)
 

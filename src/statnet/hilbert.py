@@ -1,9 +1,11 @@
 """Dense state vectors over an ordered-qubit tensor basis.
 
-Bit convention, shared by every module: the first declared node is the most
-significant bit of the basis index.  All values are immutable after
-construction and all operations are pure functions.  Constructors copy the
-caller's array and freeze the copy.
+Bit convention, shared by every module: a flat basis index is the C-order
+ravel of the `(2,)*n` basis tensor whose axis i is the i-th declared node, so
+the first declared node is the most significant bit.  `node_sectors` is the
+one place that turns a node into basis indices.  All values are immutable
+after construction and all operations are pure functions.  Constructors copy
+the caller's array and freeze the copy.
 """
 from __future__ import annotations
 
@@ -86,13 +88,6 @@ def basis_state(node_order: tuple[str, ...], assignment: str) -> StateVector:
     return StateVector(tuple(node_order), amps)
 
 
-def inner(a: StateVector, b: StateVector) -> complex:
-    """<a|b>, conjugate-linear in the first argument."""
-    if a.node_order != b.node_order:
-        raise ValueError("state vectors live on different node orders")
-    return complex(np.vdot(a.amps, b.amps))
-
-
 def normalize(v: StateVector) -> StateVector:
     n = v.norm()
     if n < NORM_TOL:
@@ -100,30 +95,16 @@ def normalize(v: StateVector) -> StateVector:
     return StateVector(v.node_order, v.amps / n)
 
 
-def apply_mask(v: StateVector, mask) -> StateVector:
-    """Project onto a diagonal boolean mask.  Result is not renormalized."""
-    if mask.dim != v.dim:
-        raise ValueError(f"mask dim {mask.dim} != state dim {v.dim}")
-    return StateVector(v.node_order, v.amps * mask.bits)
-
-
-def node_bit_values(n_nodes: int, position: int) -> np.ndarray:
-    """Bit of the node at `position` for every basis index, as a 0/1 array."""
-    return (np.arange(2 ** n_nodes) >> (n_nodes - 1 - position)) & 1
+def node_sectors(n_nodes: int, position: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending basis indices where the node at `position` reads 0, and 1."""
+    axes = np.arange(2 ** n_nodes).reshape(2 ** position, 2, -1)
+    return axes[:, 0].ravel(), axes[:, 1].ravel()
 
 
 def reduced_diag(v: StateVector, node: str) -> SectorDiag:
     """Diagonal of the partial trace over all nodes but `node`."""
-    bits = node_bit_values(v.n_nodes, v.node_position(node))
+    sector0, sector1 = node_sectors(v.n_nodes, v.node_position(node))
     probs = np.abs(v.amps) ** 2
-    p1 = float(probs[bits == 1].sum())
-    p0 = float(probs[bits == 0].sum())
+    p1 = float(probs[sector1].sum())
+    p0 = float(probs[sector0].sum())
     return SectorDiag(node, p0, p1)
-
-
-def sector_split(v: StateVector, node: str) -> tuple[StateVector, StateVector]:
-    """Exact decomposition v = c0 + c1 by the value of one node's bit."""
-    bits = node_bit_values(v.n_nodes, v.node_position(node))
-    c0 = np.where(bits == 0, v.amps, 0)
-    c1 = np.where(bits == 1, v.amps, 0)
-    return StateVector(v.node_order, c0), StateVector(v.node_order, c1)

@@ -56,8 +56,8 @@ class Gate:
     table: TruthTable
 
     def __post_init__(self):
-        if set(self.in_nodes) & set(self.out_nodes):
-            raise ValueError(f"gate {self.name}: a node appears as both input and output")
+        if len(set(self.nodes)) != len(self.nodes):
+            raise ValueError(f"gate {self.name}: a node appears twice in in()/out()")
         if (len(self.in_nodes), len(self.out_nodes)) != (self.table.in_arity,
                                                          self.table.out_arity):
             raise ValueError(f"gate {self.name}: node lists do not match table arities")
@@ -317,11 +317,16 @@ def assignment_satisfies(net: Network, assignment: str,
     return True
 
 
-def brute_force_solutions(net: Network, include_pins: bool = True) -> list[str]:
-    """All satisfying assignments in ascending basis-index order (exhaustive)."""
+def check_enumerable(net: Network) -> None:
+    """Raise before any path that touches all 2^n assignments of a large net."""
     if net.n_nodes > DEFAULT_NODE_LIMIT:
         raise ValueError(f"{net.n_nodes} nodes exceeds enumeration limit "
                          f"{DEFAULT_NODE_LIMIT}")
+
+
+def brute_force_solutions(net: Network, include_pins: bool = True) -> list[str]:
+    """All satisfying assignments in ascending basis-index order (exhaustive)."""
+    check_enumerable(net)
     n = net.n_nodes
     return [a for k in range(2 ** n)
             if assignment_satisfies(net, a := format(k, f"0{n}b"), include_pins)]

@@ -20,7 +20,7 @@ import numpy as np
 from .dynamics import DriveSchedule, evolve
 from .errors import DegenerateDynamicsError, UnpreparableNetworkError
 from .hilbert import (StateVector, basis_index, index_assignment,
-                      node_bit_values, reduced_diag)
+                      node_sectors, reduced_diag)
 from .network import Network, render
 from .statics import ConstraintMask, network_mask
 
@@ -95,8 +95,8 @@ def prepare_ground(net: Network) -> Preparation:
 
     if net.drive_node is None:
         return Preparation(state, mask, support.size, 0, None)
-    drive_bits = node_bit_values(net.n_nodes, net.nodes.index(net.drive_node))
-    n1 = int(drive_bits[support].sum())
+    _, sector1 = node_sectors(net.n_nodes, net.nodes.index(net.drive_node))
+    n1 = int(mask.bits[sector1].sum())
     p1 = reduced_diag(state, net.drive_node).p1
     theta = math.asin(math.sqrt(min(p1, 1.0)))
     return Preparation(state, mask, support.size - n1, n1, theta)

@@ -2,10 +2,11 @@
 
 Every operator here is diagonal in the computational basis of the full
 network, so products commute exactly and a projector is a boolean mask over
-basis indices: true where the constraint allows the basis state.  A mask is
-the whole constraint; every penalty Hamiltonian is derived from one by
-`mask_to_hamiltonian`, which puts a strictly positive energy on each state
-the mask forbids and zero on each one it allows.
+basis indices: true where the constraint allows the basis state.  A gate's
+mask is its `(2,)*m` truth table over its nodes, broadcast along their axes
+of the `(2,)*n` basis tensor; a pin's is the one-node table of its value.  A
+mask is the whole constraint; every penalty Hamiltonian is derived from one
+by `mask_to_hamiltonian`, with its energy on the states the mask forbids.
 """
 from __future__ import annotations
 
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import StateVector, node_bit_values
-from .network import Gate, Network, Pin
+from .hilbert import StateVector
+from .network import Gate, Network, Pin, check_enumerable
 
 DEFAULT_PENALTY = 1.0
 
@@ -60,39 +61,52 @@ class PenaltyHamiltonian:
         object.__setattr__(self, "energies", energies)
 
 
-def _local_indices(net: Network, nodes: tuple[str, ...]) -> np.ndarray:
-    """For every basis index, the sub-index formed by the given nodes' bits."""
-    pos = {n: i for i, n in enumerate(net.nodes)}
-    m = len(nodes)
-    local = np.zeros(net.dim, dtype=np.int64)
-    for j, node in enumerate(nodes):
-        local |= node_bit_values(net.n_nodes, pos[node]) << (m - 1 - j)
-    return local
+def _broadcast(net: Network, nodes: tuple[str, ...],
+               table: np.ndarray) -> np.ndarray:
+    """`table` over `nodes`, with its axes moved to theirs in the basis tensor."""
+    axes = [net.nodes.index(n) for n in nodes]
+    shape = [2 if axis in axes else 1 for axis in range(net.n_nodes)]
+    return table.transpose(np.argsort(axes)).reshape(shape)
+
+
+def _gate_table(net: Network, gate: Gate) -> np.ndarray:
+    """The gate's truth table, true on each row, broadcast over the network."""
+    table = np.zeros((2,) * len(gate.nodes), dtype=bool)
+    for ins, outs in gate.table.rows:
+        table[tuple(map(int, ins + outs))] = True
+    return _broadcast(net, gate.nodes, table)
+
+
+def _pin_table(net: Network, pin: Pin) -> np.ndarray:
+    """The pinned node's one-node table, true on its value, broadcast."""
+    return _broadcast(net, (pin.node,), np.arange(2) == pin.value)
+
+
+def _conjunction(net: Network, tables: list[np.ndarray]) -> ConstraintMask:
+    """True on each basis state that every broadcast table allows."""
+    check_enumerable(net)
+    bits = np.ones((2,) * net.n_nodes, dtype=bool)
+    for table in tables:
+        bits &= table
+    return ConstraintMask(net.dim, bits.ravel())
 
 
 def gate_mask(net: Network, gate: Gate) -> ConstraintMask:
     """True where the gate's nodes carry a truth-table row."""
-    local = _local_indices(net, gate.nodes)
-    allowed = {int(ins + outs, 2) for ins, outs in gate.table.rows}
-    return ConstraintMask(net.dim, np.isin(local, sorted(allowed)))
+    return _conjunction(net, [_gate_table(net, gate)])
 
 
 def pin_mask(net: Network, pin: Pin) -> ConstraintMask:
     """True where the pinned node carries the pinned value."""
-    pos = net.nodes.index(pin.node)
-    return ConstraintMask(net.dim, node_bit_values(net.n_nodes, pos) == pin.value)
+    return _conjunction(net, [_pin_table(net, pin)])
 
 
 def network_mask(net: Network, include_output_pins: bool = True) -> ConstraintMask:
     """Conjunction of all gate masks, input-pin masks, and optionally output pins."""
-    bits = np.ones(net.dim, dtype=bool)
-    for g in net.gates:
-        bits &= gate_mask(net, g).bits
-    for p in net.pins:
-        if p.kind == "output" and not include_output_pins:
-            continue
-        bits &= pin_mask(net, p).bits
-    return ConstraintMask(net.dim, bits)
+    tables = [_gate_table(net, g) for g in net.gates]
+    tables += [_pin_table(net, p) for p in net.pins
+               if p.kind == "input" or include_output_pins]
+    return _conjunction(net, tables)
 
 
 def gate_hamiltonian(net: Network, gate: Gate,

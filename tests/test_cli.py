@@ -66,6 +66,17 @@ def test_check_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_dense_command_over_node_limit_exit_code(command, tmp_path, capsys):
+    # One node past DEFAULT_NODE_LIMIT: refused before any 2^n array exists.
+    f = tmp_path / "wide.net"
+    f.write_text("nodes " + " ".join(f"n{i}" for i in range(25)) +
+                 "\nlink n0 -> n1\nfix n1=1 output\ndrive n1\n")
+    code, out, err = run_cli([command, "--network", str(f)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: 25 nodes exceeds enumeration limit 24\n"
+
+
 # --- solve-brute -------------------------------------------------------------
 
 def test_solve_brute_fig1(capsys):
@@ -120,6 +131,14 @@ def test_simulate_link_out_file(tmp_path, capsys):
     text = target.read_text()
     assert text.startswith(CSV_HEADER)
     assert "\r" not in text
+
+
+def test_simulate_link_no_mask_rejects_leak(capsys):
+    # Without the projection every state is allowed, so no sector can leak.
+    code, out, err = run_cli(["simulate-link", "--no-mask", "--leak",
+                              "uniform-excited"], capsys)
+    assert (code, out) == (2, "")
+    assert "--no-mask" in err
 
 
 def test_simulate_triplet_drive_choices_byte_identical(capsys):

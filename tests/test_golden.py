@@ -48,7 +48,7 @@ GOLDEN = [
     (("simulate-link", "--theta", "0", "--schedule", "cosine-ramp", "--no-mask"),
      0, "31e108dd16cc4fe469325e8bac3e45630f4982ddd39bdd6b75589bb6233efc2a"),
     (("simulate-link", "--theta", "0", "--schedule", "cosine-ramp", "--no-mask", "--leak", "uniform-excited"),
-     0, "31e108dd16cc4fe469325e8bac3e45630f4982ddd39bdd6b75589bb6233efc2a"),
+     2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (("simulate-triplet", "--theta", "0.3"),
      0, "119d0291638be27a9b291e316021fa6f28f0f6f8485f790dac37d416bd2edf5c"),
     (("simulate-triplet", "--theta", "0.785398163397448", "--phi-final", "1.5707963267948966", "--dt", "0.1"),

@@ -1,4 +1,4 @@
-"""State-vector layer: indexing, inner products, masks, sector bookkeeping."""
+"""State-vector layer: indexing, normalization, a node's drive sectors."""
 import math
 
 import numpy as np
@@ -9,17 +9,14 @@ from statnet.errors import DegenerateStateError
 from statnet.fock import FockVector, ModeBasis
 from statnet.hilbert import (
     StateVector,
-    apply_mask,
     basis_index,
     basis_state,
     index_assignment,
-    inner,
-    node_bit_values,
+    node_sectors,
     normalize,
     reduced_diag,
-    sector_split,
 )
-from statnet.statics import ConstraintMask, PenaltyHamiltonian
+from statnet.statics import PenaltyHamiltonian
 
 EIGHT = tuple("abcdefgh")
 TWO = ("r", "s")
@@ -75,25 +72,6 @@ def test_basis_state_solution():
     assert v.amps[235] == 1.0 and v.norm() == 1.0
 
 
-def test_inner_same_basis_state():
-    assert inner(basis_state(TWO, "01"), basis_state(TWO, "01")) == 1
-
-
-def test_inner_orthogonal():
-    assert inner(basis_state(TWO, "01"), basis_state(TWO, "10")) == 0
-
-
-def test_inner_superposition():
-    plus = StateVector(TWO, np.array([0, 1, 1, 0]) / math.sqrt(2))
-    assert inner(plus, basis_state(TWO, "01")) == pytest.approx(1 / math.sqrt(2))
-
-
-def test_inner_conjugate_linear_first_argument():
-    a = StateVector(TWO, np.array([0, 1j, 0, 0]))
-    b = basis_state(TWO, "01")
-    assert inner(a, b) == pytest.approx(-1j)
-
-
 def test_normalize_scalar_multiple():
     v = StateVector(TWO, np.array([2.0, 0, 0, 0]))
     assert np.array_equal(normalize(v).amps, [1, 0, 0, 0])
@@ -107,26 +85,6 @@ def test_normalize_two_component():
 def test_normalize_zero_vector_raises():
     with pytest.raises(DegenerateStateError):
         normalize(StateVector(TWO, np.zeros(4)))
-
-
-def test_apply_mask_identity():
-    v = StateVector(TWO, np.array([0.1, 0.2, 0.3, 0.4]))
-    out = apply_mask(v, ConstraintMask(4, np.ones(4)))
-    assert np.array_equal(out.amps, v.amps)
-
-
-def test_apply_mask_link():
-    # The inverting-wire mask kills the equal-value channels.
-    v = StateVector(TWO, np.array([0.1, 0.2, 0.3, 0.4]))
-    mask = ConstraintMask(4, np.array([0, 1, 1, 0]))
-    assert np.array_equal(apply_mask(v, mask).amps, [0, 0.2, 0.3, 0])
-
-
-def test_apply_mask_idempotent():
-    v = StateVector(TWO, np.array([0.1, 0.2, 0.3, 0.4]))
-    mask = ConstraintMask(4, np.array([0, 1, 1, 0]))
-    once = apply_mask(v, mask)
-    assert np.array_equal(apply_mask(once, mask).amps, once.amps)
 
 
 def test_reduced_diag_symmetric():
@@ -149,20 +107,21 @@ def test_reduced_diag_eigenstate():
 
 def test_sector_split_bell_like():
     v = normalize(StateVector(TWO, np.array([0, 1.0, 1.0, 0])))
-    c0, c1 = sector_split(v, "r")
-    assert np.allclose(c0.amps, [0, 1 / math.sqrt(2), 0, 0])
-    assert np.allclose(c1.amps, [0, 0, 1 / math.sqrt(2), 0])
+    sector0, sector1 = node_sectors(2, v.node_position("r"))
+    assert np.allclose(v.amps[sector0], [0, 1 / math.sqrt(2)])
+    assert np.allclose(v.amps[sector1], [1 / math.sqrt(2), 0])
 
 
 def test_sector_split_basis_state_one_side_zero():
-    c0, c1 = sector_split(basis_state(TWO, "10"), "r")
-    assert c0.norm() == 0 and c1.norm() == 1
+    v = basis_state(TWO, "10")
+    sector0, sector1 = node_sectors(2, v.node_position("r"))
+    assert not v.amps[sector0].any() and np.linalg.norm(v.amps[sector1]) == 1
 
 
 def test_node_bit_values_msb_convention():
     # First node is the most significant bit of the basis index.
-    assert np.array_equal(node_bit_values(2, 0), [0, 0, 1, 1])
-    assert np.array_equal(node_bit_values(2, 1), [0, 1, 0, 1])
+    assert np.array_equal(node_sectors(2, 0), [[0, 1], [2, 3]])
+    assert np.array_equal(node_sectors(2, 1), [[0, 2], [1, 3]])
 
 
 def test_statevector_rejects_wrong_shape():
@@ -182,17 +141,15 @@ amp_arrays = st.lists(
 ).map(np.array)
 
 
-@given(amp_arrays)
-def test_sector_split_reassembles(amps):
-    v = StateVector(TWO, amps)
-    c0, c1 = sector_split(v, "s")
-    assert np.array_equal(c0.amps + c1.amps, v.amps)
-
-
-@given(amp_arrays, amp_arrays)
-def test_inner_conjugate_symmetry(a, b):
-    va, vb = StateVector(TWO, a), StateVector(TWO, b)
-    assert inner(va, vb) == pytest.approx(np.conj(inner(vb, va)))
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, n - 1))))
+def test_sector_split_reassembles(n_pos):
+    # The sectors partition the basis by the node's bit, in ascending order.
+    n, pos = n_pos
+    for bit, sector in enumerate(node_sectors(n, pos)):
+        assert sector.tolist() == [
+            k for k in range(2 ** n)
+            if index_assignment(("x",) * n, k)[pos] == str(bit)]
 
 
 @given(amp_arrays)

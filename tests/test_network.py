@@ -43,6 +43,13 @@ def test_parse_error_carries_line_number():
         parse_network("nodes a\nfix a=2\n")
 
 
+@pytest.mark.parametrize("gate", ["gate g in(a,a) out(b) { 00->0 ; 01->1 }",
+                                  "gate g in(a) out(a,b) { 0->00 ; 1->11 }"])
+def test_parse_gate_naming_a_node_twice(gate):
+    with pytest.raises(ParseError, match="line 2.*appears twice"):
+        parse_network(f"nodes a b\n{gate}\n")
+
+
 def test_parse_comments_and_blank_lines():
     net = parse_network("# header\n\nnodes a b  # trailing\nlink a -> b\n")
     assert net.nodes == ("a", "b") and len(net.gates) == 1

@@ -183,6 +183,22 @@ def test_mask_rejects_non_binary():
         ConstraintMask(4, np.array([0, 2, 1, 0]))
 
 
+def test_network_mask_24_node_chain():
+    # Four-node XOR blocks joined by links, at DEFAULT_NODE_LIMIT nodes.  With
+    # every b pinned to 1, a0 is the only free bit: each block reads
+    # a b c d = a0 1 a0 (not a0), and the output pin d5=1 selects a0 = 0.
+    lines = ["nodes " + " ".join(f"{x}{i}" for i in range(6) for x in "abcd")]
+    for i in range(6):
+        lines += [f"gate g{i} in(a{i},b{i}) out(c{i},d{i}) "
+                  "{ 00->00 ; 01->01 ; 10->11 ; 11->10 }", f"fix b{i}=1 input"]
+        if i:
+            lines.append(f"link d{i - 1} -> a{i}")
+    net = parse_network("\n".join(lines) + "\nfix d5=1 output\n")
+    assert network_mask(net, include_output_pins=False).support() == [
+        basis_index(net.nodes, "0101" * 6), basis_index(net.nodes, "1110" * 6)]
+    assert network_mask(net).support() == [basis_index(net.nodes, "0101" * 6)]
+
+
 def test_unsat_network_mask_is_empty():
     assert network_mask(builtin_fig1_unsat()).support_size() == 0
 
