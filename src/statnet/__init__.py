@@ -7,15 +7,15 @@ assignments that satisfy every constraint.  Subpackages:
 
 - hilbert: dense state vectors, basis indexing, a node's drive sectors
 - network: the gate/pin DSL, parsing, and a brute-force oracle
-- statics: constraint masks as broadcast truth tables, penalty Hamiltonians
-- fock: fermionic mode algebra and (anti)symmetrizers
+- statics: constraint masks and penalty counts, both read from broadcast
+  truth tables
+- fock: fermionic mode algebra, (anti)symmetrizers, the link Hamiltonian
 - dynamics: the watchdog stepper, drive schedules, closed forms
 - protocol: prepare / drive / measure / decide with repetition statistics
 - cli: the `statnet` command-line entry point
 """
 from .errors import (
     DegenerateDynamicsError,
-    DegenerateStateError,
     ParseError,
     StatnetError,
     UnpreparableNetworkError,
@@ -25,7 +25,6 @@ from .hilbert import (
     basis_index,
     basis_state,
     index_assignment,
-    normalize,
     reduced_diag,
 )
 from .network import (
@@ -42,14 +41,12 @@ from .network import (
 from .statics import (
     ConstraintMask,
     PenaltyHamiltonian,
-    expected_energy,
     gate_hamiltonian,
     gate_mask,
     ground_space,
     network_hamiltonian,
     network_mask,
     pin_mask,
-    total_hamiltonian,
 )
 from .dynamics import (
     DriveSchedule,
@@ -73,7 +70,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConstraintMask",
     "DegenerateDynamicsError",
-    "DegenerateStateError",
     "DriveSchedule",
     "Gate",
     "Network",
@@ -95,14 +91,12 @@ __all__ = [
     "closed_form_link",
     "closed_form_triplet",
     "evolve",
-    "expected_energy",
     "gate_hamiltonian",
     "gate_mask",
     "ground_space",
     "index_assignment",
     "network_hamiltonian",
     "network_mask",
-    "normalize",
     "parse_network",
     "pin_mask",
     "prepare_ground",
@@ -111,6 +105,5 @@ __all__ = [
     "render",
     "repetition_bound",
     "run_protocol",
-    "total_hamiltonian",
     "triplet_watchdog_demo",
 ]

@@ -69,17 +69,15 @@ def _schedule_from_args(args, theta0: float = 0.0,
 
 def cmd_check(args) -> int:
     net = _load_network(args.network)
-    gate_masks = {g.name: statics.gate_mask(net, g) for g in net.gates}
     out = []
     out.append(f"nodes: {net.n_nodes} ({' '.join(net.nodes)})")
     for g in net.gates:
-        dim_local = 2 ** len(g.nodes)
-        local_dim = len(g.table.rows)
+        # A gate's nodes are distinct: each row extends over the other nodes.
+        rows, free = len(g.table.rows), 2 ** (net.n_nodes - len(g.nodes))
         out.append(f"gate {g.name}: in({','.join(g.in_nodes)}) "
                    f"out({','.join(g.out_nodes)}) "
-                   f"subspace dim: {local_dim} of {dim_local}; "
-                   f"ground-space size {gate_masks[g.name].support_size()} "
-                   f"of {net.dim}")
+                   f"subspace dim: {rows} of {2 ** len(g.nodes)}; "
+                   f"ground-space size {rows * free} of {net.dim}")
     for p in net.pins:
         out.append(f"pin {p.node}={p.value} ({p.kind})")
     if net.drive_node:
@@ -96,7 +94,8 @@ def cmd_check(args) -> int:
 
         dump = {
             "nodes": list(net.nodes),
-            "masks": {name: floats(m) for name, m in gate_masks.items()},
+            "masks": {g.name: floats(statics.gate_mask(net, g))
+                      for g in net.gates},
             "pin_masks": {p.node: floats(statics.pin_mask(net, p))
                           for p in net.pins},
             "network_mask": floats(full),

@@ -15,10 +15,6 @@ class ParseError(StatnetError):
         super().__init__(message)
 
 
-class DegenerateStateError(StatnetError):
-    """A state collapsed to the zero vector (everything was projected away)."""
-
-
 class DegenerateDynamicsError(StatnetError):
     """The watchdog dynamics cannot take its next step.
 

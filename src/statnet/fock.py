@@ -1,11 +1,12 @@
-"""Identical-particle picture: mode algebra, (anti)symmetrizers, qubit embedding.
+"""Identical particles: mode algebra, (anti)symmetrizers, the link Hamiltonian.
 
 Each particle carries a binary internal degree of freedom ("spin" 0/1) and a
 lattice-site label.  The canonical mode order is site-major with spin 0
 before spin 1 inside each site; that order fixes every fermionic sign in the
-occupation-number representation.  When each site hosts exactly one particle
-the spins behave as qubits, which is the bridge to the diagonal projectors of
-the statics module.
+occupation-number representation.  With one particle per site the spins
+behave as qubits (`qubit_first_quantized`).  The link Hamiltonian is given by
+its diagonal over the six two-fermion states and checked against its
+normal-ordered operator form.
 """
 from __future__ import annotations
 
@@ -23,10 +24,6 @@ class ModeBasis:
     """Ordered single-particle modes (spin, site) for a list of lattice sites."""
 
     sites: tuple[str, ...]
-
-    @property
-    def modes(self) -> tuple[tuple[int, str], ...]:
-        return tuple((chi, site) for site in self.sites for chi in (0, 1))
 
     @property
     def n_modes(self) -> int:
@@ -51,19 +48,6 @@ class FockVector:
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
-    @property
-    def dim(self) -> int:
-        return self.amps.shape[0]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-
-def vacuum(basis: ModeBasis) -> FockVector:
-    amps = np.zeros(2 ** basis.n_modes, dtype=complex)
-    amps[0] = 1.0
-    return FockVector(basis, amps)
-
 
 def occupation_state(basis: ModeBasis, modes: tuple[tuple[int, str], ...],
                      amp: complex = 1.0) -> FockVector:
@@ -81,18 +65,6 @@ def _parity_below(config: int, mode: int) -> int:
     return -1 if bin(config & ((1 << mode) - 1)).count("1") % 2 else 1
 
 
-def create(basis: ModeBasis, chi: int, site: str, state: FockVector) -> FockVector:
-    """Fermionic a†_(chi,site); doubly occupied creations vanish."""
-    m = basis.mode_index(chi, site)
-    out = np.zeros_like(state.amps)
-    for config in np.flatnonzero(state.amps):
-        config = int(config)
-        if config >> m & 1:
-            continue
-        out[config | (1 << m)] += _parity_below(config, m) * state.amps[config]
-    return FockVector(basis, out)
-
-
 def creation_matrix(basis: ModeBasis, chi: int, site: str) -> np.ndarray:
     """a†_(chi,site) as a matrix over the full occupation space."""
     dim = 2 ** basis.n_modes
@@ -108,10 +80,7 @@ def creation_matrix(basis: ModeBasis, chi: int, site: str) -> np.ndarray:
 class PermutationProjector:
     """Symmetrizer or antisymmetrizer over an n-particle tensor basis."""
 
-    n_particles: int
-    dim_single: int
     matrix: np.ndarray
-    kind: str  # "symmetrizer" | "antisymmetrizer"
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return self.matrix @ vec
@@ -120,15 +89,14 @@ class PermutationProjector:
         return float(np.trace(self.matrix).real)
 
 
-def permutation_matrix(dim_single: int, n_particles: int,
-                       perm: tuple[int, ...]) -> np.ndarray:
-    """P_sigma on the n-particle tensor basis: particle slot i takes slot perm[i]."""
-    dim = dim_single ** n_particles
+def permutation_matrix(d: int, n: int, perm: tuple[int, ...]) -> np.ndarray:
+    """P_sigma on n d-state particles: particle slot i takes slot perm[i]."""
+    dim = d ** n
     mat = np.zeros((dim, dim))
-    strides = [dim_single ** (n_particles - 1 - i) for i in range(n_particles)]
+    strides = [d ** (n - 1 - i) for i in range(n)]
     for idx in range(dim):
-        digits = [(idx // strides[i]) % dim_single for i in range(n_particles)]
-        permuted = sum(digits[perm[i]] * strides[i] for i in range(n_particles))
+        digits = [(idx // strides[i]) % d for i in range(n)]
+        permuted = sum(digits[perm[i]] * strides[i] for i in range(n))
         mat[permuted, idx] = 1.0
     return mat
 
@@ -152,7 +120,7 @@ def _perm_sign(perm: tuple[int, ...]) -> int:
 def symmetrizer_two() -> PermutationProjector:
     """(1 + P_12)/2 on two two-state particles (the triplet-state demo space)."""
     p12 = permutation_matrix(2, 2, (1, 0))
-    return PermutationProjector(2, 2, 0.5 * (np.eye(4) + p12), "symmetrizer")
+    return PermutationProjector(0.5 * (np.eye(4) + p12))
 
 
 def antisymmetrizer(n: int) -> PermutationProjector:
@@ -165,7 +133,7 @@ def antisymmetrizer(n: int) -> PermutationProjector:
     for perm in itertools.permutations(range(n)):
         mat += _perm_sign(perm) * permutation_matrix(d, n, perm)
     mat /= math.factorial(n)
-    return PermutationProjector(n, d, mat, "antisymmetrizer")
+    return PermutationProjector(mat)
 
 
 def slater_vector(basis: ModeBasis, modes_ascending: tuple[int, ...]) -> np.ndarray:
@@ -180,20 +148,6 @@ def slater_vector(basis: ModeBasis, modes_ascending: tuple[int, ...]) -> np.ndar
         idx = sum(modes_ascending[perm[i]] * strides[i] for i in range(n))
         vec[idx] += _perm_sign(perm) * norm
     return vec
-
-
-def first_quantized(fv: FockVector, n_particles: int) -> np.ndarray:
-    """Occupation-number superposition as an n-particle tensor-basis vector."""
-    d = fv.basis.n_modes
-    out = np.zeros(d ** n_particles, dtype=complex)
-    for config in np.flatnonzero(fv.amps):
-        config = int(config)
-        occupied = tuple(m for m in range(d) if config >> m & 1)
-        if len(occupied) != n_particles:
-            raise ValueError(f"configuration {config:b} does not hold "
-                             f"{n_particles} particles")
-        out += fv.amps[config] * slater_vector(fv.basis, occupied)
-    return out
 
 
 def qubit_first_quantized(basis: ModeBasis, assignment: str) -> np.ndarray:
@@ -223,107 +177,43 @@ def fock_basis_two() -> dict[str, FockVector]:
     return states
 
 
-def embed_qubit(basis: ModeBasis, config: int) -> str | None:
-    """Qubit assignment of one occupation configuration, or None.
-
-    Defined only when each site holds exactly one particle; the assignment
-    maps each site to the spin of its particle.
-    """
-    spins = []
-    for i, _site in enumerate(basis.sites):
-        occ0 = config >> (2 * i) & 1
-        occ1 = config >> (2 * i + 1) & 1
-        if occ0 + occ1 != 1:
-            return None
-        spins.append("1" if occ1 else "0")
-    if bin(config).count("1") != len(basis.sites):
-        return None
-    return "".join(spins)
-
-
-def embed_state(fv: FockVector) -> np.ndarray | None:
-    """Linear isometry from the one-particle-per-site sector to qubit amplitudes.
-
-    Returns amplitudes over the 2^n_sites qubit basis (first site = MSB), or
-    None if the state has support outside that sector.
-    """
-    n = len(fv.basis.sites)
-    out = np.zeros(2 ** n, dtype=complex)
-    for config in np.flatnonzero(fv.amps):
-        assignment = embed_qubit(fv.basis, int(config))
-        if assignment is None:
-            return None
-        out[int(assignment, 2)] += fv.amps[int(config)]
-    return out
-
-
-DEFAULT_HRS_PARAMS = {"E_a": 1.0, "E_b": 1.0, "E_c": 1.0, "E_d": 1.0}
-
 HRS_ORDER = ("a", "b", "c", "d", "e", "f")
 
 
-def hrs_fock(params: dict[str, float] | None = None) -> np.ndarray:
-    """Diagonal of the two-fermion link Hamiltonian in the (a..f) basis."""
-    p = dict(DEFAULT_HRS_PARAMS, **(params or {}))
-    for key in ("E_a", "E_b", "E_c", "E_d"):
-        if p[key] <= 0:
-            raise ValueError(f"{key} must be > 0")
-    return np.array([p["E_a"], p["E_b"], p["E_c"], p["E_d"], 0.0, 0.0])
+def hrs_fock() -> np.ndarray:
+    """Diagonal of the two-fermion link Hamiltonian in the (a..f) basis.
+
+    Each of the four states a..d costs unit energy; e and f are its ground
+    space.
+    """
+    return np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
 
 
 # (spin, site) pairs of the number-operator products, one per penalized state.
-_HRS_TERMS = {"E_a": ((0, "r"), (1, "r")), "E_b": ((0, "s"), (1, "s")),
-              "E_c": ((0, "r"), (0, "s")), "E_d": ((1, "r"), (1, "s"))}
+_HRS_TERMS = (((0, "r"), (1, "r")), ((0, "s"), (1, "s")),
+              ((0, "r"), (0, "s")), ((1, "r"), (1, "s")))
 
 
-def second_quantized_hrs(params: dict[str, float] | None = None,
-                         sign: float = -1.0) -> np.ndarray:
-    """The normal-ordered operator -sum E a†a†aa as a matrix over Fock space.
+def second_quantized_hrs(sign: float = -1.0) -> np.ndarray:
+    """The normal-ordered operator -sum a†a†aa as a matrix over Fock space.
 
     `sign` is the overall prefactor; -1 is the physical convention that makes
     the penalized states cost positive energy.
     """
-    p = dict(DEFAULT_HRS_PARAMS, **(params or {}))
     b = _TWO_SITE_BASIS
     dim = 2 ** b.n_modes
     h = np.zeros((dim, dim))
-    for key, ((chi_i, site_i), (chi_j, site_j)) in _HRS_TERMS.items():
+    for (chi_i, site_i), (chi_j, site_j) in _HRS_TERMS:
         ci = creation_matrix(b, chi_i, site_i)
         cj = creation_matrix(b, chi_j, site_j)
-        h += sign * p[key] * (ci @ cj @ ci.T @ cj.T)
+        h += sign * (ci @ cj @ ci.T @ cj.T)
     return h
 
 
-def verify_second_quantization(params: dict[str, float] | None = None,
-                               sign: float = -1.0) -> bool:
+def verify_second_quantization(sign: float = -1.0) -> bool:
     """Check the operator form reproduces the (a..f) diagonal exactly."""
-    h = second_quantized_hrs(params, sign=sign)
+    h = second_quantized_hrs(sign=sign)
     states = fock_basis_two()
-    diag = hrs_fock(params)
     rep = np.array([[np.vdot(states[x].amps, h @ states[y].amps)
                      for y in HRS_ORDER] for x in HRS_ORDER])
-    return bool(np.allclose(rep, np.diag(diag), atol=PROJECTOR_TOL))
-
-
-def gate_fock_hamiltonian(sites: tuple[str, ...],
-                          rows: tuple[str, ...],
-                          energy: float = 1.0) -> dict[int, float]:
-    """Diagonal of a gate Hamiltonian over fixed-particle-number configurations.
-
-    Every configuration without exactly one particle per site is penalized,
-    as is every one-per-site configuration whose spin pattern is not a truth
-    table row.  Keys are occupation bitmasks with popcount == number of sites.
-    """
-    if energy <= 0:
-        raise ValueError("penalty energy must be > 0")
-    basis = ModeBasis(sites)
-    n = len(sites)
-    diag = {}
-    for occupied in itertools.combinations(range(basis.n_modes), n):
-        config = sum(1 << m for m in occupied)
-        assignment = embed_qubit(basis, config)
-        if assignment is not None and assignment in rows:
-            diag[config] = 0.0
-        else:
-            diag[config] = energy
-    return diag
+    return bool(np.allclose(rep, np.diag(hrs_fock()), atol=PROJECTOR_TOL))

@@ -13,10 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStateError
-
-NORM_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class StateVector:
@@ -86,13 +82,6 @@ def basis_state(node_order: tuple[str, ...], assignment: str) -> StateVector:
     amps = np.zeros(2 ** len(node_order), dtype=complex)
     amps[basis_index(node_order, assignment)] = 1.0
     return StateVector(tuple(node_order), amps)
-
-
-def normalize(v: StateVector) -> StateVector:
-    n = v.norm()
-    if n < NORM_TOL:
-        raise DegenerateStateError("cannot normalize a (near-)zero vector")
-    return StateVector(v.node_order, v.amps / n)
 
 
 def node_sectors(n_nodes: int, position: int) -> tuple[np.ndarray, np.ndarray]:

@@ -67,7 +67,7 @@ class Gate:
         return self.in_nodes + self.out_nodes
 
     def is_link(self) -> bool:
-        return self.table.rows == NOT_ROWS or self.table.rows == (NOT_ROWS[1], NOT_ROWS[0])
+        return self.table.rows == NOT_ROWS
 
 
 @dataclass(frozen=True)

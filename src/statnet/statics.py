@@ -3,10 +3,11 @@
 Every operator here is diagonal in the computational basis of the full
 network, so products commute exactly and a projector is a boolean mask over
 basis indices: true where the constraint allows the basis state.  A gate's
-mask is its `(2,)*m` truth table over its nodes, broadcast along their axes
-of the `(2,)*n` basis tensor; a pin's is the one-node table of its value.  A
-mask is the whole constraint; every penalty Hamiltonian is derived from one
-by `mask_to_hamiltonian`, with its energy on the states the mask forbids.
+constraint is its `(2,)*m` truth table over its nodes, broadcast along their
+axes of the `(2,)*n` basis tensor; a pin's is the one-node table of its value.
+These broadcast tables are the whole constraint: a mask is their conjunction,
+and a penalty Hamiltonian is `energy` times the number of them that are false
+at each basis state.
 """
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import StateVector
 from .network import Gate, Network, Pin, check_enumerable
 
 DEFAULT_PENALTY = 1.0
@@ -82,6 +82,14 @@ def _pin_table(net: Network, pin: Pin) -> np.ndarray:
     return _broadcast(net, (pin.node,), np.arange(2) == pin.value)
 
 
+def _tables(net: Network, include_output_pins: bool) -> list[np.ndarray]:
+    """Every gate's and input pin's broadcast table, and optionally output pins'."""
+    tables = [_gate_table(net, g) for g in net.gates]
+    tables += [_pin_table(net, p) for p in net.pins
+               if p.kind == "input" or include_output_pins]
+    return tables
+
+
 def _conjunction(net: Network, tables: list[np.ndarray]) -> ConstraintMask:
     """True on each basis state that every broadcast table allows."""
     check_enumerable(net)
@@ -89,6 +97,18 @@ def _conjunction(net: Network, tables: list[np.ndarray]) -> ConstraintMask:
     for table in tables:
         bits &= table
     return ConstraintMask(net.dim, bits.ravel())
+
+
+def _penalty(net: Network, tables: list[np.ndarray],
+             energy: float) -> PenaltyHamiltonian:
+    """`energy` times the number of broadcast tables false at each state."""
+    if energy <= 0:
+        raise ValueError("penalty energy must be > 0")
+    check_enumerable(net)
+    violated = np.zeros((2,) * net.n_nodes, np.min_scalar_type(len(tables)))
+    for table in tables:
+        violated += ~table
+    return PenaltyHamiltonian(net.dim, energy * violated.ravel())
 
 
 def gate_mask(net: Network, gate: Gate) -> ConstraintMask:
@@ -103,62 +123,21 @@ def pin_mask(net: Network, pin: Pin) -> ConstraintMask:
 
 def network_mask(net: Network, include_output_pins: bool = True) -> ConstraintMask:
     """Conjunction of all gate masks, input-pin masks, and optionally output pins."""
-    tables = [_gate_table(net, g) for g in net.gates]
-    tables += [_pin_table(net, p) for p in net.pins
-               if p.kind == "input" or include_output_pins]
-    return _conjunction(net, tables)
+    return _conjunction(net, _tables(net, include_output_pins))
 
 
 def gate_hamiltonian(net: Network, gate: Gate,
                      energy: float = DEFAULT_PENALTY) -> PenaltyHamiltonian:
     """Penalty `energy` on every basis state that violates the gate's table."""
-    return mask_to_hamiltonian(gate_mask(net, gate), energy)
+    return _penalty(net, [_gate_table(net, gate)], energy)
 
 
-def pin_hamiltonian(net: Network, pin: Pin,
-                    energy: float = DEFAULT_PENALTY) -> PenaltyHamiltonian:
-    """Penalty `energy` wherever the pinned node disagrees with the pin."""
-    return mask_to_hamiltonian(pin_mask(net, pin), energy)
-
-
-def total_hamiltonian(hamiltonians: list[PenaltyHamiltonian],
-                      dim: int | None = None) -> PenaltyHamiltonian:
-    """Pointwise sum; the zero set is the intersection of the zero sets."""
-    if not hamiltonians:
-        if dim is None:
-            raise ValueError("dim required for an empty sum")
-        return PenaltyHamiltonian(dim, np.zeros(dim))
-    d = hamiltonians[0].dim
-    for h in hamiltonians:
-        if h.dim != d:
-            raise ValueError("Hamiltonian dimensions differ")
-    return PenaltyHamiltonian(d, sum(h.energies for h in hamiltonians))
-
-
-def expected_energy(v: StateVector, h: PenaltyHamiltonian) -> float:
-    """<v|H|v> for a diagonal H."""
-    if v.dim != h.dim:
-        raise ValueError(f"state dim {v.dim} != Hamiltonian dim {h.dim}")
-    return float(np.sum(h.energies * np.abs(v.amps) ** 2))
+def network_hamiltonian(net: Network, energy: float = DEFAULT_PENALTY,
+                        include_output_pins: bool = False) -> PenaltyHamiltonian:
+    """H_N: `energy` per gate and pin violated (output pins optional)."""
+    return _penalty(net, _tables(net, include_output_pins), energy)
 
 
 def ground_space(h: PenaltyHamiltonian) -> list[int]:
     """Sorted basis indices with zero energy."""
     return [int(k) for k in np.flatnonzero(h.energies == 0)]
-
-
-def mask_to_hamiltonian(mask: ConstraintMask,
-                        energy: float = DEFAULT_PENALTY) -> PenaltyHamiltonian:
-    """The penalty Hamiltonian of a mask: `energy` off its support, zero on it."""
-    if energy <= 0:
-        raise ValueError("penalty energy must be > 0")
-    return PenaltyHamiltonian(mask.dim, np.where(mask.bits, 0.0, energy))
-
-
-def network_hamiltonian(net: Network, energy: float = DEFAULT_PENALTY,
-                        include_output_pins: bool = False) -> PenaltyHamiltonian:
-    """H_N: sum of all gate and pin Hamiltonians (output pins optional)."""
-    parts = [gate_hamiltonian(net, g, energy) for g in net.gates]
-    parts += [pin_hamiltonian(net, p, energy) for p in net.pins
-              if p.kind == "input" or include_output_pins]
-    return total_hamiltonian(parts, dim=net.dim)

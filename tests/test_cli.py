@@ -1,12 +1,14 @@
 """Command-line behavior: exit codes, output contracts, determinism."""
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from statnet.cli import main
+from statnet.cli import _COMMANDS, main
 
 CSV_HEADER = ("t,phi,p0,p1,alpha_sq,beta_sq,energy,step_overlap,"
               "deviation_from_closed_form")
@@ -285,3 +287,12 @@ def test_console_script_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "11101011\n"
+
+
+def test_readme_flag_table_matches_parser():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = re.findall(r"^\| `([\w-]+)` \| (.*) \|$", readme.read_text(),
+                      re.MULTILINE)
+    table = {name: tuple(re.findall(r"`--([\w-]+)`", flags))
+             for name, flags in rows}
+    assert table == {name: flags for name, _, _, flags in _COMMANDS}

@@ -5,34 +5,30 @@ import numpy as np
 import pytest
 
 from statnet.fock import (
-    DEFAULT_HRS_PARAMS,
     HRS_ORDER,
-    FockVector,
     ModeBasis,
     antisymmetrizer,
-    create,
     creation_matrix,
-    embed_qubit,
-    embed_state,
-    first_quantized,
     fock_basis_two,
-    gate_fock_hamiltonian,
     hrs_fock,
-    occupation_state,
     qubit_first_quantized,
     second_quantized_hrs,
     slater_vector,
     symmetrizer_two,
-    vacuum,
     verify_second_quantization,
 )
 
 B2 = ModeBasis(("r", "s"))
+VACUUM = np.eye(16)[0]
+
+
+def adag(chi, site):
+    return creation_matrix(B2, chi, site)
 
 
 def test_mode_order_site_major():
-    assert B2.modes == ((0, "r"), (1, "r"), (0, "s"), (1, "s"))
-    assert B2.mode_index(1, "s") == 3
+    order = [(0, "r"), (1, "r"), (0, "s"), (1, "s")]
+    assert [B2.mode_index(chi, site) for chi, site in order] == [0, 1, 2, 3]
 
 
 def test_symmetrizer_kills_singlet():
@@ -83,29 +79,35 @@ def test_antisymmetrizer_fixes_embedded_qubit_states():
 
 
 def test_creation_anticommute():
-    v1 = create(B2, 1, "r", create(B2, 0, "r", vacuum(B2)))
-    v2 = create(B2, 0, "r", create(B2, 1, "r", vacuum(B2)))
-    assert np.array_equal(v1.amps, -v2.amps)
+    v1 = adag(1, "r") @ adag(0, "r") @ VACUUM
+    v2 = adag(0, "r") @ adag(1, "r") @ VACUUM
+    assert np.array_equal(v1, -v2)
 
 
 def test_double_creation_vanishes():
-    v = create(B2, 0, "r", create(B2, 0, "r", vacuum(B2)))
-    assert v.norm() == 0.0
+    v = adag(0, "r") @ adag(0, "r") @ VACUUM
+    assert not v.any()
 
 
 def test_creation_canonical_sign():
     # a†(0,r) a†(0,s) |0>: the rightmost operator acts first.
-    v = create(B2, 0, "r", create(B2, 0, "s", vacuum(B2)))
+    v = adag(0, "r") @ adag(0, "s") @ VACUUM
     config = (1 << B2.mode_index(0, "r")) | (1 << B2.mode_index(0, "s"))
-    assert v.amps[config] == 1.0  # canonical-order creations carry sign +1
+    assert v[config] == 1.0  # canonical-order creations carry sign +1
 
 
 def test_creation_matrix_matches_operator():
-    rng = np.random.default_rng(3)
-    amps = rng.normal(size=16) + 1j * rng.normal(size=16)
-    fv = FockVector(B2, amps)
-    mat = creation_matrix(B2, 1, "s")
-    assert np.allclose(mat @ amps, create(B2, 1, "s", fv).amps)
+    # Jordan-Wigner: a†_m takes bit m from 0 to 1 and carries a parity
+    # string Z on every lower mode.  Mode m is bit m of the configuration, so it is the
+    # m-th factor from the right of the Kronecker product.
+    raise_bit, parity = np.array([[0, 0], [1, 0]]), np.diag([1, -1])
+    for m in range(4):
+        factors = [np.eye(2)] * (3 - m) + [raise_bit] + [parity] * m
+        expected = factors[0]
+        for f in factors[1:]:
+            expected = np.kron(expected, f)
+        assert np.array_equal(creation_matrix(B2, m % 2, "rs"[m // 2]),
+                              expected)
 
 
 def test_fock_basis_orthonormal():
@@ -123,31 +125,10 @@ def test_fock_basis_c_occupation():
 
 
 def test_fock_basis_e_from_creations():
-    built = (create(B2, 0, "r", create(B2, 1, "s", vacuum(B2))).amps
-             + create(B2, 1, "r", create(B2, 0, "s", vacuum(B2))).amps)
+    built = (adag(0, "r") @ adag(1, "s") @ VACUUM
+             + adag(1, "r") @ adag(0, "s") @ VACUUM)
     built = built / math.sqrt(2)
     assert np.allclose(built, fock_basis_two()["e"].amps)
-
-
-def test_embed_qubit_values():
-    states = fock_basis_two()
-    assert embed_state(states["c"]) is not None
-    assert np.allclose(embed_state(states["c"]), [1, 0, 0, 0])  # "00"
-    assert np.allclose(embed_state(states["d"]), [0, 0, 0, 1])  # "11"
-
-
-def test_embed_double_occupancy_undefined():
-    assert embed_state(fock_basis_two()["a"]) is None
-
-
-def test_embed_e_is_balanced_superposition():
-    e = embed_state(fock_basis_two()["e"])
-    assert np.allclose(e, [0, 1 / math.sqrt(2), 1 / math.sqrt(2), 0])
-
-
-def test_embed_qubit_config_direct():
-    config = (1 << B2.mode_index(1, "r")) | (1 << B2.mode_index(0, "s"))
-    assert embed_qubit(B2, config) == "10"
 
 
 def test_hrs_diagonal():
@@ -159,29 +140,19 @@ def test_hrs_ground_space_is_e_and_f():
     assert [HRS_ORDER[i] for i in np.flatnonzero(diag == 0)] == ["e", "f"]
 
 
-def test_hrs_equal_params_spectrum():
-    diag = hrs_fock({"E_a": 2.0, "E_b": 2.0, "E_c": 2.0, "E_d": 2.0})
-    assert np.array_equal(diag, [2, 2, 2, 2, 0, 0])
-
-
-def test_hrs_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        hrs_fock({"E_c": 0.0})
-
-
 def test_second_quantized_matches_diagonal():
-    assert verify_second_quantization(DEFAULT_HRS_PARAMS)
+    assert verify_second_quantization()
 
 
 def test_second_quantized_wrong_sign_detected():
     # Deliberate fault injection: flipping the overall sign must be caught.
-    assert not verify_second_quantization(DEFAULT_HRS_PARAMS, sign=+1.0)
+    assert not verify_second_quantization(sign=+1.0)
 
 
 def test_second_quantized_c_expectation():
-    h = second_quantized_hrs({"E_c": 1.7})
+    h = second_quantized_hrs()
     c = fock_basis_two()["c"].amps
-    assert np.vdot(c, h @ c) == pytest.approx(1.7)
+    assert np.vdot(c, h @ c) == pytest.approx(hrs_fock()[HRS_ORDER.index("c")])
 
 
 def test_second_quantized_hermitian():
@@ -198,23 +169,5 @@ def test_slater_antisymmetric_and_normalized():
 
 
 def test_first_quantized_equals_slater():
-    fv = occupation_state(B2, ((0, "r"), (1, "s")))
-    assert np.allclose(first_quantized(fv, 2), slater_vector(B2, (0, 3)))
-
-
-def test_first_quantized_wrong_particle_count():
-    with pytest.raises(ValueError):
-        first_quantized(vacuum(B2), 2)
-
-
-def test_gate_fock_hamiltonian_link():
-    diag = gate_fock_hamiltonian(("r", "s"), ("01", "10"))
-    assert len(diag) == 6  # C(4, 2) two-particle configurations
-    zero = [config for config, e in diag.items() if e == 0.0]
-    assert sorted(embed_qubit(B2, c) for c in zero) == ["01", "10"]
-
-
-def test_gate_fock_hamiltonian_penalizes_double_occupancy():
-    diag = gate_fock_hamiltonian(("r", "s"), ("01", "10"), energy=2.0)
-    both_on_r = 0b0011
-    assert diag[both_on_r] == 2.0
+    # Spin 0 on r and spin 1 on s occupy modes 0 and 3.
+    assert np.allclose(qubit_first_quantized(B2, "01"), slater_vector(B2, (0, 3)))

@@ -62,3 +62,37 @@ def test_golden_stdout(argv, code, digest, capsys):
     assert main(list(argv)) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# A 12-node chain: three XOR blocks joined by links, every b pinned as an
+# input and d2 pinned as the driven output.
+CHAIN12 = """\
+nodes a0 b0 c0 d0 a1 b1 c1 d1 a2 b2 c2 d2
+gate g0 in(a0,b0) out(c0,d0) { 00->00 ; 01->01 ; 10->11 ; 11->10 }
+link d0 -> a1
+gate g1 in(a1,b1) out(c1,d1) { 00->00 ; 01->01 ; 10->11 ; 11->10 }
+link d1 -> a2
+gate g2 in(a2,b2) out(c2,d2) { 00->00 ; 01->01 ; 10->11 ; 11->10 }
+fix b0=1 input
+fix b1=1 input
+fix b2=1 input
+fix d2=1 output
+drive d2
+"""
+
+# (extra argv after the network path, sha256 of stdout); both exit 0.
+CHAIN12_GOLDEN = [
+    ((), "50270a0f47af48ca8eaff87df4efa56164423f039dd60457f3c979f1bc2f44d2"),
+    (("--dump",),
+     "f1c76f808c3a9bc111f434894b6131577c9e8b811a515a9cd03bec39eda186aa"),
+]
+
+
+@pytest.mark.parametrize("extra,digest", CHAIN12_GOLDEN,
+                         ids=["check", "check --dump"])
+def test_golden_check_chain12(extra, digest, tmp_path, capsys):
+    path = tmp_path / "chain12.net"
+    path.write_text(CHAIN12)
+    assert main(["check", "--network", str(path), *extra]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,11 +1,10 @@
-"""State-vector layer: indexing, normalization, a node's drive sectors."""
+"""State-vector layer: indexing, a node's reduced diagonal and drive sectors."""
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from statnet.errors import DegenerateStateError
 from statnet.fock import FockVector, ModeBasis
 from statnet.hilbert import (
     StateVector,
@@ -13,7 +12,6 @@ from statnet.hilbert import (
     basis_state,
     index_assignment,
     node_sectors,
-    normalize,
     reduced_diag,
 )
 from statnet.statics import PenaltyHamiltonian
@@ -72,23 +70,8 @@ def test_basis_state_solution():
     assert v.amps[235] == 1.0 and v.norm() == 1.0
 
 
-def test_normalize_scalar_multiple():
-    v = StateVector(TWO, np.array([2.0, 0, 0, 0]))
-    assert np.array_equal(normalize(v).amps, [1, 0, 0, 0])
-
-
-def test_normalize_two_component():
-    v = normalize(StateVector(TWO, np.array([1.0, 1.0, 0, 0])))
-    assert np.allclose(v.amps, [1 / math.sqrt(2), 1 / math.sqrt(2), 0, 0])
-
-
-def test_normalize_zero_vector_raises():
-    with pytest.raises(DegenerateStateError):
-        normalize(StateVector(TWO, np.zeros(4)))
-
-
 def test_reduced_diag_symmetric():
-    v = normalize(StateVector(TWO, np.array([0, 1.0, 1.0, 0])))
+    v = StateVector(TWO, np.array([0, 1.0, 1.0, 0]) / math.sqrt(2))
     d = reduced_diag(v, "r")
     assert (d.p0, d.p1) == pytest.approx((0.5, 0.5))
 
@@ -106,7 +89,7 @@ def test_reduced_diag_eigenstate():
 
 
 def test_sector_split_bell_like():
-    v = normalize(StateVector(TWO, np.array([0, 1.0, 1.0, 0])))
+    v = StateVector(TWO, np.array([0, 1.0, 1.0, 0]) / math.sqrt(2))
     sector0, sector1 = node_sectors(2, v.node_position("r"))
     assert np.allclose(v.amps[sector0], [0, 1 / math.sqrt(2)])
     assert np.allclose(v.amps[sector1], [1 / math.sqrt(2), 0])
@@ -135,12 +118,6 @@ def test_statevector_amps_read_only():
         v.amps[0] = 1.0
 
 
-amp_arrays = st.lists(
-    st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
-    min_size=4, max_size=4,
-).map(np.array)
-
-
 @given(st.integers(1, 6).flatmap(
     lambda n: st.tuples(st.just(n), st.integers(0, n - 1))))
 def test_sector_split_reassembles(n_pos):
@@ -150,12 +127,3 @@ def test_sector_split_reassembles(n_pos):
         assert sector.tolist() == [
             k for k in range(2 ** n)
             if index_assignment(("x",) * n, k)[pos] == str(bit)]
-
-
-@given(amp_arrays)
-def test_normalize_is_unit_or_degenerate(amps):
-    v = StateVector(TWO, amps)
-    try:
-        assert normalize(v).norm() == pytest.approx(1.0)
-    except DegenerateStateError:
-        assert v.norm() < 1e-6

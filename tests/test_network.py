@@ -83,6 +83,14 @@ def test_render_roundtrip_unsat():
     assert parse_network(render(net)) == net
 
 
+def test_render_roundtrip_link_named_gate_with_reversed_rows():
+    # Its rows are the inverter's in the other order, so it is no `link`.
+    net = parse_network(
+        "nodes a b\ngate link_a_b in(a) out(b) { 1->0 ; 0->1 }\n")
+    assert not net.gates[0].is_link()
+    assert parse_network(render(net)) == net
+
+
 def test_pin_kind_inference():
     # A pin on a gate output is an output pin unless annotated otherwise.
     net = parse_network("nodes a b\nlink a -> b\nfix a=0\nfix b=1\n")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from statnet import protocol
+from statnet.cli import main
 from statnet.dynamics import DriveSchedule
 from statnet.errors import UnpreparableNetworkError
 from statnet.hilbert import StateVector, basis_index, basis_state, reduced_diag
@@ -19,6 +20,7 @@ from statnet.network import (
     builtin_fig1,
     builtin_fig1_unsat,
     parse_network,
+    render,
 )
 from statnet.protocol import (
     measure_sample,
@@ -27,12 +29,7 @@ from statnet.protocol import (
     repetition_bound,
     run_protocol,
 )
-from statnet.statics import (
-    expected_energy,
-    gate_hamiltonian,
-    network_hamiltonian,
-    pin_hamiltonian,
-)
+from statnet.statics import gate_mask, network_hamiltonian, pin_mask
 
 SCHED = DriveSchedule(kind="linear-ramp", tau=1.0, dt=1e-3)
 
@@ -64,11 +61,10 @@ def test_prepare_single_free_node():
 def test_prepare_zero_energy_under_all_constraints():
     net = builtin_fig1()
     prep = prepare_ground(net)
-    for g in net.gates:
-        assert expected_energy(prep.state, gate_hamiltonian(net, g)) == 0.0
-    for p in net.pins:
-        if p.kind == "input":
-            assert expected_energy(prep.state, pin_hamiltonian(net, p)) == 0.0
+    masks = [gate_mask(net, g) for g in net.gates]
+    masks += [pin_mask(net, p) for p in net.pins if p.kind == "input"]
+    for mask in masks:
+        assert not prep.state.amps[~mask.bits].any()
 
 
 def test_prepare_unconstrained_input_marginals_nonzero():
@@ -290,19 +286,60 @@ def test_mask_kernel_matches_string_oracle(net, seed):
         if s is not None and assignment_satisfies(net, s, include_pins=True))
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_networks(), st.floats(min_value=0.01, max_value=10.0))
-def test_penalty_counts_violated_constraints(net, energy):
-    """Each basis state's penalty is `energy` per gate and pin it violates.
+def violations(net, include_output_pins):
+    """Per basis state, the number of gates and pins it violates.
 
     The count comes from the string oracle: a gate is violated when its
     one-gate sub-network is, and a pin when the node's bit differs.
     """
-    h = network_hamiltonian(net, energy, include_output_pins=True)
     pos = {n: i for i, n in enumerate(net.nodes)}
+    pins = [p for p in net.pins if p.kind == "input" or include_output_pins]
+    counts = []
     for k in range(net.dim):
         a = format(k, f"0{net.n_nodes}b")
-        violated = sum(not assignment_satisfies(Network(net.nodes, (g,)), a)
-                       for g in net.gates)
-        violated += sum(a[pos[p.node]] != str(p.value) for p in net.pins)
-        assert h.energies[k] == pytest.approx(energy * violated, rel=1e-12)
+        counts.append(
+            sum(not assignment_satisfies(Network(net.nodes, (g,)), a)
+                for g in net.gates)
+            + sum(a[pos[p.node]] != str(p.value) for p in pins))
+    return np.array(counts, dtype=float)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_networks(), st.floats(min_value=0.01, max_value=10.0))
+def test_penalty_counts_violated_constraints(net, energy):
+    """Each basis state's penalty is `energy` per gate and pin it violates."""
+    h = network_hamiltonian(net, energy, include_output_pins=True)
+    assert h.energies == pytest.approx(energy * violations(net, True),
+                                       rel=1e-12)
+
+
+@pytest.mark.parametrize("include_output_pins", [False, True])
+@pytest.mark.parametrize("net", [builtin_fig1(), builtin_fig1_unsat()],
+                         ids=["fig1", "fig1-unsat"])
+def test_default_penalty_equals_violation_count(net, include_output_pins):
+    # `check --dump` prints these floats, so they must be exact.
+    h = network_hamiltonian(net, include_output_pins=include_output_pins)
+    assert np.array_equal(h.energies, violations(net, include_output_pins))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_networks(), st.booleans())
+def test_default_penalty_equals_violation_count_random(net,
+                                                       include_output_pins):
+    h = network_hamiltonian(net, include_output_pins=include_output_pins)
+    assert np.array_equal(h.energies, violations(net, include_output_pins))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_networks())
+def test_check_ground_space_sizes_match_gate_masks(tmp_path_factory, net):
+    # `check` counts each gate's ground space without building its mask.
+    folder = tmp_path_factory.mktemp("check")
+    (folder / "net.txt").write_text(render(net))
+    assert main(["check", "--network", str(folder / "net.txt"),
+                 "--out", str(folder / "out.txt")]) == 0
+    printed = [line.split("ground-space size ")[1].split(" of ")[0]
+               for line in (folder / "out.txt").read_text().splitlines()
+               if line.startswith("gate ")]
+    assert printed == [str(gate_mask(net, g).support_size())
+                       for g in net.gates]
