@@ -5,10 +5,11 @@ projector and penalty Hamiltonian over qubit assignments; a continuous
 projection ("watchdog") drive rotates a prepared ground state toward the
 assignments that satisfy every constraint.  Subpackages:
 
-- hilbert: dense state vectors, basis indexing, a node's drive sectors
+- hilbert: state vectors stored on basis codes, basis indexing, a node's
+  drive sectors
 - network: the gate/pin DSL, parsing, and a brute-force oracle
 - statics: constraint masks and penalty counts, both read from broadcast
-  truth tables
+  truth tables, and the support as a join of the truth tables
 - fock: fermionic mode algebra, (anti)symmetrizers, the link Hamiltonian
 - dynamics: the watchdog stepper, drive schedules, closed forms
 - protocol: prepare / drive / measure / decide with repetition statistics
@@ -47,6 +48,7 @@ from .statics import (
     network_hamiltonian,
     network_mask,
     pin_mask,
+    support,
 )
 from .dynamics import (
     DriveSchedule,
@@ -105,5 +107,6 @@ __all__ = [
     "render",
     "repetition_bound",
     "run_protocol",
+    "support",
     "triplet_watchdog_demo",
 ]

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import dynamics, network, protocol, statics
 from .errors import StatnetError
-from .hilbert import StateVector
+from .hilbert import StateVector, index_assignment
 
 
 def _fmt(x: float) -> str:
@@ -109,9 +109,10 @@ def cmd_check(args) -> int:
 
 def cmd_solve_brute(args) -> int:
     net = _load_network(args.network)
-    solutions = network.brute_force_solutions(net, include_pins=True)
-    if solutions:
-        _write(args.out, "\n".join(solutions) + "\n")
+    codes = statics.support(net, include_output_pins=True)
+    if codes.size:
+        _write(args.out, "".join(index_assignment(net.nodes, k) + "\n"
+                                 for k in codes.tolist()))
         return 0
     _write(args.out, "(none)\n")
     return 1
@@ -178,7 +179,8 @@ _DEMO_DRIVE = ("dt", "tau", "schedule", "theta", "phi-final")
 _COMMANDS = (
     ("check", "parse and report constraint statics", cmd_check,
      ("network", "dump", "out")),
-    ("solve-brute", "exhaustive SAT oracle", cmd_solve_brute,
+    ("solve-brute", "every satisfying assignment, by joining the gate tables",
+     cmd_solve_brute,
      ("network", "out")),
     ("simulate-link", "watchdog evolution of a single inverting wire",
      cmd_simulate_link, _DEMO_DRIVE + ("leak", "no-mask", "out")),

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DegenerateDynamicsError
 from .fock import symmetrizer_two
-from .hilbert import StateVector, node_sectors
+from .hilbert import StateVector
 from .statics import ConstraintMask
 
 SCHEDULE_KINDS = ("linear-ramp", "cosine-ramp", "exponential-relax")
@@ -53,6 +53,9 @@ class DriveSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
+        for name in ("theta0", "phi_final", "tau", "dt"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.dt <= 0:
             raise ValueError("dt must be > 0")
         if self.tau < self.dt:
@@ -105,8 +108,9 @@ def _refill_indices(idx: np.ndarray, allowed: np.ndarray,
     """Where a drive sector that carries no mass is refilled, uniformly.
 
     The refill is an equal-phase superposition over the sector's allowed
-    states; with the uniform-excited leak model, over the whole sector when
-    it has none.
+    states; with the uniform-excited leak model, over every stored state of
+    the sector when it has none (a prepared network stores the whole sector
+    for this).
     """
     constrained = idx[allowed[idx]]
     if constrained.size:
@@ -123,10 +127,10 @@ def _rescale(amps: np.ndarray, sectors: tuple[np.ndarray, np.ndarray],
              leak_model: str) -> np.ndarray:
     """Place each target mass on its drive sector, preserving direction and phase.
 
-    `sectors` holds the two sectors' basis indices; `allowed` is the boolean
-    constraint mask over the whole space.  A demanded sector that carries no
-    mass is refilled at `_refill_indices`, which raises when there is nowhere
-    to refill.
+    `sectors` holds the two sectors' positions in `amps`; `allowed` is the
+    boolean constraint mask over the same positions.  A demanded sector that
+    carries no mass is refilled at `_refill_indices`, which raises when there
+    is nowhere to refill.
     """
     out = np.zeros_like(amps)
     for idx, target in zip(sectors, targets):
@@ -169,6 +173,10 @@ def evolve(psi0: StateVector, mask: ConstraintMask, drive_node: str,
            enforce_mask: bool = True, record: bool = True) -> Trajectory:
     """Run the watchdog stepping over the schedule's uniform time grid.
 
+    The evolution acts on psi0's stored basis states (`psi0.codes`), and
+    `mask` holds one entry per stored state.  Every projection and rescale
+    is diagonal, so no amplitude leaves them; a caller that needs a refill
+    outside the constrained states (the uniform-excited leak) stores them.
     `mask` always gives the diagnostics: `alpha_sq` is the mass on the states
     it allows and `energy` the mass on those it forbids, its penalty at unit
     energy.  Condition (i), the projection onto the mask, is only enforced
@@ -186,10 +194,10 @@ def evolve(psi0: StateVector, mask: ConstraintMask, drive_node: str,
     the uniform refill.  The final point's `step_overlap` compares the states
     after steps n-1 and n, as when stepping.
     """
-    if mask.dim != psi0.dim:
+    if mask.bits.shape != psi0.amps.shape:
         raise ValueError("mask dimension mismatch")
-    sectors = node_sectors(psi0.n_nodes, psi0.node_position(drive_node))
-    allowed = mask.bits if enforce_mask else np.ones(psi0.dim, dtype=bool)
+    sectors = psi0.sectors(drive_node)
+    allowed = mask.bits if enforce_mask else np.ones(psi0.amps.size, dtype=bool)
     forbidden = ~mask.bits
 
     def diagnostics(t, amps, overlap):
@@ -197,7 +205,7 @@ def evolve(psi0: StateVector, mask: ConstraintMask, drive_node: str,
         alpha_sq = float(probs[mask.bits].sum())
         energy = float(probs[forbidden].sum())
         return TrajectoryPoint(
-            t=t, state=StateVector(psi0.node_order, amps),
+            t=t, state=StateVector(psi0.node_order, amps, psi0.codes),
             p0=float(probs[sectors[0]].sum()),
             p1=float(probs[sectors[1]].sum()),
             alpha_sq=alpha_sq, beta_sq=1.0 - alpha_sq,
@@ -270,7 +278,7 @@ def closed_form_triplet(theta: float, phi: float) -> StateVector:
 
 def q_rs_apply(phi: float, v: StateVector) -> StateVector:
     """Unitary rotation by phi in the (|01>, |10>) plane, identity elsewhere."""
-    if v.dim != 4:
+    if (v.dim, v.amps.size) != (4, 4):
         raise ValueError("q_rs_apply acts on 2-qubit states")
     c, s = math.cos(phi), math.sin(phi)
     q = np.array([[1, 0, 0, 0],
@@ -297,9 +305,9 @@ def triplet_watchdog_demo(theta: float, schedule: DriveSchedule,
         raise ValueError("theta must lie strictly inside (0, pi/2)")
     schedule = replace(schedule, theta0=theta)
     sym = symmetrizer_two().matrix
-    node_order = ("p1", "p2")
+    psi0 = closed_form_triplet(theta, 0.0)
     # The drive sectors of p1 and of p2; nothing is allowed as a refill.
-    particles = (node_sectors(2, 0), node_sectors(2, 1))
+    particles = (psi0.sectors("p1"), psi0.sectors("p2"))
     no_refill = np.zeros(4, dtype=bool)
 
     def step(prev: np.ndarray, targets: tuple[float, float]) -> np.ndarray:
@@ -321,14 +329,14 @@ def triplet_watchdog_demo(theta: float, schedule: DriveSchedule,
         sym_part = sym @ amps
         alpha_sq = min(float(np.linalg.norm(sym_part) ** 2), 1.0)
         return TrajectoryPoint(
-            t=t, state=StateVector(node_order, amps),
+            t=t, state=StateVector(psi0.node_order, amps, psi0.codes),
             p0=float(probs[particles[0][0]].sum()),
             p1=float(probs[particles[0][1]].sum()),
             alpha_sq=alpha_sq, beta_sq=1.0 - alpha_sq,
             energy=1.0 - alpha_sq, step_overlap=overlap)
 
-    return Trajectory(schedule, _walk_grid(closed_form_triplet(theta, 0.0).amps,
-                                           schedule, step, diagnostics))
+    return Trajectory(schedule, _walk_grid(psi0.amps, schedule, step,
+                                           diagnostics))
 
 
 def singlet_amplitude(state: StateVector) -> complex:

@@ -1,41 +1,84 @@
-"""Dense state vectors over an ordered-qubit tensor basis.
+"""State vectors over an ordered-qubit tensor basis, stored on a set of basis codes.
 
-Bit convention, shared by every module: a flat basis index is the C-order
-ravel of the `(2,)*n` basis tensor whose axis i is the i-th declared node, so
-the first declared node is the most significant bit.  `node_sectors` is the
-one place that turns a node into basis indices.  All values are immutable
-after construction and all operations are pure functions.  Constructors copy
-the caller's array and freeze the copy.
+Bit convention, shared by every module: a flat basis index (a basis code) is
+the C-order ravel of the `(2,)*n` basis tensor whose axis i is the i-th
+declared node, so the first declared node is the most significant bit.  A
+state stores its amplitudes only on its `codes`, the ascending basis codes
+outside which it is zero; by default that is all 2^n of them.
+`StateVector.sectors` is the one place that turns a node into positions.
+All values are immutable after construction and all operations are pure
+functions.  Constructors copy the caller's array and freeze the copy.
 """
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
+# Code arrays already checked and frozen here, by id: a state built on
+# another state's codes (each point of a recorded trajectory) shares them
+# instead of copying and checking them again.  Entries go with their arrays.
+_CHECKED_CODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+@functools.lru_cache(maxsize=8)
+def _all_codes(n_nodes: int) -> np.ndarray:
+    """Every basis code of n nodes, read-only, shared by the states that store all."""
+    codes = np.arange(2 ** n_nodes, dtype=np.int64)
+    codes.setflags(write=False)
+    _CHECKED_CODES[id(codes)] = codes
+    return codes
+
+
+def _checked_codes(codes, n_nodes: int) -> np.ndarray:
+    """A frozen copy of `codes`, which must be ascending basis codes of n nodes."""
+    out = np.array(codes, dtype=np.int64)
+    if out.ndim != 1 or (out.size and (out[0] < 0 or out[-1] >> n_nodes)) \
+            or (np.diff(out) <= 0).any():
+        raise ValueError(f"codes must be ascending basis codes of {n_nodes} nodes")
+    out.setflags(write=False)
+    _CHECKED_CODES[id(out)] = out
+    return out
+
 
 @dataclass(frozen=True)
 class StateVector:
-    """Complex amplitudes over the computational basis of the named nodes."""
+    """Complex amplitudes over the computational basis of the named nodes.
+
+    `amps[i]` is the amplitude of basis code `codes[i]`; every other basis
+    state has amplitude zero.  `codes` defaults to all 2^n codes.
+    """
 
     node_order: tuple[str, ...]
     amps: np.ndarray
+    codes: np.ndarray | None = None
 
     def __post_init__(self):
-        if len(set(self.node_order)) != len(self.node_order):
+        n = len(self.node_order)
+        if len(set(self.node_order)) != n:
             raise ValueError(f"duplicate nodes in {self.node_order}")
+        codes = self.codes
+        if codes is None:
+            codes = _all_codes(n)
+            object.__setattr__(self, "codes", codes)
+        elif _CHECKED_CODES.get(id(codes)) is not codes:
+            codes = _checked_codes(codes, n)
+            object.__setattr__(self, "codes", codes)
         amps = np.array(self.amps, dtype=complex)
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
-        if amps.shape != (2 ** len(self.node_order),):
+        if amps.shape != codes.shape:
             raise ValueError(
                 f"amplitude array of shape {amps.shape} does not match "
-                f"{len(self.node_order)} nodes"
+                f"{codes.size} basis codes of {n} nodes"
             )
 
     @property
     def dim(self) -> int:
-        return self.amps.shape[0]
+        """The dimension of the full space, 2^n, stored or not."""
+        return 2 ** self.n_nodes
 
     @property
     def n_nodes(self) -> int:
@@ -49,6 +92,11 @@ class StateVector:
             return self.node_order.index(node)
         except ValueError:
             raise ValueError(f"unknown node {node!r}") from None
+
+    def sectors(self, node: str) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending positions in `amps` of the codes where `node` reads 0, and 1."""
+        bit = (self.codes >> (self.n_nodes - 1 - self.node_position(node))) & 1
+        return np.flatnonzero(bit == 0), np.flatnonzero(bit)
 
 
 @dataclass(frozen=True)
@@ -84,15 +132,9 @@ def basis_state(node_order: tuple[str, ...], assignment: str) -> StateVector:
     return StateVector(tuple(node_order), amps)
 
 
-def node_sectors(n_nodes: int, position: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending basis indices where the node at `position` reads 0, and 1."""
-    axes = np.arange(2 ** n_nodes).reshape(2 ** position, 2, -1)
-    return axes[:, 0].ravel(), axes[:, 1].ravel()
-
-
 def reduced_diag(v: StateVector, node: str) -> SectorDiag:
     """Diagonal of the partial trace over all nodes but `node`."""
-    sector0, sector1 = node_sectors(v.n_nodes, v.node_position(node))
+    sector0, sector1 = v.sectors(node)
     probs = np.abs(v.amps) ** 2
     p1 = float(probs[sector1].sum())
     p0 = float(probs[sector0].sum())

@@ -3,11 +3,15 @@
 The ground state is constructed analytically as the uniform superposition of
 every assignment satisfying the gates and the input pins (output pins are
 withheld at preparation and enforced through the drive and the offline
-check).  The evolution is deterministic, so a decision evolves that
-preparation once, until the drive node's sector mass sits on the pinned
-output value; each shot then measures the final state once in the
-computational basis, and the sample is checked offline against the full
-constraint set.
+check).  The state stores only those assignments, the support that
+`statics.support` enumerates, so a decision never builds a 2^n array.  The
+drive is diagonal and keeps the state on them; the one exception is the
+uniform-excited leak into a drive sector with no support state, for which
+preparation stores that whole sector as well.  The evolution is
+deterministic, so a decision evolves that preparation once, until the drive
+node's sector mass sits on the pinned output value; each shot then measures
+the final state once in the computational basis, and the sample is checked
+offline against the full constraint set.
 """
 from __future__ import annotations
 
@@ -19,10 +23,9 @@ import numpy as np
 
 from .dynamics import DriveSchedule, evolve
 from .errors import DegenerateDynamicsError, UnpreparableNetworkError
-from .hilbert import (StateVector, basis_index, index_assignment,
-                      node_sectors, reduced_diag)
-from .network import Network, render
-from .statics import ConstraintMask, network_mask
+from .hilbert import StateVector, basis_index, index_assignment, reduced_diag
+from .network import Network, check_enumerable, render
+from .statics import ConstraintMask, support
 
 # Reference per-shot success probability used for the stated confidence of a
 # negative (unsatisfiable) decision: 1 - (1 - p_ref)^shots.  It is a fixed
@@ -33,7 +36,11 @@ DEFAULT_P_GOOD_REF = 0.5
 
 @dataclass(frozen=True)
 class Preparation:
-    """The prepared state and the input-constrained mask it is evolved under."""
+    """The prepared state and the input-constrained mask it is evolved under.
+
+    `mask` has one entry per stored state of `state`: true on the support,
+    false on the leak sector stored beside it.
+    """
 
     state: StateVector
     mask: ConstraintMask
@@ -82,24 +89,39 @@ def network_hash(net: Network) -> str:
     return hashlib.sha256(render(net).encode()).hexdigest()[:16]
 
 
-def prepare_ground(net: Network) -> Preparation:
-    """Equal-phase superposition over the input-constrained solution set."""
-    mask = network_mask(net, include_output_pins=False)
-    support = np.flatnonzero(mask.bits)
-    if not support.size:
+def prepare_ground(net: Network, leak_model: str = "none") -> Preparation:
+    """Equal-phase superposition over the input-constrained solution set.
+
+    The state stores the support only.  Under the uniform-excited leak, a
+    drive sector that holds no support state is stored whole, at amplitude
+    zero and outside the mask, because a drive into it refills it all; that
+    sector has 2^(n-1) states, so the node limit applies.
+    """
+    codes = support(net, include_output_pins=False)
+    if not codes.size:
         raise UnpreparableNetworkError(
             "no assignment satisfies the gates and input pins")
-    amps = np.zeros(net.dim, dtype=complex)
-    amps[support] = 1 / math.sqrt(support.size)
-    state = StateVector(net.nodes, amps)
-
+    size, n1, in_support = codes.size, 0, np.ones(codes.size, dtype=bool)
+    if net.drive_node is not None:
+        bit = 1 << (net.n_nodes - 1 - net.nodes.index(net.drive_node))
+        n1 = int(np.count_nonzero(codes & bit))
+        if leak_model == "uniform-excited" and n1 in (0, size):
+            check_enumerable(net)
+            empty = 0 if n1 else bit
+            # Every code of the other n-1 nodes, with the drive bit inserted.
+            rest = np.arange(net.dim // 2, dtype=np.int64)
+            sector = ((rest & -bit) << 1) | (rest & (bit - 1)) | empty
+            # Two disjoint ascending runs: a stable sort merges them.
+            codes = np.sort(np.concatenate([codes, sector]), kind="stable")
+            in_support = codes & bit != empty
+    amps = np.where(in_support, 1 / math.sqrt(size), 0).astype(complex)
+    state = StateVector(net.nodes, amps, codes)
+    mask = ConstraintMask(codes.size, in_support)
     if net.drive_node is None:
-        return Preparation(state, mask, support.size, 0, None)
-    _, sector1 = node_sectors(net.n_nodes, net.nodes.index(net.drive_node))
-    n1 = int(mask.bits[sector1].sum())
+        return Preparation(state, mask, size, 0, None)
     p1 = reduced_diag(state, net.drive_node).p1
     theta = math.asin(math.sqrt(min(p1, 1.0)))
-    return Preparation(state, mask, support.size - n1, n1, theta)
+    return Preparation(state, mask, size - n1, n1, theta)
 
 
 def _drive_schedule_for(net: Network, prep: Preparation,
@@ -114,10 +136,15 @@ def _drive_schedule_for(net: Network, prep: Preparation,
 
 
 def measure_sample(v: StateVector, rng: np.random.Generator) -> str:
-    """One projective measurement in the computational basis."""
+    """One projective measurement in the computational basis.
+
+    The draw is over the stored states only.  Their probabilities are the
+    full space's with the zeros left out, and `rng.choice` accumulates them
+    in order, so the draw lands on the same basis state as over all 2^n.
+    """
     probs = np.abs(v.amps) ** 2
     probs = probs / probs.sum()
-    k = int(rng.choice(v.dim, p=probs))
+    k = int(v.codes[rng.choice(v.amps.size, p=probs)])
     return index_assignment(v.node_order, k)
 
 
@@ -132,9 +159,12 @@ def run_protocol(net: Network, schedule: DriveSchedule, shots: int, seed: int,
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    prep = prepare_ground(net)
+    prep = prepare_ground(net, leak_model)
     schedule = _drive_schedule_for(net, prep, schedule)
-    solutions = network_mask(net).bits
+    solutions = prep.mask.bits.copy()
+    for pin in net.pins:
+        if pin.kind == "output":
+            solutions[prep.state.sectors(pin.node)[1 - pin.value]] = False
     try:
         final = evolve(prep.state, prep.mask, net.drive_node, schedule,
                        leak_model=leak_model, record=False).points[-1]
@@ -144,8 +174,10 @@ def run_protocol(net: Network, schedule: DriveSchedule, shots: int, seed: int,
         measure_sample(final.state, np.random.default_rng([int(seed), shot]))
         if final is not None else None
         for shot in range(shots))
-    n_solutions = sum(1 for s in samples if s is not None
-                      and solutions[basis_index(net.nodes, s)])
+    n_solutions = sum(
+        1 for s in samples if s is not None
+        and solutions[np.searchsorted(prep.state.codes,
+                                      basis_index(net.nodes, s))])
 
     if n_solutions > 0:
         decision, confidence = "satisfiable", 1.0

@@ -1,4 +1,4 @@
-"""Diagonal constraint projectors and the penalty Hamiltonians read from them.
+"""Diagonal constraint projectors, their support, and penalty Hamiltonians.
 
 Every operator here is diagonal in the computational basis of the full
 network, so products commute exactly and a projector is a boolean mask over
@@ -8,6 +8,11 @@ axes of the `(2,)*n` basis tensor; a pin's is the one-node table of its value.
 These broadcast tables are the whole constraint: a mask is their conjunction,
 and a penalty Hamiltonian is `energy` times the number of them that are false
 at each basis state.
+
+The dense masks hold 2^n entries, so they refuse more than
+`DEFAULT_NODE_LIMIT` nodes.  `support` lists the same allowed states without
+them: it joins the gates' truth-table rows as int64 basis codes, so its cost
+follows the size of the support, not 2^n.
 """
 from __future__ import annotations
 
@@ -15,14 +20,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Gate, Network, Pin, check_enumerable
+from .network import DEFAULT_NODE_LIMIT, Gate, Network, Pin, check_enumerable
 
 DEFAULT_PENALTY = 1.0
+# Basis codes are int64 with the first declared node as the top bit.
+MAX_CODE_NODES = 62
 
 
 @dataclass(frozen=True)
 class ConstraintMask:
-    """Boolean diagonal indicator over basis indices (a projector A_i)."""
+    """Boolean diagonal indicator (a projector A_i), one entry per basis state.
+
+    The masks built here cover all 2^n basis indices; a prepared state's
+    mask covers only the states it stores, and `dim` counts those.
+    """
 
     dim: int
     bits: np.ndarray
@@ -141,3 +152,67 @@ def network_hamiltonian(net: Network, energy: float = DEFAULT_PENALTY,
 def ground_space(h: PenaltyHamiltonian) -> list[int]:
     """Sorted basis indices with zero energy."""
     return [int(k) for k in np.flatnonzero(h.energies == 0)]
+
+
+def _enumerable_rows(rows: int) -> None:
+    """Raise before a join or expansion materializes more rows than the limit."""
+    if rows > 2 ** DEFAULT_NODE_LIMIT:
+        raise ValueError(f"constrained support exceeds enumeration limit "
+                         f"2^{DEFAULT_NODE_LIMIT} states")
+
+
+def _join(rows: np.ndarray, table: np.ndarray, shared: int) -> np.ndarray:
+    """Every `rows | t` for a table row t that agrees with the row on `shared` bits."""
+    keys = table & shared
+    order = np.argsort(keys)
+    table, keys = table[order], keys[order]
+    row_keys = rows & shared
+    first = np.searchsorted(keys, row_keys, "left")
+    counts = np.searchsorted(keys, row_keys, "right") - first
+    total = int(counts.sum())
+    _enumerable_rows(total)
+    # The matching table rows of row i are table[first[i]:first[i] + counts[i]].
+    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(rows, counts) | table[np.repeat(first, counts) + offsets]
+
+
+def support(net: Network, include_output_pins: bool = True) -> np.ndarray:
+    """Ascending int64 basis codes of the states `network_mask` allows, read-only.
+
+    The pins come first, as the one starting row, which holds the pinned
+    bits: every join matches on them, so they filter each gate's truth-table
+    rows.  The gate tables are joined one at a time, each time the one
+    sharing the most unpinned nodes with those already joined (ties in
+    declaration order); nodes that no gate or pin touches are expanded last.  No 2^n array is built: the limit is on the rows of each
+    join and of the expansion, and on the 62 nodes that int64 codes hold.
+    """
+    n = net.n_nodes
+    if n > MAX_CODE_NODES:
+        raise ValueError(f"{n} nodes exceeds basis-code limit {MAX_CODE_NODES}")
+    weight = {node: 1 << (n - 1 - i) for i, node in enumerate(net.nodes)}
+    pins = [p for p in net.pins if p.kind == "input" or include_output_pins]
+    pinned = sum(weight[p.node] for p in pins)
+    pinned_code = sum(weight[p.node] for p in pins if p.value)
+
+    tables = []
+    for g in net.gates:
+        nodes_mask = sum(weight[node] for node in g.nodes)
+        codes = [sum(weight[node] for node, bit in zip(g.nodes, ins + outs)
+                     if bit == "1") for ins, outs in g.table.rows]
+        tables.append((nodes_mask, np.array(codes, dtype=np.int64)))
+
+    rows, joined = np.array([pinned_code], dtype=np.int64), pinned
+    while tables and rows.size:
+        best = max(range(len(tables)), key=lambda i: (
+            (tables[i][0] & joined & ~pinned).bit_count(), -i))
+        nodes_mask, table = tables.pop(best)
+        rows = _join(rows, table, joined & nodes_mask)
+        joined |= nodes_mask
+
+    free = [w for w in weight.values() if not w & joined]
+    _enumerable_rows(rows.size << len(free))
+    for w in free:
+        rows = np.concatenate([rows, rows | w])
+    rows = np.sort(rows)
+    rows.setflags(write=False)
+    return rows

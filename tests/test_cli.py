@@ -68,15 +68,55 @@ def test_check_missing_file(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("command", ["check", "run"])
-def test_dense_command_over_node_limit_exit_code(command, tmp_path, capsys):
+@pytest.mark.parametrize("command,n_nodes,message", [
     # One node past DEFAULT_NODE_LIMIT: refused before any 2^n array exists.
+    ("check", 25, "error: 25 nodes exceeds enumeration limit 24\n"),
+    # `run` stores only the support, here 2^25 states: refused before the
+    # free nodes are expanded.
+    ("run", 26, "error: constrained support exceeds enumeration limit "
+                "2^24 states\n"),
+], ids=["check", "run"])
+def test_dense_command_over_node_limit_exit_code(command, n_nodes, message,
+                                                 tmp_path, capsys):
     f = tmp_path / "wide.net"
-    f.write_text("nodes " + " ".join(f"n{i}" for i in range(25)) +
+    f.write_text("nodes " + " ".join(f"n{i}" for i in range(n_nodes)) +
                  "\nlink n0 -> n1\nfix n1=1 output\ndrive n1\n")
     code, out, err = run_cli([command, "--network", str(f)], capsys)
     assert (code, out) == (2, "")
-    assert err == "error: 25 nodes exceeds enumeration limit 24\n"
+    assert err == message
+
+
+@pytest.mark.parametrize("command", ["run", "solve-brute"])
+def test_support_command_over_code_limit_exit_code(command, tmp_path, capsys):
+    # int64 basis codes hold 62 nodes, however small the support.
+    f = tmp_path / "long.net"
+    f.write_text("nodes " + " ".join(f"n{i}" for i in range(63)) + "\n" +
+                 "".join(f"link n{i} -> n{i + 1}\n" for i in range(62)) +
+                 "fix n0=0 input\nfix n62=1 output\ndrive n62\n")
+    code, out, err = run_cli([command, "--network", str(f)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: 63 nodes exceeds basis-code limit 62\n"
+
+
+# Each flag set to a value that is not finite.  `nan` fails no comparison,
+# so the range checks on a schedule cannot catch it; the error names the field.
+NON_FINITE = [
+    ("simulate-link", "--theta", "nan", "theta0"),
+    ("simulate-link", "--phi-final", "nan", "phi_final"),
+    ("simulate-link", "--tau", "inf", "tau"),
+    ("simulate-link", "--dt", "nan", "dt"),
+    ("run", "--tau", "inf", "tau"),
+    ("run", "--dt", "nan", "dt"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value,field", NON_FINITE,
+                         ids=[f"{c} {f} {v}" for c, f, v, _ in NON_FINITE])
+def test_non_finite_schedule_exit_code(command, flag, value, field, capsys):
+    argv = [command, flag, value] + (["--dt", "0.25"] if flag != "--dt" else [])
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {field} must be finite\n"
 
 
 # --- solve-brute -------------------------------------------------------------
@@ -259,6 +299,42 @@ def test_run_degenerate_dynamics_leak_unsat(tmp_path, capsys):
     res = json.loads(out)
     assert res["decision"] == "unsatisfiable"
     assert set(res["samples"]) <= {"01", "11"}
+
+
+def chain_dsl(k, unsat):
+    """k XOR blocks joined by links, every b pinned to 1, d_{k-1}=1 driven.
+
+    a0 is the only free bit, so the input-constrained support holds two
+    states however long the chain; "0101"*k is the one solution, and the
+    extra output pin c_{k-1}=1 of the unsat variant contradicts it.
+    """
+    lines = ["nodes " + " ".join(f"{x}{i}" for i in range(k) for x in "abcd")]
+    for i in range(k):
+        lines += [f"gate g{i} in(a{i},b{i}) out(c{i},d{i}) "
+                  "{ 00->00 ; 01->01 ; 10->11 ; 11->10 }", f"fix b{i}=1 input"]
+        if i:
+            lines.append(f"link d{i - 1} -> a{i}")
+    if unsat:
+        lines.append(f"fix c{k - 1}=1 output")
+    return "\n".join(lines + [f"fix d{k - 1}=1 output", f"drive d{k - 1}"]) + "\n"
+
+
+@pytest.mark.parametrize("unsat", [False, True], ids=["sat", "unsat"])
+@pytest.mark.parametrize("k", [10, 15])
+def test_chain_past_dense_limit(k, unsat, tmp_path, capsys):
+    # 40 and 60 nodes: only the two-state support is ever stored.
+    f = tmp_path / "chain.net"
+    f.write_text(chain_dsl(k, unsat))
+    code, out, _ = run_cli(["solve-brute", "--network", str(f)], capsys)
+    assert (code, out) == ((1, "(none)\n") if unsat else (0, "0101" * k + "\n"))
+
+    code, out, _ = run_cli(["run", "--network", str(f), "--shots", "5"], capsys)
+    result = json.loads(out)
+    if unsat:
+        assert (code, result["decision"]) == (1, "unsatisfiable")
+    else:
+        assert (code, result["decision"]) == (0, "satisfiable")
+        assert result["samples"] == ["0101" * k] * 5
 
 
 # --- argument handling -------------------------------------------------------

@@ -96,3 +96,37 @@ def test_golden_check_chain12(extra, digest, tmp_path, capsys):
     assert main(["check", "--network", str(path), *extra]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+CHAIN12_UNSAT = CHAIN12.replace("fix d2=1 output\n",
+                                "fix c2=1 output\nfix d2=1 output\n")
+
+# (network, argv after the network path, exit code, sha256 of stdout),
+# recorded from the dense decision path, which stored all 2^n amplitudes:
+# the support-only path must reproduce it byte for byte.
+CHAIN12_DECISIONS = [
+    (CHAIN12, ("solve-brute",),
+     0, "2b0f7d0ee09a233954729dfc889ab07d061ef62e66944f32b9edd9c3e3a8594f"),
+    (CHAIN12, ("run", "--shots", "100", "--leak", "none"),
+     0, "acb071460787e93d7a83d0d5935fe0610cd7255603bad57e8150d173c9eaacf7"),
+    (CHAIN12, ("run", "--shots", "100", "--leak", "uniform-excited"),
+     0, "acb071460787e93d7a83d0d5935fe0610cd7255603bad57e8150d173c9eaacf7"),
+    (CHAIN12_UNSAT, ("solve-brute",),
+     1, "5dfecbf35de344dc6dc4b8a79c4e5327122b2737250403b04abf2060fbc3927f"),
+    (CHAIN12_UNSAT, ("run", "--shots", "100", "--leak", "none"),
+     1, "40090dc3f0100e11f6435844dfdda8eedd43d675b3102c9596881e8c26c6c0f5"),
+    (CHAIN12_UNSAT, ("run", "--shots", "100", "--leak", "uniform-excited"),
+     1, "40090dc3f0100e11f6435844dfdda8eedd43d675b3102c9596881e8c26c6c0f5"),
+]
+
+
+@pytest.mark.parametrize(
+    "text,argv,code,digest", CHAIN12_DECISIONS,
+    ids=[("chain12-unsat " if text is CHAIN12_UNSAT else "chain12 ")
+         + " ".join(argv) for text, argv, _, _ in CHAIN12_DECISIONS])
+def test_golden_decisions_chain12(text, argv, code, digest, tmp_path, capsys):
+    path = tmp_path / "chain12.net"
+    path.write_text(text)
+    assert main([argv[0], "--network", str(path), *argv[1:]]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -11,7 +11,6 @@ from statnet.hilbert import (
     basis_index,
     basis_state,
     index_assignment,
-    node_sectors,
     reduced_diag,
 )
 from statnet.statics import PenaltyHamiltonian
@@ -90,21 +89,22 @@ def test_reduced_diag_eigenstate():
 
 def test_sector_split_bell_like():
     v = StateVector(TWO, np.array([0, 1.0, 1.0, 0]) / math.sqrt(2))
-    sector0, sector1 = node_sectors(2, v.node_position("r"))
+    sector0, sector1 = v.sectors("r")
     assert np.allclose(v.amps[sector0], [0, 1 / math.sqrt(2)])
     assert np.allclose(v.amps[sector1], [1 / math.sqrt(2), 0])
 
 
 def test_sector_split_basis_state_one_side_zero():
     v = basis_state(TWO, "10")
-    sector0, sector1 = node_sectors(2, v.node_position("r"))
+    sector0, sector1 = v.sectors("r")
     assert not v.amps[sector0].any() and np.linalg.norm(v.amps[sector1]) == 1
 
 
 def test_node_bit_values_msb_convention():
     # First node is the most significant bit of the basis index.
-    assert np.array_equal(node_sectors(2, 0), [[0, 1], [2, 3]])
-    assert np.array_equal(node_sectors(2, 1), [[0, 2], [1, 3]])
+    v = basis_state(TWO, "00")
+    assert np.array_equal(v.sectors("r"), [[0, 1], [2, 3]])
+    assert np.array_equal(v.sectors("s"), [[0, 2], [1, 3]])
 
 
 def test_statevector_rejects_wrong_shape():
@@ -123,7 +123,44 @@ def test_statevector_amps_read_only():
 def test_sector_split_reassembles(n_pos):
     # The sectors partition the basis by the node's bit, in ascending order.
     n, pos = n_pos
-    for bit, sector in enumerate(node_sectors(n, pos)):
+    v = basis_state(tuple(f"x{i}" for i in range(n)), "0" * n)
+    for bit, sector in enumerate(v.sectors(f"x{pos}")):
         assert sector.tolist() == [
             k for k in range(2 ** n)
             if index_assignment(("x",) * n, k)[pos] == str(bit)]
+
+
+def test_statevector_codes_default_to_every_basis_state():
+    v = basis_state(TWO, "01")
+    assert v.codes.tolist() == [0, 1, 2, 3] and v.dim == 4
+    assert not v.codes.flags.writeable
+
+
+def test_statevector_on_stored_codes():
+    # Three stored states of eight: dim stays 2^n, sectors are positions.
+    v = StateVector(("a", "b", "c"), [0.6, 0.0, 0.8], codes=[1, 4, 6])
+    assert v.dim == 8 and v.amps.size == 3
+    assert [s.tolist() for s in v.sectors("a")] == [[0], [1, 2]]
+    assert [s.tolist() for s in v.sectors("c")] == [[1, 2], [0]]
+    assert (reduced_diag(v, "a").p0, reduced_diag(v, "a").p1) == \
+        pytest.approx((0.36, 0.64))
+
+
+def test_statevector_copies_caller_codes():
+    caller = np.array([0, 3])
+    v = StateVector(TWO, [1.0, 0.0], codes=caller)
+    caller[0] = 1
+    assert v.codes.tolist() == [0, 3] and not v.codes.flags.writeable
+
+
+def test_statevector_shares_checked_codes():
+    v = StateVector(TWO, [1.0, 0.0], codes=[0, 3])
+    assert StateVector(TWO, [0.0, 1.0], codes=v.codes).codes is v.codes
+
+
+@pytest.mark.parametrize("codes", [[1, 0], [1, 1], [0, 4], [-1, 2], [0, 1, 2]],
+                         ids=["descending", "repeated", "past-2^n", "negative",
+                              "too-many"])
+def test_statevector_rejects_bad_codes(codes):
+    with pytest.raises(ValueError):
+        StateVector(TWO, [1.0, 0.0], codes=codes)

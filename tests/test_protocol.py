@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from statnet import protocol
 from statnet.cli import main
-from statnet.dynamics import DriveSchedule
-from statnet.errors import UnpreparableNetworkError
+from statnet.dynamics import DriveSchedule, evolve
+from statnet.errors import DegenerateDynamicsError, UnpreparableNetworkError
 from statnet.hilbert import StateVector, basis_index, basis_state, reduced_diag
 from statnet.network import (
     Gate,
@@ -29,9 +29,22 @@ from statnet.protocol import (
     repetition_bound,
     run_protocol,
 )
-from statnet.statics import gate_mask, network_hamiltonian, pin_mask
+from statnet.statics import (
+    gate_mask,
+    network_hamiltonian,
+    network_mask,
+    pin_mask,
+    support,
+)
 
 SCHED = DriveSchedule(kind="linear-ramp", tau=1.0, dt=1e-3)
+
+
+def dense(state):
+    """The state's amplitudes over all 2^n basis states."""
+    amps = np.zeros(state.dim, dtype=complex)
+    amps[state.codes] = state.amps
+    return amps
 
 
 # --- preparation -------------------------------------------------------------
@@ -42,20 +55,20 @@ def test_prepare_fig1_support():
     expected = np.zeros(256, dtype=complex)
     expected[basis_index(net.nodes, "01010000")] = 1 / math.sqrt(2)
     expected[basis_index(net.nodes, "11101011")] = 1 / math.sqrt(2)
-    assert np.allclose(prep.state.amps, expected)
+    assert np.allclose(dense(prep.state), expected)
     assert prep.theta == pytest.approx(math.pi / 4)
 
 
 def test_prepare_ignores_output_pins():
     sat = prepare_ground(builtin_fig1())
     unsat = prepare_ground(builtin_fig1_unsat())
-    assert np.array_equal(sat.state.amps, unsat.state.amps)
+    assert np.array_equal(dense(sat.state), dense(unsat.state))
 
 
 def test_prepare_single_free_node():
     net = parse_network("nodes a\n")
     prep = prepare_ground(net)
-    assert np.allclose(prep.state.amps, [1 / math.sqrt(2), 1 / math.sqrt(2)])
+    assert np.allclose(dense(prep.state), [1 / math.sqrt(2), 1 / math.sqrt(2)])
 
 
 def test_prepare_zero_energy_under_all_constraints():
@@ -64,7 +77,7 @@ def test_prepare_zero_energy_under_all_constraints():
     masks = [gate_mask(net, g) for g in net.gates]
     masks += [pin_mask(net, p) for p in net.pins if p.kind == "input"]
     for mask in masks:
-        assert not prep.state.amps[~mask.bits].any()
+        assert not dense(prep.state)[~mask.bits].any()
 
 
 def test_prepare_unconstrained_input_marginals_nonzero():
@@ -79,6 +92,35 @@ def test_prepare_contradictory_inputs_raise():
     net = parse_network("nodes a b\nlink a -> b\nfix a=0 input\nfix b=0 input\n")
     with pytest.raises(UnpreparableNetworkError):
         prepare_ground(net)
+
+
+def test_prepare_stores_only_the_support():
+    prep = prepare_ground(builtin_fig1())
+    assert prep.state.dim == 256 and prep.support_size == 2
+    assert prep.state.codes.tolist() == [0b01010000, 0b11101011]
+    assert prep.mask.bits.tolist() == [True, True]
+
+
+# The link forces b = 0 under a = 1, so the drive sector b = 1 holds no
+# support state.
+STUCK = parse_network("nodes a b\nlink a -> b\nfix a=1 input\n"
+                      "fix b=1 output\ndrive b\n")
+
+
+def test_prepare_leak_stores_the_empty_drive_sector():
+    assert prepare_ground(STUCK).state.codes.tolist() == [0b10]
+    prep = prepare_ground(STUCK, "uniform-excited")
+    assert prep.state.codes.tolist() == [0b01, 0b10, 0b11]
+    assert prep.mask.bits.tolist() == [False, True, False]
+    assert np.array_equal(dense(prep.state), [0, 0, 1, 0])
+    assert (prep.n_sector0, prep.n_sector1) == (1, 0)
+
+
+def test_recorded_points_share_the_prepared_codes():
+    prep = prepare_ground(builtin_fig1())
+    traj = evolve(prep.state, prep.mask, "h",
+                  protocol._drive_schedule_for(builtin_fig1(), prep, SCHED))
+    assert all(p.state.codes is prep.state.codes for p in traj.points)
 
 
 # --- single shots ------------------------------------------------------------
@@ -182,16 +224,18 @@ def test_network_hash_distinguishes_variants():
 
 
 def test_protocol_builds_each_mask_once_per_decision(monkeypatch):
+    # One join gives the support; the solutions are a bit test on it.
     calls = []
-    real = protocol.network_mask
+    real = protocol.support
 
     def counted(*args, **kwargs):
         calls.append(kwargs)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(protocol, "network_mask", counted)
+    monkeypatch.setattr(protocol, "support", counted)
     run_protocol(builtin_fig1(), SCHED, shots=5, seed=0)
-    assert calls == [{"include_output_pins": False}, {}]
+    assert calls == [{"include_output_pins": False}]
+    assert not hasattr(protocol, "network_mask")
 
 
 @pytest.mark.parametrize("shots", [1, 50])
@@ -277,13 +321,60 @@ def test_mask_kernel_matches_string_oracle(net, seed):
         with pytest.raises(UnpreparableNetworkError):
             prepare_ground(net)
         return
-    assert np.flatnonzero(prepare_ground(net).state.amps).tolist() == expected
+    assert np.flatnonzero(dense(prepare_ground(net).state)).tolist() == expected
 
     sched = DriveSchedule(kind="linear-ramp", tau=1.0, dt=1e-2)
     res = run_protocol(net, sched, shots=3, seed=seed)
     assert res.n_solutions == sum(
         1 for s in res.samples
         if s is not None and assignment_satisfies(net, s, include_pins=True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_networks(), st.booleans())
+def test_support_matches_mask_and_string_oracle(net, include_output_pins):
+    codes = support(net, include_output_pins)
+    assert codes.dtype == np.int64
+    mask = network_mask(net, include_output_pins)
+    assert codes.tolist() == np.flatnonzero(mask.bits).tolist()
+    oracle = Network(net.nodes, net.gates,
+                     tuple(p for p in net.pins
+                           if p.kind == "input" or include_output_pins))
+    assert codes.tolist() == [basis_index(net.nodes, a)
+                              for a in brute_force_solutions(oracle)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_networks(), st.integers(0, 2 ** 16),
+       st.sampled_from(("none", "uniform-excited")))
+def test_support_run_matches_dense_stepper(net, seed, leak_model):
+    """The stored run agrees with the dense stepper on the dense preparation."""
+    if not support(net, include_output_pins=False).size:
+        return
+    sched = DriveSchedule(kind="cosine-ramp", tau=1.0, dt=0.1)
+    res = run_protocol(net, sched, shots=4, seed=seed, leak_model=leak_model)
+    prep = prepare_ground(net, leak_model)
+    assert not prep.state.amps[~prep.mask.bits].any()
+
+    dense_state = StateVector(net.nodes, dense(prep.state))
+    try:
+        final = evolve(dense_state, network_mask(net, False), net.drive_node,
+                       res.schedule, leak_model=leak_model,
+                       record=True).final_state
+    except DegenerateDynamicsError:
+        assert res.decision == "inconclusive"
+        return
+    stored = evolve(prep.state, prep.mask, net.drive_node, res.schedule,
+                    leak_model=leak_model, record=False).final_state
+    assert np.abs(dense(stored) - final.amps).max() <= 1e-14
+
+    samples = tuple(measure_sample(final, np.random.default_rng([seed, shot]))
+                    for shot in range(4))
+    solutions = network_mask(net).bits
+    n_solutions = sum(solutions[basis_index(net.nodes, s)] for s in samples)
+    assert res.samples == samples
+    assert res.n_solutions == n_solutions
+    assert res.decision == ("satisfiable" if n_solutions else "unsatisfiable")
 
 
 def violations(net, include_output_pins):

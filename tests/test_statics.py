@@ -7,6 +7,9 @@ from hypothesis import given, strategies as st
 
 from statnet.hilbert import StateVector, basis_index, basis_state
 from statnet.network import (
+    Gate,
+    Network,
+    TruthTable,
     brute_force_solutions,
     builtin_fig1,
     builtin_fig1_unsat,
@@ -20,6 +23,7 @@ from statnet.statics import (
     network_hamiltonian,
     network_mask,
     pin_mask,
+    support,
 )
 
 LINK_NET = parse_network("nodes r s\nlink r -> s\n")
@@ -245,3 +249,42 @@ def test_ground_space_equals_mask_support():
     h = network_hamiltonian(net, include_output_pins=True)
     mask = network_mask(net, include_output_pins=True)
     assert ground_space(h) == mask.support()
+
+
+def test_support_is_frozen_ascending_int64():
+    codes = support(builtin_fig1(), include_output_pins=False)
+    assert codes.dtype == np.int64 and not codes.flags.writeable
+    assert codes.tolist() == [basis_index(builtin_fig1().nodes, "01010000"),
+                              basis_index(builtin_fig1().nodes, "11101011")]
+
+
+def test_support_of_unsat_network_is_empty():
+    assert support(builtin_fig1_unsat()).size == 0
+
+
+def test_support_expands_free_nodes():
+    assert support(parse_network("nodes a b c\nfix b=1\n")).tolist() == \
+        [2, 3, 6, 7]
+
+
+def test_support_refuses_expansion_past_limit():
+    net = parse_network("nodes " + " ".join(f"n{i}" for i in range(25)))
+    with pytest.raises(ValueError, match="exceeds enumeration limit 2"):
+        support(net)
+
+
+def test_support_refuses_join_past_limit():
+    # Two 13-input gates that allow every pattern and share no node.
+    rows = tuple((format(k, "013b"), "") for k in range(2 ** 13))
+    gates = tuple(Gate(f"g{j}", tuple(f"{x}{i}" for i in range(13)), (),
+                       TruthTable(13, 0, rows)) for j, x in enumerate("xy"))
+    net = Network(tuple(n for g in gates for n in g.nodes), gates)
+    with pytest.raises(ValueError, match="exceeds enumeration limit 2"):
+        support(net)
+
+
+def test_support_refuses_more_nodes_than_codes_hold():
+    net = parse_network("nodes " + " ".join(f"n{i}" for i in range(63)) +
+                        "\nfix n0=1\n")
+    with pytest.raises(ValueError, match="63 nodes exceeds basis-code limit 62"):
+        support(net)
