@@ -20,11 +20,7 @@ import numpy as np
 
 from . import dynamics, network, protocol, statics
 from .errors import StatnetError
-from .hilbert import StateVector, index_assignment
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+from .hilbert import index_assignment
 
 
 def _load_network(spec: str) -> network.Network:
@@ -42,29 +38,26 @@ def _write(out_path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _trace_csv(traj: dynamics.Trajectory,
-               closed_form=None) -> str:
-    cols = ["t", "phi", "p0", "p1", "alpha_sq", "beta_sq", "energy",
-            "step_overlap"]
-    if closed_form is not None:
-        cols.append("deviation_from_closed_form")
-    lines = [",".join(cols)]
-    for p in traj.points:
-        phi = traj.schedule.phi(p.t)
-        row = [p.t, phi, p.p0, p.p1, p.alpha_sq, p.beta_sq, p.energy,
-               p.step_overlap]
-        if closed_form is not None:
-            ref = closed_form(traj.schedule.theta0, phi)
-            row.append(float(np.abs(p.state.amps - ref.amps).max()))
-        lines.append(",".join(_fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
+def _trace_csv(traj: dynamics.Trajectory, amps_at) -> str:
+    """The trajectory's columns and, last, the max deviation of each row from
+    the closed form, whose amplitudes at total angle a are `amps_at(a)`."""
+    reference = np.array([amps_at(traj.schedule.theta0 + phi)
+                          for phi in traj.phi.tolist()], dtype=complex)
+    columns = (traj.t, traj.phi, traj.p0, traj.p1, traj.alpha_sq,
+               traj.beta_sq, traj.energy, traj.step_overlap,
+               np.abs(traj.amps - reference).max(axis=1))
+    # %-formatting a float at .17g gives the bytes of format(x, ".17g").
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    return ("t,phi,p0,p1,alpha_sq,beta_sq,energy,step_overlap,"
+            "deviation_from_closed_form\n"
+            + "".join(row % r for r in zip(*(c.tolist() for c in columns))))
 
 
 def _schedule_from_args(args, theta0: float = 0.0,
                         phi_final: float = 0.0) -> dynamics.DriveSchedule:
-    return dynamics.DriveSchedule(kind=args.schedule, theta0=theta0,
-                                  phi_final=phi_final, tau=args.tau,
-                                  dt=args.dt if args.dt else 1e-3 * args.tau)
+    return dynamics.DriveSchedule(
+        kind=args.schedule, theta0=theta0, phi_final=phi_final, tau=args.tau,
+        dt=1e-3 * args.tau if args.dt is None else args.dt)
 
 
 def cmd_check(args) -> int:
@@ -123,13 +116,13 @@ def cmd_simulate_link(args) -> int:
         # Without the projection every state is allowed: the leak never acts.
         raise ValueError("--leak has no effect with --no-mask")
     schedule = _schedule_from_args(args, args.theta, args.phi_final)
+    # The closed form is stated on the wire's nodes (r, s), in this order.
     net = network.parse_network("nodes r s\nlink r -> s\n")
     mask = statics.gate_mask(net, net.gates[0])
     psi0 = dynamics.closed_form_link(args.theta, 0.0)
-    psi0 = StateVector(net.nodes, psi0.amps)
     traj = dynamics.evolve(psi0, mask, "r", schedule, leak_model=args.leak,
                            enforce_mask=not args.no_mask)
-    _write(args.out, _trace_csv(traj, closed_form=dynamics.closed_form_link))
+    _write(args.out, _trace_csv(traj, dynamics.link_amps))
     return 0
 
 
@@ -137,7 +130,7 @@ def cmd_simulate_triplet(args) -> int:
     schedule = _schedule_from_args(args, args.theta, args.phi_final)
     traj = dynamics.triplet_watchdog_demo(args.theta, schedule,
                                           drive=args.drive)
-    _write(args.out, _trace_csv(traj, closed_form=dynamics.closed_form_triplet))
+    _write(args.out, _trace_csv(traj, dynamics.triplet_amps))
     return 0
 
 
@@ -155,7 +148,7 @@ _FLAGS = {
     "network": dict(default="fig1",
                     help="path to a network DSL file, or a builtin name "
                          f"({'|'.join(network.BUILTIN_NETWORKS)})"),
-    "dt": dict(type=float, default=0.0, help="step size (default tau/1000)"),
+    "dt": dict(type=float, default=None, help="step size (default tau/1000)"),
     "tau": dict(type=float, default=1.0, help="total drive duration"),
     "schedule": dict(default="linear-ramp", choices=dynamics.SCHEDULE_KINDS),
     "theta": dict(type=float, default=math.pi / 6,

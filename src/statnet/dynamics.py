@@ -17,12 +17,15 @@ the symmetrizer lags the closed form by O(dt).
 
 Both evolutions walk the grid in one loop (`_walk_grid`) and rescale the two
 drive sectors in one routine (`_rescale`); they differ only in the projection
-and in the diagnostics they record.
+and in their diagnostics.  A `Trajectory` is a set of columns: the walk fills
+one amplitude matrix, one row per grid point, and each diagnostic is computed
+once over that matrix.  Per-row objects (`Trajectory.points`,
+`final_state`) are built only when a caller asks for them.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -77,12 +80,17 @@ class DriveSchedule:
 
 def schedule_targets(schedule: DriveSchedule, t: float) -> tuple[float, float]:
     """Target (p0, p1) sector masses for the drive node at time t."""
-    angle = schedule.theta0 + schedule.phi(t)
+    return _targets_at(schedule.theta0 + schedule.phi(t))
+
+
+def _targets_at(angle: float) -> tuple[float, float]:
     return math.cos(angle) ** 2, math.sin(angle) ** 2
 
 
 @dataclass(frozen=True)
 class TrajectoryPoint:
+    """One row of a `Trajectory`, as Python objects."""
+
     t: float
     state: StateVector
     p0: float
@@ -95,12 +103,55 @@ class TrajectoryPoint:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """A recorded evolution as read-only columns; row k is the state at `t[k]`.
+
+    `amps` is the (rows, stored states) amplitude matrix over `codes` of
+    `node_order`.  `p0`/`p1` are the drive sector masses, `alpha_sq` the mass
+    the watchdog allows, `beta_sq` the rest and `energy` its penalty;
+    `step_overlap[k]` is |<row k|row k-1>| (1 at row 0).  `points` and
+    `final_state` build per-row objects on demand.
+    """
+
     schedule: DriveSchedule
-    points: tuple[TrajectoryPoint, ...]
+    node_order: tuple[str, ...]
+    codes: np.ndarray
+    t: np.ndarray
+    phi: np.ndarray
+    amps: np.ndarray
+    p0: np.ndarray
+    p1: np.ndarray
+    alpha_sq: np.ndarray
+    energy: np.ndarray
+    step_overlap: np.ndarray
+    beta_sq: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "beta_sq", 1.0 - self.alpha_sq)
+        for name in ("t", "phi", "amps", "p0", "p1", "alpha_sq", "energy",
+                     "step_overlap", "beta_sq"):
+            getattr(self, name).setflags(write=False)
+
+    def state(self, k: int) -> StateVector:
+        return StateVector(self.node_order, self.amps[k], self.codes)
+
+    @property
+    def points(self) -> tuple[TrajectoryPoint, ...]:
+        columns = (self.t, self.p0, self.p1, self.alpha_sq, self.beta_sq,
+                   self.energy, self.step_overlap)
+        return tuple(
+            TrajectoryPoint(t, self.state(k), p0, p1, a, b, e, o)
+            for k, (t, p0, p1, a, b, e, o)
+            in enumerate(zip(*(c.tolist() for c in columns))))
 
     @property
     def final_state(self) -> StateVector:
-        return self.points[-1].state
+        return self.state(-1)
+
+
+def _norm(x: np.ndarray) -> float:
+    """`np.linalg.norm` of a complex vector: its operations, without its wrapper."""
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _refill_indices(idx: np.ndarray, allowed: np.ndarray,
@@ -132,12 +183,12 @@ def _rescale(amps: np.ndarray, sectors: tuple[np.ndarray, np.ndarray],
     carries no mass is refilled at `_refill_indices`, which raises when there
     is nowhere to refill.
     """
-    out = np.zeros_like(amps)
+    out = np.zeros(amps.size, dtype=complex)
     for idx, target in zip(sectors, targets):
         if target <= _MASS_EPS:
             continue
         component = amps[idx]
-        norm = np.linalg.norm(component)
+        norm = _norm(component)
         if norm > _MASS_EPS:
             out[idx] = math.sqrt(target) * component / norm
         else:
@@ -152,20 +203,23 @@ def _grid_times(schedule: DriveSchedule) -> list[float]:
     return [k * schedule.dt for k in range(1, n)] + [schedule.tau]
 
 
-def _walk_grid(amps: np.ndarray, schedule: DriveSchedule, step,
-               diagnostics) -> tuple[TrajectoryPoint, ...]:
-    """Step over the schedule's grid and record a point at t=0 and after each step.
+def _walk_grid(amps: np.ndarray, schedule: DriveSchedule, step):
+    """Step over the schedule's grid from `amps`, keeping every row.
 
     `step(prev, targets)` returns the next amplitudes for the sector targets
-    at the step's end time; `diagnostics(t, amps, step_overlap)` builds a
-    point.
+    at the step's end time.  Returns the columns t, phi, the amplitude matrix
+    (row 0 is `amps`) and step_overlap.
     """
-    points = [diagnostics(0.0, amps, 1.0)]
-    for t in _grid_times(schedule):
-        new = step(amps, schedule_targets(schedule, t))
-        points.append(diagnostics(t, new, float(abs(np.vdot(new, amps)))))
-        amps = new
-    return tuple(points)
+    t = [0.0] + _grid_times(schedule)
+    phi = [schedule.phi(x) for x in t]
+    rows = np.empty((len(t), amps.size), dtype=complex)
+    rows[0] = amps
+    overlap = np.ones(len(t))
+    for k in range(1, len(t)):
+        prev = rows[k - 1]
+        rows[k] = new = step(prev, _targets_at(schedule.theta0 + phi[k]))
+        overlap[k] = abs(np.vdot(new, prev))
+    return np.array(t), np.array(phi), rows, overlap
 
 
 def evolve(psi0: StateVector, mask: ConstraintMask, drive_node: str,
@@ -183,7 +237,8 @@ def evolve(psi0: StateVector, mask: ConstraintMask, drive_node: str,
     when `enforce_mask` is set (the no-mask variant exists to demonstrate
     when the projection is and is not redundant).
 
-    With `record` set, every grid point is stepped and kept.  Otherwise only
+    With `record` set, every grid point is stepped and kept as a row of the
+    trajectory.  Otherwise only
     the start and the end are kept, and the end is computed without stepping
     (see `_closed_form_last_steps`).  That rests on the stepper's invariant
     for diagonal masks: each step multiplies a drive sector by a positive
@@ -198,31 +253,30 @@ def evolve(psi0: StateVector, mask: ConstraintMask, drive_node: str,
         raise ValueError("mask dimension mismatch")
     sectors = psi0.sectors(drive_node)
     allowed = mask.bits if enforce_mask else np.ones(psi0.amps.size, dtype=bool)
-    forbidden = ~mask.bits
 
-    def diagnostics(t, amps, overlap):
-        probs = np.abs(amps) ** 2
-        alpha_sq = float(probs[mask.bits].sum())
-        energy = float(probs[forbidden].sum())
-        return TrajectoryPoint(
-            t=t, state=StateVector(psi0.node_order, amps, psi0.codes),
-            p0=float(probs[sectors[0]].sum()),
-            p1=float(probs[sectors[1]].sum()),
-            alpha_sq=alpha_sq, beta_sq=1.0 - alpha_sq,
-            energy=energy, step_overlap=overlap)
+    if record:
+        def step(prev, targets):
+            return _rescale(prev * allowed, sectors, targets, allowed,
+                            leak_model)
 
-    if not record:
+        t, phi, amps, overlap = _walk_grid(psi0.amps, schedule, step)
+    else:
         prev, final = _closed_form_last_steps(psi0.amps, allowed, sectors,
                                               schedule, leak_model)
-        points = (diagnostics(0.0, psi0.amps, 1.0),
-                  diagnostics(schedule.tau, final,
-                              float(abs(np.vdot(final, prev)))))
-        return Trajectory(schedule, points)
-
-    def step(prev, targets):
-        return _rescale(prev * allowed, sectors, targets, allowed, leak_model)
-
-    return Trajectory(schedule, _walk_grid(psi0.amps, schedule, step, diagnostics))
+        t = np.array([0.0, schedule.tau])
+        phi = np.array([schedule.phi(x) for x in t.tolist()])
+        amps = np.stack([psi0.amps, final])
+        overlap = np.array([1.0, abs(np.vdot(final, prev))])
+    # Each column reduces a contiguous copy of its entries row by row, as a
+    # one-dimensional sum of one row would.
+    probs = np.abs(amps) ** 2
+    return Trajectory(
+        schedule, psi0.node_order, psi0.codes, t, phi, amps,
+        p0=probs.take(sectors[0], axis=1).sum(axis=1),
+        p1=probs.take(sectors[1], axis=1).sum(axis=1),
+        alpha_sq=probs.compress(mask.bits, axis=1).sum(axis=1),
+        energy=probs.compress(~mask.bits, axis=1).sum(axis=1),
+        step_overlap=overlap)
 
 
 def _closed_form_last_steps(psi0: np.ndarray, allowed: np.ndarray,
@@ -244,7 +298,7 @@ def _closed_form_last_steps(psi0: np.ndarray, allowed: np.ndarray,
     for s, idx in enumerate(sectors):
         mass = [p[s] for p in targets]
         component = projected[idx]
-        norm = np.linalg.norm(component)
+        norm = _norm(component)
         # Grid position (0-based) from which the sector holds the refill.
         emptied = -1
         if norm > _MASS_EPS:
@@ -261,19 +315,27 @@ def _closed_form_last_steps(psi0: np.ndarray, allowed: np.ndarray,
     return (psi0 if n == 1 else prev), final
 
 
+def link_amps(angle: float) -> list[float]:
+    """Amplitudes of the link's closed form at total angle theta+phi."""
+    return [0.0, math.cos(angle), math.sin(angle), 0.0]
+
+
+def triplet_amps(angle: float) -> list[float]:
+    """Amplitudes of the triplet's closed form at total angle theta+phi."""
+    c, s = math.cos(angle), math.sin(angle)
+    return [c * c, s * c, s * c, s * s]
+
+
 def closed_form_link(theta: float, phi: float) -> StateVector:
     """cos(theta+phi)|01> + sin(theta+phi)|10> on nodes (r, s)."""
-    angle = theta + phi
-    amps = np.array([0.0, math.cos(angle), math.sin(angle), 0.0], dtype=complex)
-    return StateVector(("r", "s"), amps)
+    return StateVector(("r", "s"),
+                       np.array(link_amps(theta + phi), dtype=complex))
 
 
 def closed_form_triplet(theta: float, phi: float) -> StateVector:
     """The rotated symmetric two-particle state (a product state)."""
-    angle = theta + phi
-    c, s = math.cos(angle), math.sin(angle)
-    amps = np.array([c * c, s * c, s * c, s * s], dtype=complex)
-    return StateVector(("p1", "p2"), amps)
+    return StateVector(("p1", "p2"),
+                       np.array(triplet_amps(theta + phi), dtype=complex))
 
 
 def q_rs_apply(phi: float, v: StateVector) -> StateVector:
@@ -314,29 +376,24 @@ def triplet_watchdog_demo(theta: float, schedule: DriveSchedule,
         current = prev
         for _ in range(_FIXPOINT_MAX_ITER):
             nxt = sym @ current
-            nxt = nxt / np.linalg.norm(nxt)
+            nxt = nxt / _norm(nxt)
             for sectors in particles:
                 nxt = _rescale(nxt, sectors, targets, no_refill, "none")
-            if np.linalg.norm(nxt - current) < _FIXPOINT_TOL:
+            if _norm(nxt - current) < _FIXPOINT_TOL:
                 return nxt
             current = nxt
         raise DegenerateDynamicsError(
             f"symmetrizer fixed point did not converge in "
             f"{_FIXPOINT_MAX_ITER} iterations")
 
-    def diagnostics(t, amps, overlap):
-        probs = np.abs(amps) ** 2
-        sym_part = sym @ amps
-        alpha_sq = min(float(np.linalg.norm(sym_part) ** 2), 1.0)
-        return TrajectoryPoint(
-            t=t, state=StateVector(psi0.node_order, amps, psi0.codes),
-            p0=float(probs[particles[0][0]].sum()),
-            p1=float(probs[particles[0][1]].sum()),
-            alpha_sq=alpha_sq, beta_sq=1.0 - alpha_sq,
-            energy=1.0 - alpha_sq, step_overlap=overlap)
-
-    return Trajectory(schedule, _walk_grid(psi0.amps, schedule, step,
-                                           diagnostics))
+    t, phi, amps, overlap = _walk_grid(psi0.amps, schedule, step)
+    probs = np.abs(amps) ** 2
+    alpha_sq = np.array([min(_norm(sym @ row) ** 2, 1.0) for row in amps])
+    return Trajectory(
+        schedule, psi0.node_order, psi0.codes, t, phi, amps,
+        p0=probs.take(particles[0][0], axis=1).sum(axis=1),
+        p1=probs.take(particles[0][1], axis=1).sum(axis=1),
+        alpha_sq=alpha_sq, energy=1.0 - alpha_sq, step_overlap=overlap)
 
 
 def singlet_amplitude(state: StateVector) -> complex:

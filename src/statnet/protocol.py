@@ -166,12 +166,14 @@ def run_protocol(net: Network, schedule: DriveSchedule, shots: int, seed: int,
         if pin.kind == "output":
             solutions[prep.state.sectors(pin.node)[1 - pin.value]] = False
     try:
-        final = evolve(prep.state, prep.mask, net.drive_node, schedule,
-                       leak_model=leak_model, record=False).points[-1]
+        traj = evolve(prep.state, prep.mask, net.drive_node, schedule,
+                      leak_model=leak_model, record=False)
     except DegenerateDynamicsError:
-        final = None
+        final, good_prob = None, 0.0
+    else:
+        final, good_prob = traj.final_state, float(traj.alpha_sq[-1])
     samples = tuple(
-        measure_sample(final.state, np.random.default_rng([int(seed), shot]))
+        measure_sample(final, np.random.default_rng([int(seed), shot]))
         if final is not None else None
         for shot in range(shots))
     n_solutions = sum(
@@ -190,7 +192,7 @@ def run_protocol(net: Network, schedule: DriveSchedule, shots: int, seed: int,
     return ProtocolResult(
         shots=shots, samples=samples, n_solutions=n_solutions,
         decision=decision, confidence=confidence, seed=int(seed),
-        good_universe_prob_final=final.alpha_sq if final is not None else 0.0,
+        good_universe_prob_final=good_prob,
         network_hash=network_hash(net), schedule=schedule)
 
 

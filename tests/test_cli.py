@@ -119,6 +119,13 @@ def test_non_finite_schedule_exit_code(command, flag, value, field, capsys):
     assert err == f"error: {field} must be finite\n"
 
 
+@pytest.mark.parametrize("command", ["simulate-link", "simulate-triplet", "run"])
+def test_zero_dt_exit_code(command, capsys):
+    # An explicit --dt 0 is a step size, not a request for the default.
+    code, out, err = run_cli([command, "--dt", "0"], capsys)
+    assert (code, out, err) == (2, "", "error: dt must be > 0\n")
+
+
 # --- solve-brute -------------------------------------------------------------
 
 def test_solve_brute_fig1(capsys):

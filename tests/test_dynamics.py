@@ -17,6 +17,7 @@ from statnet.dynamics import (
     triplet_watchdog_demo,
 )
 from statnet.errors import DegenerateDynamicsError
+from statnet.fock import symmetrizer_two
 from statnet.hilbert import StateVector, basis_state
 from statnet.network import parse_network
 from statnet.statics import ConstraintMask, gate_mask
@@ -459,3 +460,68 @@ def test_closed_form_final_state_matches_stepper(case):
     assert np.abs(closed.final_state.amps - stepped.final_state.amps).max() <= 1e-14
     assert abs(closed.points[-1].step_overlap
                - stepped.points[-1].step_overlap) <= 1e-14
+
+
+
+def assert_columns_are_row_formulas(traj, sectors, alpha_of, energy_of):
+    """Every column equals, bit for bit, its formula applied to one row."""
+    for k, amps in enumerate(traj.amps):
+        probs = np.abs(amps) ** 2
+        assert traj.phi[k] == traj.schedule.phi(traj.t[k])
+        assert traj.p0[k] == probs[sectors[0]].sum()
+        assert traj.p1[k] == probs[sectors[1]].sum()
+        assert traj.alpha_sq[k] == alpha_of(amps, probs)
+        assert traj.beta_sq[k] == 1.0 - traj.alpha_sq[k]
+        assert traj.energy[k] == energy_of(amps, probs)
+        overlap = abs(np.vdot(amps, traj.amps[k - 1])) if k else 1.0
+        assert traj.step_overlap[k] == overlap
+    for column in (traj.amps, traj.t, traj.phi, traj.p0, traj.p1,
+                   traj.alpha_sq, traj.beta_sq, traj.energy,
+                   traj.step_overlap):
+        assert not column.flags.writeable
+    assert all(p.state.codes is traj.codes for p in traj.points)
+
+
+@given(closed_form_cases())
+@settings(max_examples=150, deadline=None)
+def test_recorded_columns_match_row_formulas(case):
+    psi0, mask, drive, schedule, leak_model, enforce_mask = case
+    try:
+        traj = evolve(psi0, mask, drive, schedule, leak_model=leak_model,
+                      enforce_mask=enforce_mask, record=True)
+    except DegenerateDynamicsError:
+        return
+    assert traj.t.tolist() == [k * schedule.dt for k in
+                               range(schedule.n_steps())] + [schedule.tau]
+    assert_columns_are_row_formulas(
+        traj, psi0.sectors(drive),
+        alpha_of=lambda amps, probs: probs[mask.bits].sum(),
+        energy_of=lambda amps, probs: probs[~mask.bits].sum())
+    assert traj.codes is psi0.codes
+    # The trajectory keeps no reference to the caller's amplitudes.
+    before = traj.amps.copy()
+    psi0.amps.setflags(write=True)
+    psi0.amps[:] = 7.0
+    assert (traj.amps == before).all()
+
+
+@given(st.floats(min_value=0.01, max_value=math.pi / 2 - 0.01),
+       st.sampled_from(dynamics.SCHEDULE_KINDS),
+       crossing_angles | st.floats(-2 * math.pi, 2 * math.pi),
+       st.sampled_from((1, 2, 3, 10, 40)))
+@settings(max_examples=60, deadline=None)
+def test_triplet_columns_match_row_formulas(theta, kind, phi_final, n_steps):
+    schedule = DriveSchedule(kind=kind, phi_final=phi_final, tau=1.0,
+                             dt=1.0 / n_steps)
+    try:
+        traj = triplet_watchdog_demo(theta, schedule)
+    except DegenerateDynamicsError:
+        return
+    sym = symmetrizer_two().matrix
+
+    def alpha_of(amps, probs):
+        return min(float(np.linalg.norm(sym @ amps) ** 2), 1.0)
+
+    assert_columns_are_row_formulas(
+        traj, traj.final_state.sectors("p1"), alpha_of,
+        energy_of=lambda amps, probs: 1.0 - alpha_of(amps, probs))

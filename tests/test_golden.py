@@ -53,6 +53,13 @@ GOLDEN = [
      0, "119d0291638be27a9b291e316021fa6f28f0f6f8485f790dac37d416bd2edf5c"),
     (("simulate-triplet", "--theta", "0.785398163397448", "--phi-final", "1.5707963267948966", "--dt", "0.1"),
      2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # The benchmark-scale traces: 10^4 recorded rows each.
+    (("simulate-link", "--theta", "0.3", "--dt", "1e-4"),
+     0, "b8d93bc251d976c668d1b2f709cda2a3f3efccd41afc65dd9b4a85d3e9b0bea9"),
+    (("simulate-triplet", "--theta", "0.3", "--dt", "1e-4"),
+     0, "789eb1ac5fdff58013a3385b5d1c33ee1ef839d89bf7ad7659e8ab326e919c23"),
+    (("simulate-triplet", "--theta", "0.2", "--schedule", "exponential-relax", "--dt", "1e-4"),
+     0, "276fac651d767a154f88c898b34faa84e886a8d7c345aee7c070fa2b61a8c187"),
 ]
 
 
