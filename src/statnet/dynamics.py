@@ -132,6 +132,7 @@ class Trajectory:
             getattr(self, name).setflags(write=False)
 
     def state(self, k: int) -> StateVector:
+        """The state at row k, as a new `StateVector` on the shared codes."""
         return StateVector(self.node_order, self.amps[k], self.codes)
 
     @property
@@ -237,8 +238,7 @@ def evolve(psi0: StateVector, mask: ConstraintMask, drive_node: str,
     when `enforce_mask` is set (the no-mask variant exists to demonstrate
     when the projection is and is not redundant).
 
-    With `record` set, every grid point is stepped and kept as a row of the
-    trajectory.  Otherwise only
+    With `record` set, every grid point is stepped and kept.  Otherwise only
     the start and the end are kept, and the end is computed without stepping
     (see `_closed_form_last_steps`).  That rests on the stepper's invariant
     for diagonal masks: each step multiplies a drive sector by a positive
