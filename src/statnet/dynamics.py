@@ -38,6 +38,11 @@ SCHEDULE_KINDS = ("linear-ramp", "cosine-ramp", "exponential-relax")
 
 # Empty-sector threshold: below this the previous sector mass counts as zero.
 _MASS_EPS = 1e-14
+# The closed-form scan re-checks a numpy target exactly within this factor of
+# _MASS_EPS, and every target once |theta0| + |phi_final| exceeds the limit,
+# where a few ulps of the angle approach the band's width in cos.
+_BAND = 4.0
+_SCAN_ANGLE_LIMIT = 1e6
 # Inner fixed-point iteration for non-diagonal projectors.
 _FIXPOINT_TOL = 1e-15
 _FIXPOINT_MAX_ITER = 500
@@ -67,12 +72,15 @@ class DriveSchedule:
     def phi(self, t: float) -> float:
         if not 0 <= t <= self.tau * (1 + 1e-9):
             raise ValueError(f"t={t} outside [0, {self.tau}]")
-        x = min(t / self.tau, 1.0)
+        return self._ramp(min(t / self.tau, 1.0), math)
+
+    def _ramp(self, x, lib):
+        """phi at the fractions x = t/tau, with `lib`'s cos and exp (math or numpy)."""
         if self.kind == "linear-ramp":
             return self.phi_final * x
         if self.kind == "cosine-ramp":
-            return self.phi_final * 0.5 * (1.0 - math.cos(math.pi * x))
-        return self.phi_final * (1.0 - math.exp(-5.0 * x))
+            return self.phi_final * 0.5 * (1.0 - lib.cos(math.pi * x))
+        return self.phi_final * (1.0 - lib.exp(-5.0 * x))
 
     def n_steps(self) -> int:
         return max(1, round(self.tau / self.dt))
@@ -198,10 +206,11 @@ def _rescale(amps: np.ndarray, sectors: tuple[np.ndarray, np.ndarray],
     return out
 
 
-def _grid_times(schedule: DriveSchedule) -> list[float]:
+def _grid_times(schedule: DriveSchedule) -> np.ndarray:
     """The times after steps 1..n: k*dt, except that the last step ends at tau."""
-    n = schedule.n_steps()
-    return [k * schedule.dt for k in range(1, n)] + [schedule.tau]
+    t = np.arange(1, schedule.n_steps() + 1) * schedule.dt
+    t[-1] = schedule.tau
+    return t
 
 
 def _walk_grid(amps: np.ndarray, schedule: DriveSchedule, step):
@@ -211,7 +220,7 @@ def _walk_grid(amps: np.ndarray, schedule: DriveSchedule, step):
     at the step's end time.  Returns the columns t, phi, the amplitude matrix
     (row 0 is `amps`) and step_overlap.
     """
-    t = [0.0] + _grid_times(schedule)
+    t = [0.0] + _grid_times(schedule).tolist()
     phi = [schedule.phi(x) for x in t]
     rows = np.empty((len(t), amps.size), dtype=complex)
     rows[0] = amps
@@ -240,7 +249,9 @@ def evolve(psi0: StateVector, mask: ConstraintMask, drive_node: str,
 
     With `record` set, every grid point is stepped and kept.  Otherwise only
     the start and the end are kept, and the end is computed without stepping
-    (see `_closed_form_last_steps`).  That rests on the stepper's invariant
+    and without a Python loop over the grid (see `_closed_form_last_steps`),
+    so its cost does not grow with the step count beyond a few array passes
+    over the sector targets.  That rests on the stepper's invariant
     for diagonal masks: each step multiplies a drive sector by a positive
     factor, so the sector keeps the direction of its component c_s of the
     projected psi0 and the state after step k is the sum over sectors of
@@ -279,39 +290,63 @@ def evolve(psi0: StateVector, mask: ConstraintMask, drive_node: str,
         step_overlap=overlap)
 
 
+def _grid_targets(schedule: DriveSchedule) -> np.ndarray:
+    """The sector targets after steps 1..n as a (2, n) array, in one numpy pass.
+
+    Every entry lies on the same side of _MASS_EPS as `schedule_targets` at
+    that step, and the last two steps hold its exact values.  numpy's cos and
+    exp may differ from `math`'s in the last bits, so an entry within a factor
+    of _BAND of _MASS_EPS is replaced by the exact scalar value.  That band is
+    wide only while the angle rounds far below sqrt(_MASS_EPS); past
+    _SCAN_ANGLE_LIMIT every step is evaluated exactly.
+    """
+    t = _grid_times(schedule)
+    angle = schedule.theta0 + schedule._ramp(np.minimum(t / schedule.tau, 1.0), np)
+    mass = np.stack([np.cos(angle) ** 2, np.sin(angle) ** 2])
+    near = ((mass > _MASS_EPS / _BAND) & (mass < _MASS_EPS * _BAND)).any(axis=0)
+    near[-2:] = True
+    if abs(schedule.theta0) + abs(schedule.phi_final) > _SCAN_ANGLE_LIMIT:
+        near[:] = True
+    for k in np.flatnonzero(near).tolist():
+        mass[:, k] = schedule_targets(schedule, float(t[k]))
+    return mass
+
+
 def _closed_form_last_steps(psi0: np.ndarray, allowed: np.ndarray,
                             sectors: tuple[np.ndarray, np.ndarray],
                             schedule: DriveSchedule,
                             leak_model: str) -> tuple[np.ndarray, np.ndarray]:
     """The stepper's amplitudes after steps n-1 and n, without stepping.
 
-    Only the sector targets are scanned over the grid.  A sector is refilled
-    at a step whose target is above _MASS_EPS if its component of the
-    projected psi0 is empty or its target was at most _MASS_EPS at an earlier
-    step; such a step raises `DegenerateDynamicsError` where the stepper
-    would.  With a single step, the state before it is psi0, unprojected.
+    Only the sector targets are scanned over the grid, as arrays
+    (`_grid_targets`), so the scan makes a constant number of Python calls
+    whatever the step count.  A sector is refilled at a step whose target is
+    above _MASS_EPS if its component of the projected psi0 is empty or its
+    target was at most _MASS_EPS at an earlier step; such a step raises
+    `DegenerateDynamicsError` where the stepper would.  With a single step,
+    the state before it is psi0, unprojected.
     """
-    targets = [schedule_targets(schedule, t) for t in _grid_times(schedule)]
-    n = len(targets)
+    mass = _grid_targets(schedule)
+    empty = mass <= _MASS_EPS
+    n = mass.shape[1]
     projected = psi0 * allowed
     prev, final = np.zeros_like(psi0), np.zeros_like(psi0)
     for s, idx in enumerate(sectors):
-        mass = [p[s] for p in targets]
         component = projected[idx]
         norm = _norm(component)
         # Grid position (0-based) from which the sector holds the refill.
         emptied = -1
         if norm > _MASS_EPS:
-            emptied = next((k for k, p in enumerate(mass) if p <= _MASS_EPS), n)
-        if any(p > _MASS_EPS for p in mass[emptied + 1:]):
+            emptied = int(empty[s].argmax()) if empty[s].any() else n
+        if not empty[s, emptied + 1:].all():
             refill = _refill_indices(idx, allowed, leak_model)
         for out, k in ((prev, n - 2), (final, n - 1)):
-            if k < 0 or mass[k] <= _MASS_EPS:
+            if k < 0 or empty[s, k]:
                 continue
             if k < emptied:
-                out[idx] = math.sqrt(mass[k]) * component / norm
+                out[idx] = math.sqrt(mass[s, k]) * component / norm
             else:
-                out[refill] = math.sqrt(mass[k] / refill.size)
+                out[refill] = math.sqrt(mass[s, k] / refill.size)
     return (psi0 if n == 1 else prev), final
 
 

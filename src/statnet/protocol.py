@@ -23,7 +23,7 @@ import numpy as np
 
 from .dynamics import DriveSchedule, evolve
 from .errors import DegenerateDynamicsError, UnpreparableNetworkError
-from .hilbert import StateVector, basis_index, index_assignment, reduced_diag
+from .hilbert import StateVector, index_assignment, reduced_diag
 from .network import Network, check_enumerable, render
 from .statics import ConstraintMask, support
 
@@ -94,8 +94,11 @@ def prepare_ground(net: Network, leak_model: str = "none") -> Preparation:
 
     The state stores the support only.  Under the uniform-excited leak, a
     drive sector that holds no support state is stored whole, at amplitude
-    zero and outside the mask, because a drive into it refills it all; that
-    sector has 2^(n-1) states, so the node limit applies.
+    zero and outside the mask, when the drive node's output pin asks for it,
+    because the drive into it refills it all; that sector has 2^(n-1)
+    states, so the node limit applies.  When the pin asks for the other
+    sector, the drive never demands mass in the empty one, and it is not
+    stored.
     """
     codes = support(net, include_output_pins=False)
     if not codes.size:
@@ -105,7 +108,9 @@ def prepare_ground(net: Network, leak_model: str = "none") -> Preparation:
     if net.drive_node is not None:
         bit = 1 << (net.n_nodes - 1 - net.nodes.index(net.drive_node))
         n1 = int(np.count_nonzero(codes & bit))
-        if leak_model == "uniform-excited" and n1 in (0, size):
+        # One drive sector holds no support state, and the pin asks for it.
+        if leak_model == "uniform-excited" and n1 in (0, size) \
+                and net.pin(net.drive_node).value == int(n1 == 0):
             check_enumerable(net)
             empty = 0 if n1 else bit
             # Every code of the other n-1 nodes, with the drive bit inserted.
@@ -135,16 +140,34 @@ def _drive_schedule_for(net: Network, prep: Preparation,
                    phi_final=target_angle - prep.theta)
 
 
+def _draw(amps: np.ndarray, uniforms: float | list[float]):
+    """Positions in `amps` that `Generator.choice` draws for these uniforms.
+
+    `rng.choice(amps.size, p=probs / probs.sum())` normalises the
+    probabilities, accumulates them, scales the cumulative sum to end at 1
+    and searches it for one `rng.random()`; this does the same, once for any
+    number of uniforms.  Like `choice`, it raises `ValueError` unless the
+    total probability is finite and positive.
+    """
+    probs = np.abs(amps) ** 2
+    total = probs.sum()
+    if not (math.isfinite(total) and total > 0):
+        raise ValueError("cannot measure a state whose total probability "
+                         f"is {total}")
+    cdf = (probs / total).cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(uniforms, side="right")
+
+
 def measure_sample(v: StateVector, rng: np.random.Generator) -> str:
     """One projective measurement in the computational basis.
 
     The draw is over the stored states only.  Their probabilities are the
-    full space's with the zeros left out, and `rng.choice` accumulates them
-    in order, so the draw lands on the same basis state as over all 2^n.
+    full space's with the zeros left out, and the draw accumulates them in
+    order, as `rng.choice` does, so it lands on the same basis state as
+    `rng.choice` over all 2^n would.
     """
-    probs = np.abs(v.amps) ** 2
-    probs = probs / probs.sum()
-    k = int(v.codes[rng.choice(v.amps.size, p=probs)])
+    k = int(v.codes[_draw(v.amps, rng.random())])
     return index_assignment(v.node_order, k)
 
 
@@ -152,7 +175,9 @@ def run_protocol(net: Network, schedule: DriveSchedule, shots: int, seed: int,
                  leak_model: str = "none") -> ProtocolResult:
     """Evolve once, measure each shot with its own derived rng, and decide.
 
-    Shot i draws from `default_rng([seed, i])`.  If the evolution raises
+    Shot i draws the uniform of `default_rng([seed, i])`, and every shot is
+    drawn from one cumulative distribution, so the samples are those of
+    `measure_sample` shot by shot.  If the evolution raises
     `DegenerateDynamicsError`, every shot's sample is None.  The result
     reports the driven schedule: theta0 and phi_final as fixed by the
     preparation and the drive node's output pin.
@@ -170,16 +195,14 @@ def run_protocol(net: Network, schedule: DriveSchedule, shots: int, seed: int,
                       leak_model=leak_model, record=False)
     except DegenerateDynamicsError:
         final, good_prob = None, 0.0
+        samples, n_solutions = (None,) * shots, 0
     else:
-        final, good_prob = traj.final_state, float(traj.alpha_sq[-1])
-    samples = tuple(
-        measure_sample(final, np.random.default_rng([int(seed), shot]))
-        if final is not None else None
-        for shot in range(shots))
-    n_solutions = sum(
-        1 for s in samples if s is not None
-        and solutions[np.searchsorted(prep.state.codes,
-                                      basis_index(net.nodes, s))])
+        final, good_prob = traj.amps[-1], float(traj.alpha_sq[-1])
+        pos = _draw(final, [np.random.default_rng([int(seed), shot]).random()
+                            for shot in range(shots)])
+        samples = tuple(index_assignment(net.nodes, k)
+                        for k in prep.state.codes[pos].tolist())
+        n_solutions = int(np.count_nonzero(solutions[pos]))
 
     if n_solutions > 0:
         decision, confidence = "satisfiable", 1.0

@@ -344,6 +344,18 @@ def test_chain_past_dense_limit(k, unsat, tmp_path, capsys):
         assert result["samples"] == ["0101" * k] * 5
 
 
+def test_chain_leak_into_undemanded_sector_decides(tmp_path, capsys):
+    # With a0 pinned the support is the one solution, on the pinned side of
+    # the drive node: the empty sector (2^27 states) is never demanded.
+    f = tmp_path / "chain.net"
+    f.write_text(chain_dsl(7, False) + "fix a0=0 input\n")
+    code, out, _ = run_cli(["run", "--network", str(f), "--shots", "5",
+                            "--leak", "uniform-excited"], capsys)
+    result = json.loads(out)
+    assert (code, result["decision"]) == (0, "satisfiable")
+    assert result["samples"] == ["0101" * 7] * 5
+
+
 # --- argument handling -------------------------------------------------------
 
 def test_unknown_command_exit_code(capsys):

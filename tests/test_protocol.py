@@ -116,6 +116,16 @@ def test_prepare_leak_stores_the_empty_drive_sector():
     assert (prep.n_sector0, prep.n_sector1) == (1, 0)
 
 
+def test_prepare_leak_skips_the_empty_sector_the_pin_does_not_ask_for():
+    # The pin asks for b = 0, which holds the support: the drive never
+    # demands mass in the empty sector b = 1.
+    held = parse_network("nodes a b\nlink a -> b\nfix a=1 input\n"
+                         "fix b=0 output\ndrive b\n")
+    prep = prepare_ground(held, "uniform-excited")
+    assert prep.state.codes.tolist() == [0b10]
+    assert prep.mask.bits.tolist() == [True]
+
+
 def test_recorded_points_share_the_prepared_codes():
     prep = prepare_ground(builtin_fig1())
     traj = evolve(prep.state, prep.mask, "h",
@@ -171,6 +181,25 @@ def test_measure_never_draws_zero_amplitude():
     v = StateVector(("r", "s"), np.array([0, 1, 1, 0]) / math.sqrt(2))
     for _ in range(200):
         assert measure_sample(v, rng) in ("01", "10")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from((0.0, 1.0, 1e-9)) | st.floats(0.0, 2.0),
+                min_size=4, max_size=4),
+       st.integers(0, 2 ** 32 - 1))
+def test_measure_draws_what_rng_choice_draws(weights, seed):
+    v = StateVector(("r", "s"), np.sqrt(weights) * np.exp(1j * np.arange(4)))
+    probs = np.abs(v.amps) ** 2
+    if not probs.sum():
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            np.random.default_rng(seed).choice(4, p=probs / probs.sum())
+        with pytest.raises(ValueError):
+            measure_sample(v, np.random.default_rng(seed))
+        return
+    rng, reference = (np.random.default_rng(seed) for _ in range(2))
+    for _ in range(5):
+        k = reference.choice(4, p=probs / probs.sum())
+        assert measure_sample(v, rng) == format(k, "02b")
 
 
 # --- full protocol -----------------------------------------------------------
@@ -346,13 +375,17 @@ def test_support_matches_mask_and_string_oracle(net, include_output_pins):
 
 @settings(max_examples=60, deadline=None)
 @given(small_networks(), st.integers(0, 2 ** 16),
-       st.sampled_from(("none", "uniform-excited")))
-def test_support_run_matches_dense_stepper(net, seed, leak_model):
-    """The stored run agrees with the dense stepper on the dense preparation."""
+       st.sampled_from(("none", "uniform-excited")), st.integers(1, 64))
+def test_support_run_matches_dense_stepper(net, seed, leak_model, shots):
+    """The stored run agrees with the dense stepper on the dense preparation.
+
+    Its batched draw gives the samples of one `measure_sample` per shot.
+    """
     if not support(net, include_output_pins=False).size:
         return
     sched = DriveSchedule(kind="cosine-ramp", tau=1.0, dt=0.1)
-    res = run_protocol(net, sched, shots=4, seed=seed, leak_model=leak_model)
+    res = run_protocol(net, sched, shots=shots, seed=seed,
+                       leak_model=leak_model)
     prep = prepare_ground(net, leak_model)
     assert not prep.state.amps[~prep.mask.bits].any()
 
@@ -369,7 +402,7 @@ def test_support_run_matches_dense_stepper(net, seed, leak_model):
     assert np.abs(dense(stored) - final.amps).max() <= 1e-14
 
     samples = tuple(measure_sample(final, np.random.default_rng([seed, shot]))
-                    for shot in range(4))
+                    for shot in range(shots))
     solutions = network_mask(net).bits
     n_solutions = sum(solutions[basis_index(net.nodes, s)] for s in samples)
     assert res.samples == samples
