@@ -39,8 +39,9 @@ SCHEDULE_KINDS = ("linear-ramp", "cosine-ramp", "exponential-relax")
 # Empty-sector threshold: below this the previous sector mass counts as zero.
 _MASS_EPS = 1e-14
 # The closed-form scan re-checks a numpy target exactly within this factor of
-# _MASS_EPS, and every target once |theta0| + |phi_final| exceeds the limit,
-# where a few ulps of the angle approach the band's width in cos.
+# _MASS_EPS, and every target once |theta0| + |phi_final| exceeds the limit:
+# beyond it a few ulps of the angle are no longer far below the band's width
+# in cos (about 5e-8).
 _BAND = 4.0
 _SCAN_ANGLE_LIMIT = 1e6
 # Inner fixed-point iteration for non-diagonal projectors.
@@ -75,7 +76,10 @@ class DriveSchedule:
         return self._ramp(min(t / self.tau, 1.0), math)
 
     def _ramp(self, x, lib):
-        """phi at the fractions x = t/tau, with `lib`'s cos and exp (math or numpy)."""
+        """phi at the fractions x = t/tau, with the cos and exp of `lib`.
+
+        `lib` is `math` for one time and numpy for an array of them.
+        """
         if self.kind == "linear-ramp":
             return self.phi_final * x
         if self.kind == "cosine-ramp":
@@ -291,7 +295,7 @@ def evolve(psi0: StateVector, mask: ConstraintMask, drive_node: str,
 
 
 def _grid_targets(schedule: DriveSchedule) -> np.ndarray:
-    """The sector targets after steps 1..n as a (2, n) array, in one numpy pass.
+    """The sector targets after steps 1..n as a (2, n) array, from arrays.
 
     Every entry lies on the same side of _MASS_EPS as `schedule_targets` at
     that step, and the last two steps hold its exact values.  numpy's cos and
@@ -301,9 +305,11 @@ def _grid_targets(schedule: DriveSchedule) -> np.ndarray:
     _SCAN_ANGLE_LIMIT every step is evaluated exactly.
     """
     t = _grid_times(schedule)
-    angle = schedule.theta0 + schedule._ramp(np.minimum(t / schedule.tau, 1.0), np)
+    x = np.minimum(t / schedule.tau, 1.0)
+    angle = schedule.theta0 + schedule._ramp(x, np)
     mass = np.stack([np.cos(angle) ** 2, np.sin(angle) ** 2])
-    near = ((mass > _MASS_EPS / _BAND) & (mass < _MASS_EPS * _BAND)).any(axis=0)
+    near = (mass > _MASS_EPS / _BAND) & (mass < _MASS_EPS * _BAND)
+    near = near.any(axis=0)
     near[-2:] = True
     if abs(schedule.theta0) + abs(schedule.phi_final) > _SCAN_ANGLE_LIMIT:
         near[:] = True

@@ -6,12 +6,14 @@ withheld at preparation and enforced through the drive and the offline
 check).  The state stores only those assignments, the support that
 `statics.support` enumerates, so a decision never builds a 2^n array.  The
 drive is diagonal and keeps the state on them; the one exception is the
-uniform-excited leak into a drive sector with no support state, for which
-preparation stores that whole sector as well.  The evolution is
-deterministic, so a decision evolves that preparation once, until the drive
-node's sector mass sits on the pinned output value; each shot then measures
-the final state once in the computational basis, and the sample is checked
-offline against the full constraint set.
+uniform-excited leak into a drive sector with no support state that the
+drive node's output pin asks for, for which preparation stores that whole
+sector as well.  The evolution is deterministic, so a decision evolves that
+preparation once, until the drive node's sector mass sits on the pinned
+output value.  Measuring is one cumulative distribution over the final
+state's stored amplitudes, built once, and one seeded uniform per shot
+searched against it; each sample is checked offline against the full
+constraint set by its stored position.
 """
 from __future__ import annotations
 

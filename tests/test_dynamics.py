@@ -450,9 +450,10 @@ def closed_form_cases(draw):
 
 @given(closed_form_cases())
 @settings(max_examples=300, deadline=None)
-# Past the scan's angle limit: numpy's exp puts the first step's target of
-# sector r=0 at 8e-16, the exact scalar at 1.5e-12, so only an exact scan
-# keeps the sector's phase instead of refilling it.
+# Past the scan's angle limit: where numpy's exp rounds one ulp away from
+# math.exp, the first step's target of sector r=0 comes out at 8e-16 instead
+# of the exact 1.5e-12, so only an exact scan keeps the sector's phase
+# instead of refilling it.
 @example((StateVector(("r", "s"), [0, 1j * math.cos(0.3), math.sin(0.3), 0]),
           LINK_MASK, "r",
           DriveSchedule(kind="exponential-relax", theta0=2.684794813487374,
