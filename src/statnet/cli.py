@@ -62,24 +62,6 @@ def _schedule_from_args(args, theta0: float = 0.0,
 
 def cmd_check(args) -> int:
     net = _load_network(args.network)
-    out = []
-    out.append(f"nodes: {net.n_nodes} ({' '.join(net.nodes)})")
-    for g in net.gates:
-        # A gate's nodes are distinct: each row extends over the other nodes.
-        rows, free = len(g.table.rows), 2 ** (net.n_nodes - len(g.nodes))
-        out.append(f"gate {g.name}: in({','.join(g.in_nodes)}) "
-                   f"out({','.join(g.out_nodes)}) "
-                   f"subspace dim: {rows} of {2 ** len(g.nodes)}; "
-                   f"ground-space size {rows * free} of {net.dim}")
-    for p in net.pins:
-        out.append(f"pin {p.node}={p.value} ({p.kind})")
-    if net.drive_node:
-        out.append(f"drive node: {net.drive_node}")
-    full = statics.network_mask(net, include_output_pins=True)
-    partial = statics.network_mask(net, include_output_pins=False)
-    out.append(f"solutions with all pins: {full.support_size()}")
-    out.append(f"solutions without output pins: {partial.support_size()}")
-    text = "\n".join(out) + "\n"
     if args.dump:
         def floats(mask):
             # Masks are dumped as 0.0/1.0, like the Hamiltonian diagonal.
@@ -91,12 +73,29 @@ def cmd_check(args) -> int:
                       for g in net.gates},
             "pin_masks": {p.node: floats(statics.pin_mask(net, p))
                           for p in net.pins},
-            "network_mask": floats(full),
-            "network_mask_no_output_pins": floats(partial),
+            "network_mask": floats(statics.network_mask(net)),
+            "network_mask_no_output_pins": floats(
+                statics.network_mask(net, include_output_pins=False)),
             "hamiltonian": statics.network_hamiltonian(net).energies.tolist(),
         }
-        text = json.dumps(dump, sort_keys=True, indent=2) + "\n"
-    _write(args.out, text)
+        _write(args.out, json.dumps(dump, sort_keys=True, indent=2) + "\n")
+        return 0
+    out = [f"nodes: {net.n_nodes} ({' '.join(net.nodes)})"]
+    for g in net.gates:
+        # A gate's nodes are distinct: each row extends over the other nodes.
+        rows, free = len(g.table.rows), 2 ** (net.n_nodes - len(g.nodes))
+        out.append(f"gate {g.name}: in({','.join(g.in_nodes)}) "
+                   f"out({','.join(g.out_nodes)}) "
+                   f"subspace dim: {rows} of {2 ** len(g.nodes)}; "
+                   f"ground-space size {rows * free} of {net.dim}")
+    for p in net.pins:
+        out.append(f"pin {p.node}={p.value} ({p.kind})")
+    if net.drive_node:
+        out.append(f"drive node: {net.drive_node}")
+    out.append(f"solutions with all pins: {statics.support(net).size}")
+    out.append(f"solutions without output pins: "
+               f"{statics.support(net, include_output_pins=False).size}")
+    _write(args.out, "\n".join(out) + "\n")
     return 0
 
 

@@ -20,7 +20,9 @@ drive sectors in one routine (`_rescale`); they differ only in the projection
 and in their diagnostics.  A `Trajectory` is a set of columns: the walk fills
 one amplitude matrix, one row per grid point, and each diagnostic is computed
 once over that matrix.  Per-row objects (`Trajectory.points`,
-`final_state`) are built only when a caller asks for them.
+`final_state`) are built only when a caller asks for them.  A decision needs
+only the final state of the diagonal-mask evolution; `final_amps` computes
+it from the stepper's invariant, without a trajectory.
 """
 from __future__ import annotations
 
@@ -238,8 +240,8 @@ def _walk_grid(amps: np.ndarray, schedule: DriveSchedule, step):
 
 def evolve(psi0: StateVector, mask: ConstraintMask, drive_node: str,
            schedule: DriveSchedule, leak_model: str = "none",
-           enforce_mask: bool = True, record: bool = True) -> Trajectory:
-    """Run the watchdog stepping over the schedule's uniform time grid.
+           enforce_mask: bool = True) -> Trajectory:
+    """Step the watchdog over the schedule's uniform time grid, keeping every row.
 
     The evolution acts on psi0's stored basis states (`psi0.codes`), and
     `mask` holds one entry per stored state.  Every projection and rescale
@@ -249,39 +251,18 @@ def evolve(psi0: StateVector, mask: ConstraintMask, drive_node: str,
     it allows and `energy` the mass on those it forbids, its penalty at unit
     energy.  Condition (i), the projection onto the mask, is only enforced
     when `enforce_mask` is set (the no-mask variant exists to demonstrate
-    when the projection is and is not redundant).
-
-    With `record` set, every grid point is stepped and kept.  Otherwise only
-    the start and the end are kept, and the end is computed without stepping
-    and without a Python loop over the grid (see `_closed_form_last_steps`),
-    so its cost does not grow with the step count beyond a few array passes
-    over the sector targets.  That rests on the stepper's invariant
-    for diagonal masks: each step multiplies a drive sector by a positive
-    factor, so the sector keeps the direction of its component c_s of the
-    projected psi0 and the state after step k is the sum over sectors of
-    sqrt(p_s(t_k)) * c_s/|c_s|, until the sector's target first falls to
-    zero.  From then on, or from the start when c_s is empty, the sector is
-    the uniform refill.  The final point's `step_overlap` compares the states
-    after steps n-1 and n, as when stepping.
+    when the projection is and is not redundant).  A caller that needs only
+    the final state computes it with `final_amps`, without stepping.
     """
     if mask.bits.shape != psi0.amps.shape:
         raise ValueError("mask dimension mismatch")
     sectors = psi0.sectors(drive_node)
     allowed = mask.bits if enforce_mask else np.ones(psi0.amps.size, dtype=bool)
 
-    if record:
-        def step(prev, targets):
-            return _rescale(prev * allowed, sectors, targets, allowed,
-                            leak_model)
+    def step(prev, targets):
+        return _rescale(prev * allowed, sectors, targets, allowed, leak_model)
 
-        t, phi, amps, overlap = _walk_grid(psi0.amps, schedule, step)
-    else:
-        prev, final = _closed_form_last_steps(psi0.amps, allowed, sectors,
-                                              schedule, leak_model)
-        t = np.array([0.0, schedule.tau])
-        phi = np.array([schedule.phi(x) for x in t.tolist()])
-        amps = np.stack([psi0.amps, final])
-        overlap = np.array([1.0, abs(np.vdot(final, prev))])
+    t, phi, amps, overlap = _walk_grid(psi0.amps, schedule, step)
     # Each column reduces a contiguous copy of its entries row by row, as a
     # one-dimensional sum of one row would.
     probs = np.abs(amps) ** 2
@@ -298,7 +279,7 @@ def _grid_targets(schedule: DriveSchedule) -> np.ndarray:
     """The sector targets after steps 1..n as a (2, n) array, from arrays.
 
     Every entry lies on the same side of _MASS_EPS as `schedule_targets` at
-    that step, and the last two steps hold its exact values.  numpy's cos and
+    that step, and the last step holds its exact value.  numpy's cos and
     exp may differ from `math`'s in the last bits, so an entry within a factor
     of _BAND of _MASS_EPS is replaced by the exact scalar value.  That band is
     wide only while the angle rounds far below sqrt(_MASS_EPS); past
@@ -310,7 +291,7 @@ def _grid_targets(schedule: DriveSchedule) -> np.ndarray:
     mass = np.stack([np.cos(angle) ** 2, np.sin(angle) ** 2])
     near = (mass > _MASS_EPS / _BAND) & (mass < _MASS_EPS * _BAND)
     near = near.any(axis=0)
-    near[-2:] = True
+    near[-1] = True
     if abs(schedule.theta0) + abs(schedule.phi_final) > _SCAN_ANGLE_LIMIT:
         near[:] = True
     for k in np.flatnonzero(near).tolist():
@@ -318,25 +299,29 @@ def _grid_targets(schedule: DriveSchedule) -> np.ndarray:
     return mass
 
 
-def _closed_form_last_steps(psi0: np.ndarray, allowed: np.ndarray,
-                            sectors: tuple[np.ndarray, np.ndarray],
-                            schedule: DriveSchedule,
-                            leak_model: str) -> tuple[np.ndarray, np.ndarray]:
-    """The stepper's amplitudes after steps n-1 and n, without stepping.
+def final_amps(psi0: np.ndarray, allowed: np.ndarray,
+               sectors: tuple[np.ndarray, np.ndarray],
+               schedule: DriveSchedule, leak_model: str) -> np.ndarray:
+    """The amplitudes `evolve` reaches after its last step, without stepping.
 
-    Only the sector targets are scanned over the grid, as arrays
-    (`_grid_targets`), so the scan makes a constant number of Python calls
-    whatever the step count.  A sector is refilled at a step whose target is
-    above _MASS_EPS if its component of the projected psi0 is empty or its
-    target was at most _MASS_EPS at an earlier step; such a step raises
-    `DegenerateDynamicsError` where the stepper would.  With a single step,
-    the state before it is psi0, unprojected.
+    The arguments are those of the stepper: the initial amplitudes, the
+    boolean mask it projects onto (all true without the projection), and
+    the drive sectors' positions.  For diagonal masks each step multiplies a
+    drive sector by a positive factor, so the sector keeps the direction of
+    its component c_s of the projected psi0, and after step k the state is
+    the sum over sectors of sqrt(p_s(t_k)) * c_s/|c_s|, until the sector's
+    target first falls to at most _MASS_EPS.  From then on, or from the
+    start when c_s is empty, the sector holds the uniform refill; a step
+    that needs that refill where there is none raises
+    `DegenerateDynamicsError`, as the stepper would.  Only the sector
+    targets are scanned over the grid, as arrays (`_grid_targets`), so the
+    cost does not grow with the step count beyond a few array passes.
     """
     mass = _grid_targets(schedule)
     empty = mass <= _MASS_EPS
     n = mass.shape[1]
     projected = psi0 * allowed
-    prev, final = np.zeros_like(psi0), np.zeros_like(psi0)
+    final = np.zeros_like(psi0)
     for s, idx in enumerate(sectors):
         component = projected[idx]
         norm = _norm(component)
@@ -344,16 +329,17 @@ def _closed_form_last_steps(psi0: np.ndarray, allowed: np.ndarray,
         emptied = -1
         if norm > _MASS_EPS:
             emptied = int(empty[s].argmax()) if empty[s].any() else n
+        # A later step refills the sector: raise where the stepper would,
+        # even if the last step leaves it empty.
         if not empty[s, emptied + 1:].all():
             refill = _refill_indices(idx, allowed, leak_model)
-        for out, k in ((prev, n - 2), (final, n - 1)):
-            if k < 0 or empty[s, k]:
-                continue
-            if k < emptied:
-                out[idx] = math.sqrt(mass[s, k]) * component / norm
-            else:
-                out[refill] = math.sqrt(mass[s, k] / refill.size)
-    return (psi0 if n == 1 else prev), final
+        if empty[s, -1]:
+            continue
+        if emptied == n:
+            final[idx] = math.sqrt(mass[s, -1]) * component / norm
+        else:
+            final[refill] = math.sqrt(mass[s, -1] / refill.size)
+    return final
 
 
 def link_amps(angle: float) -> list[float]:

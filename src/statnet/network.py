@@ -154,6 +154,30 @@ def link_gate(src: str, dst: str) -> Gate:
                 table=TruthTable(1, 1, NOT_ROWS))
 
 
+def _parse_gate(line: str) -> Gate:
+    """The Gate of a ``gate`` or ``link`` statement."""
+    if line.startswith("link"):
+        m = _LINK_RE.match(line)
+        if not m:
+            raise ValueError("malformed link statement")
+        return link_gate(m.group(1), m.group(2))
+    m = _GATE_RE.match(line)
+    if not m:
+        raise ValueError("malformed gate statement")
+    name, ins_raw, outs_raw, body = m.groups()
+    rows = []
+    for chunk in body.split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        rm = _ROW_RE.match(chunk)
+        if not rm:
+            raise ValueError(f"malformed table row {chunk!r}")
+        rows.append((rm.group(1), rm.group(2)))
+    ins, outs = _split_names(ins_raw), _split_names(outs_raw)
+    return Gate(name, ins, outs, TruthTable(len(ins), len(outs), tuple(rows)))
+
+
 def parse_network(text: str) -> Network:
     """Parse the DSL into a fully validated Network."""
     nodes: tuple[str, ...] | None = None
@@ -191,29 +215,11 @@ def parse_network(text: str) -> Network:
                 if len(set(names)) != len(names):
                     raise ValueError("duplicate node declaration")
                 nodes = names
-            elif line.startswith("gate"):
-                m = _GATE_RE.match(line)
-                if not m:
-                    raise ValueError("malformed gate statement")
-                name, ins_raw, outs_raw, body = m.groups()
-                rows = []
-                for chunk in body.split(";"):
-                    chunk = chunk.strip()
-                    if not chunk:
-                        continue
-                    rm = _ROW_RE.match(chunk)
-                    if not rm:
-                        raise ValueError(f"malformed table row {chunk!r}")
-                    rows.append((rm.group(1), rm.group(2)))
-                gates.append(Gate(name, _split_names(ins_raw), _split_names(outs_raw),
-                                  TruthTable(len(_split_names(ins_raw)),
-                                             len(_split_names(outs_raw)),
-                                             tuple(rows))))
-            elif line.startswith("link"):
-                m = _LINK_RE.match(line)
-                if not m:
-                    raise ValueError("malformed link statement")
-                gates.append(link_gate(m.group(1), m.group(2)))
+            elif line.startswith(("gate", "link")):
+                gate = _parse_gate(line)
+                if any(g.name == gate.name for g in gates):
+                    raise ValueError(f"gate {gate.name!r} declared twice")
+                gates.append(gate)
             elif line.startswith("fix"):
                 m = _FIX_RE.match(line)
                 if not m:

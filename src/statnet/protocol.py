@@ -8,11 +8,12 @@ check).  The state stores only those assignments, the support that
 drive is diagonal and keeps the state on them; the one exception is the
 uniform-excited leak into a drive sector with no support state that the
 drive node's output pin asks for, for which preparation stores that whole
-sector as well.  The evolution is deterministic, so a decision evolves that
-preparation once, until the drive node's sector mass sits on the pinned
-output value.  Measuring is one cumulative distribution over the final
-state's stored amplitudes, built once, and one seeded uniform per shot
-searched against it; each sample is checked offline against the full
+sector as well.  The evolution is deterministic and only its end is
+measured, so a decision computes the final state once, without stepping
+(`dynamics.final_amps`): the drive has moved the drive node's sector mass
+onto the pinned output value.  Measuring is one cumulative distribution over
+the final state's stored amplitudes, built once, and one seeded uniform per
+shot searched against it; each sample is checked offline against the full
 constraint set by its stored position.
 """
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import DriveSchedule, evolve
+from .dynamics import DriveSchedule, final_amps
 from .errors import DegenerateDynamicsError, UnpreparableNetworkError
 from .hilbert import StateVector, index_assignment, reduced_diag
 from .network import Network, check_enumerable, render
@@ -175,11 +176,11 @@ def measure_sample(v: StateVector, rng: np.random.Generator) -> str:
 
 def run_protocol(net: Network, schedule: DriveSchedule, shots: int, seed: int,
                  leak_model: str = "none") -> ProtocolResult:
-    """Evolve once, measure each shot with its own derived rng, and decide.
+    """Compute the final state once, measure each shot from it, and decide.
 
     Shot i draws the uniform of `default_rng([seed, i])`, and every shot is
     drawn from one cumulative distribution, so the samples are those of
-    `measure_sample` shot by shot.  If the evolution raises
+    `measure_sample` shot by shot.  If the final state raises
     `DegenerateDynamicsError`, every shot's sample is None.  The result
     reports the driven schedule: theta0 and phi_final as fixed by the
     preparation and the drive node's output pin.
@@ -193,13 +194,15 @@ def run_protocol(net: Network, schedule: DriveSchedule, shots: int, seed: int,
         if pin.kind == "output":
             solutions[prep.state.sectors(pin.node)[1 - pin.value]] = False
     try:
-        traj = evolve(prep.state, prep.mask, net.drive_node, schedule,
-                      leak_model=leak_model, record=False)
+        final = final_amps(prep.state.amps, prep.mask.bits,
+                           prep.state.sectors(net.drive_node), schedule,
+                           leak_model)
     except DegenerateDynamicsError:
         final, good_prob = None, 0.0
         samples, n_solutions = (None,) * shots, 0
     else:
-        final, good_prob = traj.amps[-1], float(traj.alpha_sq[-1])
+        # The sum of a contiguous masked copy, as a trajectory's alpha_sq.
+        good_prob = float((np.abs(final) ** 2)[prep.mask.bits].sum())
         pos = _draw(final, [np.random.default_rng([int(seed), shot]).random()
                             for shot in range(shots)])
         samples = tuple(index_assignment(net.nodes, k)

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, output contracts, determinism."""
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -70,20 +71,42 @@ def test_check_missing_file(capsys):
 
 @pytest.mark.parametrize("command,n_nodes,message", [
     # One node past DEFAULT_NODE_LIMIT: refused before any 2^n array exists.
-    ("check", 25, "error: 25 nodes exceeds enumeration limit 24\n"),
+    (["check", "--dump"], 25, "error: 25 nodes exceeds enumeration limit 24\n"),
     # `run` stores only the support, here 2^25 states: refused before the
     # free nodes are expanded.
-    ("run", 26, "error: constrained support exceeds enumeration limit "
-                "2^24 states\n"),
-], ids=["check", "run"])
+    (["run"], 26, "error: constrained support exceeds enumeration limit "
+                  "2^24 states\n"),
+], ids=["check-dump", "run"])
 def test_dense_command_over_node_limit_exit_code(command, n_nodes, message,
                                                  tmp_path, capsys):
     f = tmp_path / "wide.net"
     f.write_text("nodes " + " ".join(f"n{i}" for i in range(n_nodes)) +
                  "\nlink n0 -> n1\nfix n1=1 output\ndrive n1\n")
-    code, out, err = run_cli([command, "--network", str(f)], capsys)
+    code, out, err = run_cli(command + ["--network", str(f)], capsys)
     assert (code, out) == (2, "")
     assert err == message
+
+
+def test_check_counts_solutions_past_the_dense_limit(tmp_path, capsys):
+    # Without --dump, `check` counts the support by the join: 30 nodes pass.
+    f = tmp_path / "long.net"
+    f.write_text("nodes " + " ".join(f"n{i}" for i in range(30)) + "\n" +
+                 "".join(f"link n{i} -> n{i + 1}\n" for i in range(29)) +
+                 "fix n29=1 output\ndrive n29\n")
+    code, out, err = run_cli(["check", "--network", str(f)], capsys)
+    assert (code, err) == (0, "")
+    assert out.endswith("drive node: n29\nsolutions with all pins: 1\n"
+                        "solutions without output pins: 2\n")
+    assert "ground-space size 536870912 of 1073741824" in out
+
+
+def test_check_rejects_a_gate_name_declared_twice(tmp_path, capsys):
+    f = tmp_path / "twice.net"
+    f.write_text("nodes a b c\nlink a -> b\n"
+                 "gate link_a_b in(b) out(c) { 0->1 ; 1->0 }\n")
+    code, out, err = run_cli(["check", "--network", str(f), "--dump"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: line 3: gate 'link_a_b' declared twice\n"
 
 
 @pytest.mark.parametrize("command", ["run", "solve-brute"])
@@ -377,9 +400,13 @@ def test_flag_of_another_command_exit_code(args, capsys):
 
 
 def test_console_script_installed():
+    # The subprocess finds the package in src/, as pytest's own imports do.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run([sys.executable, "-m", "statnet.cli", "solve-brute",
                            "--network", "fig1"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout == "11101011\n"
 

@@ -11,6 +11,7 @@ from statnet.dynamics import (
     closed_form_link,
     closed_form_triplet,
     evolve,
+    final_amps,
     q_rs_apply,
     schedule_targets,
     singlet_amplitude,
@@ -198,15 +199,6 @@ def test_zero_length_schedule_constant():
     assert len(traj.points) == 2
     assert np.allclose(traj.points[0].state.amps, traj.points[1].state.amps,
                        atol=1e-15)
-
-
-def test_record_false_keeps_endpoints_only():
-    sched = linear(0.3, 1.0, dt=1e-2)
-    full = evolve(closed_form_link(0.3, 0.0), LINK_MASK, "r", sched)
-    sparse = evolve(closed_form_link(0.3, 0.0), LINK_MASK, "r", sched,
-                    record=False)
-    assert len(sparse.points) == 2
-    assert np.allclose(sparse.final_state.amps, full.final_state.amps)
 
 
 def test_redundancy_masked_vs_unmasked_interior_theta():
@@ -459,24 +451,29 @@ def closed_form_cases(draw):
           DriveSchedule(kind="exponential-relax", theta0=2.684794813487374,
                         phi_final=1e10, tau=1.0, dt=1 / 40),
           "none", True))
+# Sector r=0 holds no allowed state, and its target is positive at the first
+# step and empty at the last: the stepper raises at the first step.
+@example((closed_form_link(0.3, 0.0), ConstraintMask(4, np.array([0, 0, 1, 0])),
+          "r", linear(0.0, math.pi / 2, dt=0.5), "none", True))
 def test_closed_form_final_state_matches_stepper(case):
     psi0, mask, drive, schedule, leak_model, enforce_mask = case
+    allowed = mask.bits if enforce_mask else np.ones(mask.dim, dtype=bool)
 
-    def run(record):
+    def run(final_state):
         try:
-            return evolve(psi0, mask, drive, schedule, leak_model=leak_model,
-                          enforce_mask=enforce_mask, record=record)
+            return final_state()
         except DegenerateDynamicsError:
             return None
 
-    stepped, closed = run(True), run(False)
+    stepped = run(lambda: evolve(
+        psi0, mask, drive, schedule, leak_model=leak_model,
+        enforce_mask=enforce_mask).final_state.amps)
+    closed = run(lambda: final_amps(psi0.amps, allowed, psi0.sectors(drive),
+                                    schedule, leak_model))
     assert (stepped is None) == (closed is None)
     if stepped is None:
         return
-    assert len(closed.points) == 2
-    assert np.abs(closed.final_state.amps - stepped.final_state.amps).max() <= 1e-14
-    assert abs(closed.points[-1].step_overlap
-               - stepped.points[-1].step_overlap) <= 1e-14
+    assert np.abs(closed - stepped).max() <= 1e-14
 
 
 def test_closed_form_scan_calls_scalar_targets_a_constant_number_of_times(
@@ -490,11 +487,11 @@ def test_closed_form_scan_calls_scalar_targets_a_constant_number_of_times(
     monkeypatch.setattr(dynamics, "schedule_targets", counted)
     sched = linear(0.3, 0.9, dt=1e-5)
     assert sched.n_steps() == 10 ** 5
-    traj = evolve(closed_form_link(0.3, 0.0), LINK_MASK, "r", sched,
-                  record=False)
+    psi0 = closed_form_link(0.3, 0.0)
+    final = final_amps(psi0.amps, LINK_MASK.bits, psi0.sectors("r"), sched,
+                       "none")
     assert len(calls) <= 4
-    assert np.abs(traj.final_state.amps
-                  - closed_form_link(0.3, 0.9).amps).max() <= 1e-14
+    assert np.abs(final - closed_form_link(0.3, 0.9).amps).max() <= 1e-14
 
 
 def assert_columns_are_row_formulas(traj, sectors, alpha_of, energy_of):
@@ -522,7 +519,7 @@ def test_recorded_columns_match_row_formulas(case):
     psi0, mask, drive, schedule, leak_model, enforce_mask = case
     try:
         traj = evolve(psi0, mask, drive, schedule, leak_model=leak_model,
-                      enforce_mask=enforce_mask, record=True)
+                      enforce_mask=enforce_mask)
     except DegenerateDynamicsError:
         return
     assert traj.t.tolist() == [k * schedule.dt for k in

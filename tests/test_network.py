@@ -50,6 +50,15 @@ def test_parse_gate_naming_a_node_twice(gate):
         parse_network(f"nodes a b\n{gate}\n")
 
 
+@pytest.mark.parametrize("first,second", [
+    ("gate g in(a) out(b) { 0->1 ; 1->0 }", "gate g in(b) out(c) { 0->1 ; 1->0 }"),
+    ("link a -> b", "link a -> b"),
+], ids=["gate", "link"])
+def test_parse_gate_name_declared_twice(first, second):
+    with pytest.raises(ParseError, match="line 4: gate '.*' declared twice"):
+        parse_network(f"nodes a b c\n{first}\n# comment\n{second}\n")
+
+
 def test_parse_comments_and_blank_lines():
     net = parse_network("# header\n\nnodes a b  # trailing\nlink a -> b\n")
     assert net.nodes == ("a", "b") and len(net.gates) == 1

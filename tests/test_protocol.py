@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from statnet import protocol
+from statnet import dynamics, protocol
 from statnet.cli import main
-from statnet.dynamics import DriveSchedule, evolve
+from statnet.dynamics import DriveSchedule, evolve, final_amps
 from statnet.errors import DegenerateDynamicsError, UnpreparableNetworkError
 from statnet.hilbert import StateVector, basis_index, basis_state, reduced_diag
 from statnet.network import (
@@ -269,16 +269,21 @@ def test_protocol_builds_each_mask_once_per_decision(monkeypatch):
 
 @pytest.mark.parametrize("shots", [1, 50])
 def test_protocol_evolves_once_per_decision(monkeypatch, shots):
+    # The decision computes the final state once and never steps.
     calls = []
-    real = protocol.evolve
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs)
-        return real(*args, **kwargs)
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(protocol, "evolve", counted)
+    monkeypatch.setattr(protocol, "final_amps",
+                        counted("final_amps", protocol.final_amps))
+    monkeypatch.setattr(dynamics, "evolve", counted("evolve", evolve))
     run_protocol(builtin_fig1(), SCHED, shots=shots, seed=0)
-    assert len(calls) == 1
+    assert calls == ["final_amps"]
+    assert not hasattr(protocol, "evolve")
 
 
 def test_good_universe_probability_reported():
@@ -392,13 +397,13 @@ def test_support_run_matches_dense_stepper(net, seed, leak_model, shots):
     dense_state = StateVector(net.nodes, dense(prep.state))
     try:
         final = evolve(dense_state, network_mask(net, False), net.drive_node,
-                       res.schedule, leak_model=leak_model,
-                       record=True).final_state
+                       res.schedule, leak_model=leak_model).final_state
     except DegenerateDynamicsError:
         assert res.decision == "inconclusive"
         return
-    stored = evolve(prep.state, prep.mask, net.drive_node, res.schedule,
-                    leak_model=leak_model, record=False).final_state
+    stored = StateVector(net.nodes, final_amps(
+        prep.state.amps, prep.mask.bits, prep.state.sectors(net.drive_node),
+        res.schedule, leak_model), prep.state.codes)
     assert np.abs(dense(stored) - final.amps).max() <= 1e-14
 
     samples = tuple(measure_sample(final, np.random.default_rng([seed, shot]))
