@@ -6,7 +6,8 @@ printed with 17 significant digits and lines end with '\\n'.  The env var
 STATNET_SEED overrides --seed of the one command that takes it, run.
 
 Exit codes: 0 success (satisfiable for solve-brute/run), 1 unsatisfiable,
-2 error (parse failure, bad flags, degenerate dynamics).
+2 error (parse failure, bad flags, degenerate dynamics, a step grid too
+large to build).
 """
 from __future__ import annotations
 
@@ -212,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     try:
         return args.fn(args)
-    except (StatnetError, OSError, ValueError) as exc:
+    except (StatnetError, OSError, ValueError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

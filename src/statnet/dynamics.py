@@ -71,6 +71,8 @@ class DriveSchedule:
             raise ValueError("dt must be > 0")
         if self.tau < self.dt:
             raise ValueError("tau must be >= dt")
+        if not math.isfinite(self.tau / self.dt):
+            raise ValueError("tau / dt must be finite")
 
     def phi(self, t: float) -> float:
         if not 0 <= t <= self.tau * (1 + 1e-9):
@@ -146,7 +148,7 @@ class Trajectory:
             getattr(self, name).setflags(write=False)
 
     def state(self, k: int) -> StateVector:
-        """The state at row k, as a new `StateVector` on the shared codes."""
+        """The state at row k, as a new `StateVector` on a copy of `codes`."""
         return StateVector(self.node_order, self.amps[k], self.codes)
 
     @property
@@ -176,12 +178,12 @@ def _refill_indices(idx: np.ndarray, allowed: np.ndarray,
     The refill is an equal-phase superposition over the sector's allowed
     states; with the uniform-excited leak model, over every stored state of
     the sector when it has none (a prepared network stores the whole sector
-    for this).
+    for this).  A sector that stores no state cannot be refilled.
     """
     constrained = idx[allowed[idx]]
     if constrained.size:
         return constrained
-    if leak_model == "uniform-excited":
+    if leak_model == "uniform-excited" and idx.size:
         return idx
     raise DegenerateDynamicsError(
         "drive demands mass in a sector that holds none and has no allowed "

@@ -5,41 +5,33 @@ the C-order ravel of the `(2,)*n` basis tensor whose axis i is the i-th
 declared node, so the first declared node is the most significant bit.  A
 state stores its amplitudes only on its `codes`, the ascending basis codes
 outside which it is zero; by default that is all 2^n of them.
-`StateVector.sectors` is the one place that turns a node into positions.
+`node_bit` is the one place that turns a node into its bit of a code.
 All values are immutable after construction and all operations are pure
-functions.  Constructors copy the caller's array and freeze the copy.
+functions.  Constructors always copy the caller's arrays and freeze the
+copies, so no two states share an array.
 """
 from __future__ import annotations
 
-import functools
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-# Code arrays already checked and frozen here, by id: a state built on
-# another state's codes (each point of a recorded trajectory) shares them
-# instead of copying and checking them again.  Entries go with their arrays.
-_CHECKED_CODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
-
-@functools.lru_cache(maxsize=8)
-def _all_codes(n_nodes: int) -> np.ndarray:
-    """Every basis code of n nodes, read-only, shared by the states that store all."""
-    codes = np.arange(2 ** n_nodes, dtype=np.int64)
-    codes.setflags(write=False)
-    _CHECKED_CODES[id(codes)] = codes
-    return codes
+def node_bit(node_order: tuple[str, ...], node: str) -> int:
+    """The bit that `node` sets in a basis code of `node_order` (first = MSB)."""
+    try:
+        index = node_order.index(node)
+    except ValueError:
+        raise ValueError(f"unknown node {node!r}") from None
+    return 1 << (len(node_order) - 1 - index)
 
 
 def _checked_codes(codes, n_nodes: int) -> np.ndarray:
-    """A frozen copy of `codes`, which must be ascending basis codes of n nodes."""
+    """A copy of `codes`, which must be ascending basis codes of n nodes."""
     out = np.array(codes, dtype=np.int64)
     if out.ndim != 1 or (out.size and (out[0] < 0 or out[-1] >> n_nodes)) \
             or (np.diff(out) <= 0).any():
         raise ValueError(f"codes must be ascending basis codes of {n_nodes} nodes")
-    out.setflags(write=False)
-    _CHECKED_CODES[id(out)] = out
     return out
 
 
@@ -59,13 +51,12 @@ class StateVector:
         n = len(self.node_order)
         if len(set(self.node_order)) != n:
             raise ValueError(f"duplicate nodes in {self.node_order}")
-        codes = self.codes
-        if codes is None:
-            codes = _all_codes(n)
-            object.__setattr__(self, "codes", codes)
-        elif _CHECKED_CODES.get(id(codes)) is not codes:
-            codes = _checked_codes(codes, n)
-            object.__setattr__(self, "codes", codes)
+        if self.codes is None:
+            codes = np.arange(2 ** n, dtype=np.int64)
+        else:
+            codes = _checked_codes(self.codes, n)
+        codes.setflags(write=False)
+        object.__setattr__(self, "codes", codes)
         amps = np.array(self.amps, dtype=complex)
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
@@ -87,15 +78,9 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def node_position(self, node: str) -> int:
-        try:
-            return self.node_order.index(node)
-        except ValueError:
-            raise ValueError(f"unknown node {node!r}") from None
-
     def sectors(self, node: str) -> tuple[np.ndarray, np.ndarray]:
         """Ascending positions in `amps` of the codes where `node` reads 0, and 1."""
-        bit = (self.codes >> (self.n_nodes - 1 - self.node_position(node))) & 1
+        bit = self.codes & node_bit(self.node_order, node)
         return np.flatnonzero(bit == 0), np.flatnonzero(bit)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .dynamics import DriveSchedule, final_amps
 from .errors import DegenerateDynamicsError, UnpreparableNetworkError
-from .hilbert import StateVector, index_assignment, reduced_diag
+from .hilbert import StateVector, index_assignment, node_bit, reduced_diag
 from .network import Network, check_enumerable, render
 from .statics import ConstraintMask, support
 
@@ -109,7 +109,7 @@ def prepare_ground(net: Network, leak_model: str = "none") -> Preparation:
             "no assignment satisfies the gates and input pins")
     size, n1, in_support = codes.size, 0, np.ones(codes.size, dtype=bool)
     if net.drive_node is not None:
-        bit = 1 << (net.n_nodes - 1 - net.nodes.index(net.drive_node))
+        bit = node_bit(net.nodes, net.drive_node)
         n1 = int(np.count_nonzero(codes & bit))
         # One drive sector holds no support state, and the pin asks for it.
         if leak_model == "uniform-excited" and n1 in (0, size) \

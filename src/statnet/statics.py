@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hilbert import node_bit
 from .network import DEFAULT_NODE_LIMIT, Gate, Network, Pin, check_enumerable
 
 DEFAULT_PENALTY = 1.0
@@ -189,7 +190,7 @@ def support(net: Network, include_output_pins: bool = True) -> np.ndarray:
     n = net.n_nodes
     if n > MAX_CODE_NODES:
         raise ValueError(f"{n} nodes exceeds basis-code limit {MAX_CODE_NODES}")
-    weight = {node: 1 << (n - 1 - i) for i, node in enumerate(net.nodes)}
+    weight = {node: node_bit(net.nodes, node) for node in net.nodes}
     pins = [p for p in net.pins if p.kind == "input" or include_output_pins]
     pinned = sum(weight[p.node] for p in pins)
     pinned_code = sum(weight[p.node] for p in pins if p.value)

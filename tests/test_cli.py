@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from statnet import dynamics
 from statnet.cli import _COMMANDS, main
 
 CSV_HEADER = ("t,phi,p0,p1,alpha_sq,beta_sq,energy,step_overlap,"
@@ -147,6 +148,24 @@ def test_zero_dt_exit_code(command, capsys):
     # An explicit --dt 0 is a step size, not a request for the default.
     code, out, err = run_cli([command, "--dt", "0"], capsys)
     assert (code, out, err) == (2, "", "error: dt must be > 0\n")
+
+
+@pytest.mark.parametrize("command", ["simulate-link", "simulate-triplet", "run"])
+def test_non_finite_step_count_exit_code(command, capsys):
+    # Both are finite, but tau / dt overflows: there is no step count.
+    code, out, err = run_cli([command, "--tau", "1e308", "--dt", "1e-10"],
+                             capsys)
+    assert (code, out, err) == (2, "", "error: tau / dt must be finite\n")
+
+
+def test_step_grid_too_large_to_allocate_exit_code(monkeypatch, capsys):
+    def unallocatable(schedule):
+        raise MemoryError("Unable to allocate the step grid")
+
+    monkeypatch.setattr(dynamics, "_grid_times", unallocatable)
+    code, out, err = run_cli(["run"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: Unable to allocate the step grid\n"
 
 
 # --- solve-brute -------------------------------------------------------------

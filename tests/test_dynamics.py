@@ -417,16 +417,20 @@ band_angles = st.builds(lambda zero, d, c: (zero + d * 1e-7 - c, 2 * c),
 
 @st.composite
 def closed_form_cases(draw):
-    """Random mask, complex psi0 with mass off the mask, and a schedule."""
+    """Random stored codes (all 2^n, or a non-empty subset as `run` stores),
+    a mask over them, complex psi0 with mass off the mask, and a schedule."""
     n_nodes = draw(st.integers(2, 4))
     dim = 2 ** n_nodes
     nodes = tuple("abcd"[:n_nodes])
-    bits = draw(st.lists(st.integers(0, 1), min_size=dim, max_size=dim))
+    codes = draw(st.just(list(range(dim))) | st.sets(
+        st.integers(0, dim - 1), min_size=1).map(sorted))
+    size = len(codes)
+    bits = draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
     parts = st.sampled_from((0.0, 1.0, -0.5)) | st.floats(-1.0, 1.0)
-    amps = np.array([complex(draw(parts), draw(parts)) for _ in range(dim)])
+    amps = np.array([complex(draw(parts), draw(parts)) for _ in range(size)])
     if np.linalg.norm(amps) == 0:
-        amps[draw(st.integers(0, dim - 1))] = 1.0
-    psi0 = StateVector(nodes, amps / np.linalg.norm(amps))
+        amps[draw(st.integers(0, size - 1))] = 1.0
+    psi0 = StateVector(nodes, amps / np.linalg.norm(amps), codes)
     n_steps = draw(st.sampled_from((1, 2, 3, 4, 10, 40)))
     theta0, phi_final = draw(band_angles | st.tuples(
         crossing_angles | st.floats(-math.pi, math.pi),
@@ -434,7 +438,7 @@ def closed_form_cases(draw):
     schedule = DriveSchedule(
         kind=draw(st.sampled_from(dynamics.SCHEDULE_KINDS)),
         theta0=theta0, phi_final=phi_final, tau=1.0, dt=1.0 / n_steps)
-    return (psi0, ConstraintMask(dim, np.array(bits)),
+    return (psi0, ConstraintMask(size, np.array(bits)),
             draw(st.sampled_from(nodes)), schedule,
             draw(st.sampled_from(("none", "uniform-excited"))),
             draw(st.booleans()))
@@ -455,6 +459,12 @@ def closed_form_cases(draw):
 # step and empty at the last: the stepper raises at the first step.
 @example((closed_form_link(0.3, 0.0), ConstraintMask(4, np.array([0, 0, 1, 0])),
           "r", linear(0.0, math.pi / 2, dt=0.5), "none", True))
+# The drive demands mass in sector r=1, which stores no state: under the
+# uniform-excited leak there is nothing to refill, and both sides raise.
+@example((StateVector(("r", "s"), [1.0], codes=[1]),
+          ConstraintMask(1, np.array([True])), "r",
+          DriveSchedule(theta0=0.0, phi_final=1.0, dt=0.1),
+          "uniform-excited", True))
 def test_closed_form_final_state_matches_stepper(case):
     psi0, mask, drive, schedule, leak_model, enforce_mask = case
     allowed = mask.bits if enforce_mask else np.ones(mask.dim, dtype=bool)
@@ -510,7 +520,8 @@ def assert_columns_are_row_formulas(traj, sectors, alpha_of, energy_of):
                    traj.alpha_sq, traj.beta_sq, traj.energy,
                    traj.step_overlap):
         assert not column.flags.writeable
-    assert all(p.state.codes is traj.codes for p in traj.points)
+    assert all(np.array_equal(p.state.codes, traj.codes)
+               and not p.state.codes.flags.writeable for p in traj.points)
 
 
 @given(closed_form_cases())

@@ -11,6 +11,7 @@ from statnet.hilbert import (
     basis_index,
     basis_state,
     index_assignment,
+    node_bit,
     reduced_diag,
 )
 from statnet.statics import PenaltyHamiltonian
@@ -107,6 +108,21 @@ def test_node_bit_values_msb_convention():
     assert np.array_equal(v.sectors("s"), [[0, 2], [1, 3]])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_node_bit_agrees_with_basis_index(n):
+    nodes = tuple(f"x{i}" for i in range(n))
+    for pos, node in enumerate(nodes):
+        one_hot = "".join("1" if i == pos else "0" for i in range(n))
+        assert node_bit(nodes, node) == basis_index(nodes, one_hot)
+
+
+def test_node_bit_rejects_unknown_node():
+    with pytest.raises(ValueError, match="unknown node 'q'"):
+        node_bit(TWO, "q")
+    with pytest.raises(ValueError, match="unknown node 'q'"):
+        basis_state(TWO, "00").sectors("q")
+
+
 def test_statevector_rejects_wrong_shape():
     with pytest.raises(ValueError):
         StateVector(TWO, np.zeros(3))
@@ -153,9 +169,12 @@ def test_statevector_copies_caller_codes():
     assert v.codes.tolist() == [0, 3] and not v.codes.flags.writeable
 
 
-def test_statevector_shares_checked_codes():
+def test_statevector_never_shares_codes():
     v = StateVector(TWO, [1.0, 0.0], codes=[0, 3])
-    assert StateVector(TWO, [0.0, 1.0], codes=v.codes).codes is v.codes
+    w = StateVector(TWO, [0.0, 1.0], codes=v.codes)
+    assert w.codes is not v.codes and np.array_equal(w.codes, v.codes)
+    assert not w.codes.flags.writeable
+    assert basis_state(TWO, "01").codes is not basis_state(TWO, "10").codes
 
 
 @pytest.mark.parametrize("codes", [[1, 0], [1, 1], [0, 4], [-1, 2], [0, 1, 2]],

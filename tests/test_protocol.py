@@ -130,7 +130,8 @@ def test_recorded_points_share_the_prepared_codes():
     prep = prepare_ground(builtin_fig1())
     traj = evolve(prep.state, prep.mask, "h",
                   protocol._drive_schedule_for(builtin_fig1(), prep, SCHED))
-    assert all(p.state.codes is prep.state.codes for p in traj.points)
+    assert all(np.array_equal(p.state.codes, prep.state.codes)
+               and not p.state.codes.flags.writeable for p in traj.points)
 
 
 # --- single shots ------------------------------------------------------------
