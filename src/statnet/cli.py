@@ -5,6 +5,9 @@ All outputs are byte-deterministic given (inputs, flags, seed); floats are
 printed with 17 significant digits and lines end with '\\n'.  The env var
 STATNET_SEED overrides --seed of the one command that takes it, run.
 
+A call builds the parser of the command it names, not of all five: the
+usage, help and error messages are the same either way.
+
 Exit codes: 0 success (satisfiable for solve-brute/run), 1 unsatisfiable,
 2 error (parse failure, bad flags, degenerate dynamics, a step grid too
 large to build).
@@ -22,6 +25,10 @@ import numpy as np
 from . import dynamics, network, protocol, statics
 from .errors import StatnetError
 from .hilbert import index_assignment
+
+# `check --dump` writes six 2^n float lists as JSON text: at 16 nodes about
+# 8 MB and 125 MiB peak RSS, growing fourfold per two nodes.
+DUMP_NODE_LIMIT = 16
 
 
 def _load_network(spec: str) -> network.Network:
@@ -64,6 +71,10 @@ def _schedule_from_args(args, theta0: float = 0.0,
 def cmd_check(args) -> int:
     net = _load_network(args.network)
     if args.dump:
+        if net.n_nodes > DUMP_NODE_LIMIT:
+            raise ValueError(f"{net.n_nodes} nodes exceeds check --dump "
+                             f"limit {DUMP_NODE_LIMIT}")
+
         def floats(mask):
             # Masks are dumped as 0.0/1.0, like the Hamiltonian diagonal.
             return mask.bits.astype(float).tolist()
@@ -184,13 +195,24 @@ _COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or with `command` of that one only.
+
+    The one-command parser's usage still lists every command, so the
+    messages it prints are the full parser's.
+    """
     parser = argparse.ArgumentParser(
         prog="statnet",
         description="Watchdog-projection simulator for constrained Boolean "
                     "networks deployed in space.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # A metavar would rename the argument in the full parser's errors.
+    metavar = None if command is None else \
+        "{" + ",".join(name for name, *_ in _COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=metavar)
     for name, help_text, handler, flags in _COMMANDS:
+        if command not in (None, name):
+            continue
         p = sub.add_parser(name, help=help_text)
         for flag in flags:
             p.add_argument(f"--{flag}", **_FLAGS[flag])
@@ -199,7 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    names = [name for name, *_ in _COMMANDS]
+    parser = build_parser(argv[0] if argv and argv[0] in names else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -14,7 +14,10 @@ measured, so a decision computes the final state once, without stepping
 onto the pinned output value.  Measuring is one cumulative distribution over
 the final state's stored amplitudes, built once, and one seeded uniform per
 shot searched against it; each sample is checked offline against the full
-constraint set by its stored position.
+constraint set by its stored position.  Shot i's uniform is still defined as
+the first `random()` of `np.random.default_rng([seed, i])`, but it is
+computed for all shots at once, by numpy's seeding and PCG64 arithmetic on
+arrays (`_shot_uniforms`), so a decision builds no `Generator`.
 """
 from __future__ import annotations
 
@@ -35,6 +38,29 @@ from .statics import ConstraintMask, support
 # reference figure: the confidence does not depend on the measured
 # good_universe_prob_final.
 DEFAULT_P_GOOD_REF = 0.5
+
+# numpy's SeedSequence and PCG64 constants.  A SeedSequence hashes the
+# entropy words into a pool and the pool into PCG64's seed; PCG64 steps a
+# 128-bit state and outputs XSL-RR (M. E. O'Neill, "PCG: A Family of Simple
+# Fast Space-Efficient Statistically Good Algorithms for Random Number
+# Generation", 2014).
+_MASK32 = 0xFFFF_FFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# generate_state's hash constants: INIT_B = 0x8B51F9DD, times MULT_B per word.
+_STATE_CONSTS = np.array([0x8B51F9DD * 0x58F38DED ** i & _MASK32
+                          for i in range(9)], dtype=np.uint32)[:, None]
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+# From state 0, seeding steps once, adds the initial state and steps again;
+# `random()` steps once more.  So the state it outputs is
+# init·M² + inc·(M² + M + 1) mod 2^128.  The two multipliers are rows of
+# uint64 columns: the high word, the low word and the low word's halves.
+_STEP_MULTS = (_PCG_MULT ** 2, _PCG_MULT ** 2 + _PCG_MULT + 1)
+_MULT_HI, _MULT_LO, _MULT_LO_HI, _MULT_LO_LO = (
+    np.array([m >> shift & mask for m in _STEP_MULTS], dtype=np.uint64)[:, None]
+    for shift, mask in ((64, 2 ** 64 - 1), (0, 2 ** 64 - 1),
+                        (32, _MASK32), (0, _MASK32)))
 
 
 @dataclass(frozen=True)
@@ -143,7 +169,7 @@ def _drive_schedule_for(net: Network, prep: Preparation,
                    phi_final=target_angle - prep.theta)
 
 
-def _draw(amps: np.ndarray, uniforms: float | list[float]):
+def _draw(amps: np.ndarray, uniforms: float | np.ndarray):
     """Positions in `amps` that `Generator.choice` draws for these uniforms.
 
     `rng.choice(amps.size, p=probs / probs.sum())` normalises the
@@ -162,6 +188,72 @@ def _draw(amps: np.ndarray, uniforms: float | list[float]):
     return cdf.searchsorted(uniforms, side="right")
 
 
+def _shot_uniforms(seed: int, shots: int) -> np.ndarray:
+    """The first `np.random.default_rng([seed, i]).random()` of each shot i.
+
+    This is numpy's SeedSequence and PCG64 arithmetic, bit for bit, for all
+    shots at once: uint32 and uint64 arrays wrap as the C types do.  The
+    entropy is the seed's 32-bit words, low word first, then the shot
+    index, which must fit one word.  Like `default_rng`, it raises
+    `ValueError` for a negative seed.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    if shots > 2 ** 32:
+        raise ValueError("shots must be <= 2**32")
+    words = [np.full(shots, seed >> shift & _MASK32, dtype=np.uint32)
+             for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words.append(np.arange(shots, dtype=np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    # A pool larger than the entropy is padded with hashmix(0).
+    words += [np.zeros(shots, dtype=np.uint32)] * (_POOL_SIZE - len(words))
+    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # generate_state(4, uint64): eight hashed pool words, paired low first.
+    state = (np.array(pool * 2) ^ _STATE_CONSTS[:-1]) * _STATE_CONSTS[1:]
+    state = (state ^ (state >> 16)).astype(np.uint64)
+    init_hi, init_lo, seq_hi, seq_lo = state[0::2] | (state[1::2] << 32)
+
+    # Both products of _STEP_MULTS at once, mod 2^128, on 64-bit limbs: the
+    # low limbs' full product from 32-bit halves, plus the cross terms.
+    hi = np.array([init_hi, (seq_hi << 1) | (seq_lo >> 63)])
+    lo = np.array([init_lo, (seq_lo << 1) | 1])
+    lo_hi, lo_lo = lo >> 32, lo & _MASK32
+    low = lo_lo * _MULT_LO_LO
+    cross1, cross2 = lo_lo * _MULT_LO_HI, lo_hi * _MULT_LO_LO
+    mid = (low >> 32) + (cross1 & _MASK32) + (cross2 & _MASK32)
+    prod_lo = (mid << 32) | (low & _MASK32)
+    prod_hi = (lo_hi * _MULT_LO_HI + (cross1 >> 32) + (cross2 >> 32)
+               + (mid >> 32) + lo * _MULT_HI + hi * _MULT_LO)
+    lo = prod_lo[0] + prod_lo[1]
+    hi = prod_hi[0] + prod_hi[1] + (lo < prod_lo[0])
+
+    # XSL-RR output; the uniform is its top 53 bits.
+    out, rot = hi ^ lo, hi >> 58
+    out = (out >> rot) | (out << ((64 - rot) & 63))
+    return (out >> 11).astype(float) * 2.0 ** -53
+
+
 def measure_sample(v: StateVector, rng: np.random.Generator) -> str:
     """One projective measurement in the computational basis.
 
@@ -178,15 +270,19 @@ def run_protocol(net: Network, schedule: DriveSchedule, shots: int, seed: int,
                  leak_model: str = "none") -> ProtocolResult:
     """Compute the final state once, measure each shot from it, and decide.
 
-    Shot i draws the uniform of `default_rng([seed, i])`, and every shot is
-    drawn from one cumulative distribution, so the samples are those of
-    `measure_sample` shot by shot.  If the final state raises
+    Shot i's uniform is still defined as the first `random()` of
+    `default_rng([seed, i])`; `_shot_uniforms` computes it for all shots at
+    once, without building a `Generator`.  Every shot is drawn from one
+    cumulative distribution, so the samples are those of `measure_sample`
+    shot by shot.  A negative seed, or more than 2^32 shots, raises
+    `ValueError` before anything is prepared.  If the final state raises
     `DegenerateDynamicsError`, every shot's sample is None.  The result
     reports the driven schedule: theta0 and phi_final as fixed by the
     preparation and the drive node's output pin.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    uniforms = _shot_uniforms(seed, shots)
     prep = prepare_ground(net, leak_model)
     schedule = _drive_schedule_for(net, prep, schedule)
     solutions = prep.mask.bits.copy()
@@ -203,8 +299,7 @@ def run_protocol(net: Network, schedule: DriveSchedule, shots: int, seed: int,
     else:
         # The sum of a contiguous masked copy, as a trajectory's alpha_sq.
         good_prob = float((np.abs(final) ** 2)[prep.mask.bits].sum())
-        pos = _draw(final, [np.random.default_rng([int(seed), shot]).random()
-                            for shot in range(shots)])
+        pos = _draw(final, uniforms)
         samples = tuple(index_assignment(net.nodes, k)
                         for k in prep.state.codes[pos].tolist())
         n_solutions = int(np.count_nonzero(solutions[pos]))

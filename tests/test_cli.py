@@ -1,4 +1,5 @@
 """Command-line behavior: exit codes, output contracts, determinism."""
+import hashlib
 import json
 import math
 import os
@@ -7,10 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from statnet import dynamics
-from statnet.cli import _COMMANDS, main
+from statnet.cli import _COMMANDS, DUMP_NODE_LIMIT, main
 
 CSV_HEADER = ("t,phi,p0,p1,alpha_sq,beta_sq,energy,step_overlap,"
               "deviation_from_closed_form")
@@ -71,8 +73,9 @@ def test_check_missing_file(capsys):
 
 
 @pytest.mark.parametrize("command,n_nodes,message", [
-    # One node past DEFAULT_NODE_LIMIT: refused before any 2^n array exists.
-    (["check", "--dump"], 25, "error: 25 nodes exceeds enumeration limit 24\n"),
+    # One node past DUMP_NODE_LIMIT: refused before any mask is built.
+    (["check", "--dump"], 17, "error: 17 nodes exceeds check --dump limit "
+                              "16\n"),
     # `run` stores only the support, here 2^25 states: refused before the
     # free nodes are expanded.
     (["run"], 26, "error: constrained support exceeds enumeration limit "
@@ -86,6 +89,15 @@ def test_dense_command_over_node_limit_exit_code(command, n_nodes, message,
     code, out, err = run_cli(command + ["--network", str(f)], capsys)
     assert (code, out) == (2, "")
     assert err == message
+
+
+def test_check_dump_at_its_node_limit(tmp_path, capsys):
+    f = tmp_path / "links.net"
+    f.write_text("nodes " + " ".join(f"n{i}" for i in range(DUMP_NODE_LIMIT))
+                 + "\nlink n0 -> n1\n")
+    code, out, err = run_cli(["check", "--network", str(f), "--dump"], capsys)
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["network_mask"]) == 2 ** DUMP_NODE_LIMIT
 
 
 def test_check_counts_solutions_past_the_dense_limit(tmp_path, capsys):
@@ -305,6 +317,53 @@ def test_run_seed_env_override(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 11
 
 
+@pytest.mark.parametrize("flag,env", [(["--seed", "-1"], None), ([], "-1")],
+                         ids=["flag", "env"])
+def test_run_negative_seed_exit_code(flag, env, capsys, monkeypatch):
+    # As `default_rng` refuses it; checked before the network is prepared.
+    if env is not None:
+        monkeypatch.setenv("STATNET_SEED", env)
+    code, out, err = run_cli(["run", "--network", "fig1"] + flag, capsys)
+    assert (code, out, err) == (2, "", "error: expected non-negative integer\n")
+
+
+def test_run_shots_past_one_entropy_word_exit_code(capsys):
+    code, out, err = run_cli(["run", "--shots", str(2 ** 32 + 1)], capsys)
+    assert (code, out, err) == (2, "", "error: shots must be <= 2**32\n")
+
+
+# sha256 of `run --network fig1` stdout, at the default seed 0.
+FIG1_RUN_DIGESTS = {
+    1: "9a87177a4040030d3a2a2c0e1c017757a8b885430c8208f9219791f7e3411448",
+    100: "2d34db058f33d943ec859407b7ef18a564141be5da13f404b07b7e0d3743e156",
+}
+
+
+@pytest.mark.parametrize("shots", sorted(FIG1_RUN_DIGESTS))
+def test_run_builds_no_generator(shots, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a decision built a numpy Generator")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    code, out, _ = run_cli(["run", "--network", "fig1", "--shots", str(shots)],
+                           capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FIG1_RUN_DIGESTS[shots]
+
+
+def test_run_process_never_imports_numpy_random():
+    # -X importtime lists every module the process imports, on stderr.
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m",
+                           "statnet.cli", "run", "--network", "fig1"],
+                          capture_output=True, text=True,
+                          env=src_first_env())
+    assert proc.returncode == 0
+    modules = {line.rsplit("|", 1)[-1].strip()
+               for line in proc.stderr.splitlines()}
+    assert "numpy" in modules
+    assert "numpy.random" not in modules
+
+
 def test_run_bad_env_seed(capsys, monkeypatch):
     monkeypatch.setenv("STATNET_SEED", "not-a-number")
     code, _, err = run_cli(["run", "--network", "fig1"], capsys)
@@ -400,6 +459,81 @@ def test_chain_leak_into_undemanded_sector_decides(tmp_path, capsys):
 
 # --- argument handling -------------------------------------------------------
 
+# The top-level usage line, which every error outside a subcommand prints.
+USAGE = ("usage: statnet [-h] "
+         "{check,solve-brute,simulate-link,simulate-triplet,run} ...\n")
+RUN_USAGE = (
+    "usage: statnet run [-h] [--network NETWORK] [--dt DT] [--tau TAU]\n"
+    "                   [--schedule {linear-ramp,cosine-ramp,exponential-relax}]\n"
+    "                   [--shots SHOTS] [--seed SEED]\n"
+    "                   [--leak {none,uniform-excited}] [--out OUT]\n")
+# argv, exit code, stdout, stderr: help and parse errors, byte for byte.
+PARSER_BYTES = [
+    (["--help"], 0,
+     USAGE + "\n"
+     "Watchdog-projection simulator for constrained Boolean networks deployed in\n"
+     "space.\n\n"
+     "positional arguments:\n"
+     "  {check,solve-brute,simulate-link,simulate-triplet,run}\n"
+     "    check               parse and report constraint statics\n"
+     "    solve-brute         every satisfying assignment, by joining the gate\n"
+     "                        tables\n"
+     "    simulate-link       watchdog evolution of a single inverting wire\n"
+     "    simulate-triplet    two-identical-particle symmetrizer demo\n"
+     "    run                 drive-relax-measure decision procedure\n\n"
+     "options:\n"
+     "  -h, --help            show this help message and exit\n", ""),
+    ([], 2, "",
+     USAGE + "statnet: error: the following arguments are required: command\n"),
+    (["bogus"], 2, "",
+     USAGE + "statnet: error: argument command: invalid choice: 'bogus' "
+             "(choose from 'check', 'solve-brute', 'simulate-link', "
+             "'simulate-triplet', 'run')\n"),
+    (["run", "--help"], 0,
+     RUN_USAGE + "\n"
+     "options:\n"
+     "  -h, --help            show this help message and exit\n"
+     "  --network NETWORK     path to a network DSL file, or a builtin name\n"
+     "                        (fig1|fig1-unsat)\n"
+     "  --dt DT               step size (default tau/1000)\n"
+     "  --tau TAU             total drive duration\n"
+     "  --schedule {linear-ramp,cosine-ramp,exponential-relax}\n"
+     "  --shots SHOTS\n"
+     "  --seed SEED\n"
+     "  --leak {none,uniform-excited}\n"
+     "  --out OUT             output path (default stdout)\n", ""),
+    (["run", "--dump"], 2, "",
+     USAGE + "statnet: error: unrecognized arguments: --dump\n"),
+    (["run", "extra"], 2, "",
+     USAGE + "statnet: error: unrecognized arguments: extra\n"),
+    (["run", "--shots", "x"], 2, "",
+     RUN_USAGE + "statnet run: error: argument --shots: invalid int value: "
+                 "'x'\n"),
+    (["check", "--shots", "3"], 2, "",
+     USAGE + "statnet: error: unrecognized arguments: --shots 3\n"),
+    (["solve-brute", "--network"], 2, "",
+     "usage: statnet solve-brute [-h] [--network NETWORK] [--out OUT]\n"
+     "statnet solve-brute: error: argument --network: expected one argument\n"),
+    (["simulate-triplet", "--drive", "p4"], 2, "",
+     "usage: statnet simulate-triplet [-h] [--dt DT] [--tau TAU]\n"
+     "                                [--schedule {linear-ramp,cosine-ramp,"
+     "exponential-relax}]\n"
+     "                                [--theta THETA] [--phi-final PHI_FINAL]\n"
+     "                                [--drive {p1,p2,both}] [--out OUT]\n"
+     "statnet simulate-triplet: error: argument --drive: invalid choice: 'p4' "
+     "(choose from 'p1', 'p2', 'both')\n"),
+]
+
+
+@pytest.mark.parametrize("args,code,out,err", PARSER_BYTES,
+                         ids=[" ".join(a) or "(none)" for a, *_ in PARSER_BYTES])
+def test_parser_help_and_error_bytes(args, code, out, err, capsys,
+                                     monkeypatch):
+    # argparse wraps help to the terminal width, which COLUMNS sets.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(args, capsys) == (code, out, err)
+
+
 def test_unknown_command_exit_code(capsys):
     assert main(["frobnicate"]) == 2
 
@@ -418,14 +552,17 @@ def test_flag_of_another_command_exit_code(args, capsys):
     assert main(args) == 2
 
 
-def test_console_script_installed():
-    # The subprocess finds the package in src/, as pytest's own imports do.
+def src_first_env():
+    """The environment with src/ first on PYTHONPATH, as pytest imports it."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "statnet.cli", "solve-brute",
                            "--network", "fig1"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=src_first_env())
     assert proc.returncode == 0
     assert proc.stdout == "11101011\n"
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from statnet import dynamics, protocol
 from statnet.cli import main
@@ -203,6 +203,24 @@ def test_measure_draws_what_rng_choice_draws(weights, seed):
         assert measure_sample(v, rng) == format(k, "02b")
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 140), st.integers(1, 2000))
+@example(2 ** 32 - 1, 3)
+@example(2 ** 32, 3)
+@example(2 ** 128, 3)
+def test_shot_uniforms_are_default_rng_first_draws(seed, shots):
+    # Seeds of one to five 32-bit words, shot indices of one.
+    reference = [np.random.default_rng([seed, s]).random() for s in range(shots)]
+    assert protocol._shot_uniforms(seed, shots).tolist() == reference
+
+
+def test_shot_uniforms_reject_a_negative_seed():
+    with pytest.raises(ValueError, match="non-negative"):
+        np.random.default_rng([-1, 0])
+    with pytest.raises(ValueError, match="non-negative"):
+        protocol._shot_uniforms(-1, 1)
+
+
 # --- full protocol -----------------------------------------------------------
 
 def test_protocol_fig1_satisfiable():
@@ -237,6 +255,13 @@ def test_protocol_soundness():
 def test_protocol_rejects_zero_shots():
     with pytest.raises(ValueError):
         run_protocol(builtin_fig1(), SCHED, shots=0, seed=0)
+
+
+def test_protocol_rejects_shot_indices_past_one_word(monkeypatch):
+    # Refused before anything is prepared or allocated.
+    monkeypatch.setattr(protocol, "prepare_ground", None)
+    with pytest.raises(ValueError, match=r"shots must be <= 2\*\*32"):
+        run_protocol(builtin_fig1(), SCHED, shots=2 ** 32 + 1, seed=0)
 
 
 def test_protocol_json_roundtrip_fields():
