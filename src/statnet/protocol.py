@@ -234,8 +234,9 @@ def _shot_uniforms(seed: int, shots: int) -> np.ndarray:
     state = (state ^ (state >> 16)).astype(np.uint64)
     init_hi, init_lo, seq_hi, seq_lo = state[0::2] | (state[1::2] << 32)
 
-    # Both products of _STEP_MULTS at once, mod 2^128, on 64-bit limbs: the
-    # low limbs' full product from 32-bit halves, plus the cross terms.
+    # Rows: the initial state and inc = (seq << 1) | 1, times _STEP_MULTS
+    # mod 2^128 on 64-bit limbs: the low limbs' full product from 32-bit
+    # halves, plus the cross terms.
     hi = np.array([init_hi, (seq_hi << 1) | (seq_lo >> 63)])
     lo = np.array([init_lo, (seq_lo << 1) | 1])
     lo_hi, lo_lo = lo >> 32, lo & _MASK32

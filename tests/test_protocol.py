@@ -214,13 +214,6 @@ def test_shot_uniforms_are_default_rng_first_draws(seed, shots):
     assert protocol._shot_uniforms(seed, shots).tolist() == reference
 
 
-def test_shot_uniforms_reject_a_negative_seed():
-    with pytest.raises(ValueError, match="non-negative"):
-        np.random.default_rng([-1, 0])
-    with pytest.raises(ValueError, match="non-negative"):
-        protocol._shot_uniforms(-1, 1)
-
-
 # --- full protocol -----------------------------------------------------------
 
 def test_protocol_fig1_satisfiable():
