@@ -17,12 +17,20 @@ the symmetrizer lags the closed form by O(dt).
 
 Both evolutions walk the grid in one loop (`_walk_grid`) and rescale the two
 drive sectors in one routine (`_rescale`); they differ only in the projection
-and in their diagnostics.  A `Trajectory` is a set of columns: the walk fills
-one amplitude matrix, one row per grid point, and each diagnostic is computed
-once over that matrix.  Per-row objects (`Trajectory.points`,
-`final_state`) are built only when a caller asks for them.  A decision needs
-only the final state of the diagonal-mask evolution; `final_amps` computes
-it from the stepper's invariant, without a trajectory.
+and in their diagnostics.  The recording stepper runs on Python complex
+numbers, one list per row, and repeats numpy's arithmetic on them operation
+for operation, so it gives the bits a numpy step would.  A `Trajectory` is a
+set of columns: the walk's rows become one amplitude matrix, and each
+diagnostic is computed once over that matrix.  Per-row objects
+(`Trajectory.points`, `final_state`) are built only when a caller asks for
+them.  A decision needs only the final state of the diagonal-mask evolution;
+`final_amps` computes it from the stepper's invariant, on numpy arrays,
+without a trajectory.
+
+No reduction goes to BLAS, whose summation order depends on the build and
+the CPU: every norm and inner product is a sum of real products in numpy's
+pairwise order (`_sum_sq`, `_step_overlaps`), which `_py_sum_sq` repeats on
+Python floats.
 """
 from __future__ import annotations
 
@@ -32,7 +40,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DegenerateDynamicsError
-from .fock import symmetrizer_two
 from .hilbert import StateVector
 from .statics import ConstraintMask
 
@@ -165,10 +172,56 @@ class Trajectory:
         return self.state(-1)
 
 
-def _norm(x: np.ndarray) -> float:
-    """`np.linalg.norm` of a complex vector: its operations, without its wrapper."""
+def _sum_sq(x: np.ndarray) -> np.ndarray:
+    """The sum of |x_i|^2 along the last axis of a complex array.
+
+    Each term is re*re + im*im, and `np.add.reduce` adds the terms in
+    numpy's pairwise order: left to right below 8 terms, in eight
+    interleaved partial sums up to 128, and by halves beyond.  That order
+    is numpy's own on every build, where a BLAS dot product's is not.
+    """
     re, im = x.real, x.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+    return np.add.reduce(re * re + im * im, axis=-1)
+
+
+def _norm(x: np.ndarray) -> float:
+    """The 2-norm of a complex vector, the square root of `_sum_sq`."""
+    return math.sqrt(_sum_sq(x))
+
+
+def _pairwise_sum(terms: list[float]) -> float:
+    """`np.add.reduce` of a float64 vector, in numpy's order, on Python floats.
+
+    Python's `sum` is not used: from Python 3.12 on it compensates rounding.
+    """
+    n = len(terms)
+    if n < 8:
+        total = 0.0
+        for x in terms:
+            total += x
+        return total
+    if n <= 128:
+        tail = n - n % 8
+        r = terms[:8]
+        for i in range(8, tail, 8):
+            r = [a + b for a, b in zip(r, terms[i:i + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in terms[tail:]:
+            total += x
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+
+
+def _py_sum_sq(amps: list[complex]) -> float:
+    """`_sum_sq` of a list of Python complex numbers, bit for bit."""
+    if len(amps) < 8:
+        # `_pairwise_sum`'s own loop, without building the list of terms.
+        total = 0.0
+        for z in amps:
+            total += z.real * z.real + z.imag * z.imag
+        return total
+    return _pairwise_sum([z.real * z.real + z.imag * z.imag for z in amps])
 
 
 def _refill_indices(idx: np.ndarray, allowed: np.ndarray,
@@ -190,27 +243,37 @@ def _refill_indices(idx: np.ndarray, allowed: np.ndarray,
         "state to refill")
 
 
-def _rescale(amps: np.ndarray, sectors: tuple[np.ndarray, np.ndarray],
+def _rescale(amps: list[complex], sectors: tuple[list[int], list[int]],
              targets: tuple[float, float], allowed: np.ndarray,
-             leak_model: str) -> np.ndarray:
+             leak_model: str) -> list[complex]:
     """Place each target mass on its drive sector, preserving direction and phase.
 
-    `sectors` holds the two sectors' positions in `amps`; `allowed` is the
-    boolean constraint mask over the same positions.  A demanded sector that
-    carries no mass is refilled at `_refill_indices`, which raises when there
-    is nowhere to refill.
+    `amps` and the result are lists of Python complex numbers; `sectors`
+    holds the two sectors' positions in `amps`, and `allowed` is the boolean
+    constraint mask over the same positions.  A sector is scaled as numpy
+    scales an array, `sqrt(target) * component / norm`: numpy divides a
+    complex number by a real one as a product with the reciprocal, and a
+    product with a real number, in numpy and in Python alike, adds only
+    products with zero to each part.  A demanded sector that carries no mass
+    is refilled at `_refill_indices`, which raises when there is nowhere to
+    refill.
     """
-    out = np.zeros(amps.size, dtype=complex)
+    out = [0j] * len(amps)
     for idx, target in zip(sectors, targets):
         if target <= _MASS_EPS:
             continue
-        component = amps[idx]
-        norm = _norm(component)
+        component = [amps[i] for i in idx]
+        norm = math.sqrt(_py_sum_sq(component))
         if norm > _MASS_EPS:
-            out[idx] = math.sqrt(target) * component / norm
+            scale, inverse = math.sqrt(target), 1 / norm
+            for i, z in zip(idx, component):
+                out[i] = z * scale * inverse
         else:
-            refill = _refill_indices(idx, allowed, leak_model)
-            out[refill] = math.sqrt(target / refill.size)
+            refill = _refill_indices(np.array(idx, dtype=np.int64), allowed,
+                                     leak_model).tolist()
+            value = complex(math.sqrt(target / len(refill)))
+            for i in refill:
+                out[i] = value
     return out
 
 
@@ -224,20 +287,34 @@ def _grid_times(schedule: DriveSchedule) -> np.ndarray:
 def _walk_grid(amps: np.ndarray, schedule: DriveSchedule, step):
     """Step over the schedule's grid from `amps`, keeping every row.
 
-    `step(prev, targets)` returns the next amplitudes for the sector targets
+    `step(prev, targets)` takes the previous row as a list of Python complex
+    numbers and returns the next one as such a list, for the sector targets
     at the step's end time.  Returns the columns t, phi, the amplitude matrix
     (row 0 is `amps`) and step_overlap.
     """
     t = [0.0] + _grid_times(schedule).tolist()
     phi = [schedule.phi(x) for x in t]
-    rows = np.empty((len(t), amps.size), dtype=complex)
-    rows[0] = amps
-    overlap = np.ones(len(t))
-    for k in range(1, len(t)):
-        prev = rows[k - 1]
-        rows[k] = new = step(prev, _targets_at(schedule.theta0 + phi[k]))
-        overlap[k] = abs(np.vdot(new, prev))
-    return np.array(t), np.array(phi), rows, overlap
+    rows = [amps.tolist()]
+    for angle in phi[1:]:
+        rows.append(step(rows[-1], _targets_at(schedule.theta0 + angle)))
+    matrix = np.array(rows, dtype=complex)
+    return np.array(t), np.array(phi), matrix, _step_overlaps(matrix)
+
+
+def _step_overlaps(amps: np.ndarray) -> np.ndarray:
+    """|<row k|row k-1>| for each row k of an amplitude matrix, and 1 at row 0.
+
+    Term i of the inner product is conj(new_i) * prev_i, written out as real
+    products (numpy's complex product may fuse them into one FMA on one CPU
+    and not on another); each part is added in numpy's pairwise order, left
+    to right below 8 entries, and the modulus is `hypot`, as Python's `abs`
+    of a complex number takes it.
+    """
+    re, im = amps.real, amps.imag
+    new_re, new_im, prev_re, prev_im = re[1:], im[1:], re[:-1], im[:-1]
+    dot_re = np.add.reduce(new_re * prev_re + new_im * prev_im, axis=-1)
+    dot_im = np.add.reduce(new_re * prev_im - new_im * prev_re, axis=-1)
+    return np.concatenate(([1.0], np.hypot(dot_re, dot_im)))
 
 
 def evolve(psi0: StateVector, mask: ConstraintMask, drive_node: str,
@@ -253,16 +330,20 @@ def evolve(psi0: StateVector, mask: ConstraintMask, drive_node: str,
     it allows and `energy` the mass on those it forbids, its penalty at unit
     energy.  Condition (i), the projection onto the mask, is only enforced
     when `enforce_mask` is set (the no-mask variant exists to demonstrate
-    when the projection is and is not redundant).  A caller that needs only
-    the final state computes it with `final_amps`, without stepping.
+    when the projection is and is not redundant).  The steps run on Python
+    complex numbers and give the bits of the same steps on numpy arrays.  A
+    caller that needs only the final state computes it with `final_amps`,
+    without stepping.
     """
     if mask.bits.shape != psi0.amps.shape:
         raise ValueError("mask dimension mismatch")
-    sectors = psi0.sectors(drive_node)
+    sectors = tuple(idx.tolist() for idx in psi0.sectors(drive_node))
     allowed = mask.bits if enforce_mask else np.ones(psi0.amps.size, dtype=bool)
+    keep = allowed.tolist()
 
     def step(prev, targets):
-        return _rescale(prev * allowed, sectors, targets, allowed, leak_model)
+        projected = [z if a else 0j for z, a in zip(prev, keep)]
+        return _rescale(projected, sectors, targets, allowed, leak_model)
 
     t, phi, amps, overlap = _walk_grid(psi0.amps, schedule, step)
     # Each column reduces a contiguous copy of its entries row by row, as a
@@ -372,11 +453,23 @@ def q_rs_apply(phi: float, v: StateVector) -> StateVector:
     if (v.dim, v.amps.size) != (4, 4):
         raise ValueError("q_rs_apply acts on 2-qubit states")
     c, s = math.cos(phi), math.sin(phi)
-    q = np.array([[1, 0, 0, 0],
-                  [0, c, -s, 0],
-                  [0, s, c, 0],
-                  [0, 0, 0, 1]], dtype=complex)
-    return StateVector(v.node_order, q @ v.amps)
+    a00, a01, a10, a11 = v.amps.tolist()
+    return StateVector(v.node_order,
+                       [a00, c * a01 - s * a10, s * a01 + c * a10, a11])
+
+
+def _symmetrize(amps):
+    """`fock.symmetrizer_two()` applied to the amplitudes of |00>, |01>, |10>, |11>.
+
+    `amps` holds four numbers, or four columns of them; the result is a
+    list of four.  (1 + P_12)/2 keeps |00> and |11> and gives |01> and |10>
+    the mean of the two, 0.5*a01 + 0.5*a10: halving is exact above the
+    subnormal range, so this is the matrix product's value in any summation
+    order.
+    """
+    a00, a01, a10, a11 = amps
+    mean = 0.5 * a01 + 0.5 * a10
+    return [a00, mean, mean, a11]
 
 
 def triplet_watchdog_demo(theta: float, schedule: DriveSchedule,
@@ -388,27 +481,34 @@ def triplet_watchdog_demo(theta: float, schedule: DriveSchedule,
     the reduced diagonals of both particles, so the three choices produce one
     and the same trajectory.  A sector that loses all its mass while its
     target is positive raises `DegenerateDynamicsError`; the demo space has no
-    constraint to refill it from.
+    constraint to refill it from.  The fixed point runs on Python complex
+    numbers and gives the bits of the same iteration on numpy arrays; its
+    stopping test is unchanged (`_FIXPOINT_TOL`, and a
+    `DegenerateDynamicsError` after `_FIXPOINT_MAX_ITER` iterations).
+    `alpha_sq` is min(|S row|^2, 1) for the symmetrizer S, the norm squared
+    as a product.
     """
     if drive not in ("p1", "p2", "both"):
         raise ValueError("drive must be 'p1', 'p2', or 'both'")
     if not 0 < theta < math.pi / 2:
         raise ValueError("theta must lie strictly inside (0, pi/2)")
     schedule = replace(schedule, theta0=theta)
-    sym = symmetrizer_two().matrix
     psi0 = closed_form_triplet(theta, 0.0)
     # The drive sectors of p1 and of p2; nothing is allowed as a refill.
-    particles = (psi0.sectors("p1"), psi0.sectors("p2"))
+    particles = tuple(tuple(idx.tolist() for idx in psi0.sectors(p))
+                      for p in ("p1", "p2"))
     no_refill = np.zeros(4, dtype=bool)
 
-    def step(prev: np.ndarray, targets: tuple[float, float]) -> np.ndarray:
+    def step(prev: list[complex], targets: tuple[float, float]) -> list[complex]:
         current = prev
         for _ in range(_FIXPOINT_MAX_ITER):
-            nxt = sym @ current
-            nxt = nxt / _norm(nxt)
+            nxt = _symmetrize(current)
+            inverse = 1 / math.sqrt(_py_sum_sq(nxt))
+            nxt = [z * inverse for z in nxt]
             for sectors in particles:
                 nxt = _rescale(nxt, sectors, targets, no_refill, "none")
-            if _norm(nxt - current) < _FIXPOINT_TOL:
+            change = [a - b for a, b in zip(nxt, current)]
+            if math.sqrt(_py_sum_sq(change)) < _FIXPOINT_TOL:
                 return nxt
             current = nxt
         raise DegenerateDynamicsError(
@@ -417,7 +517,9 @@ def triplet_watchdog_demo(theta: float, schedule: DriveSchedule,
 
     t, phi, amps, overlap = _walk_grid(psi0.amps, schedule, step)
     probs = np.abs(amps) ** 2
-    alpha_sq = np.array([min(_norm(sym @ row) ** 2, 1.0) for row in amps])
+    # Python's x ** 2 calls C pow, which is not always correctly rounded.
+    norms = np.sqrt(_sum_sq(np.stack(_symmetrize(amps.T), axis=-1)))
+    alpha_sq = np.minimum(norms * norms, 1.0)
     return Trajectory(
         schedule, psi0.node_order, psi0.codes, t, phi, amps,
         p0=probs.take(particles[0][0], axis=1).sum(axis=1),

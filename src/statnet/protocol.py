@@ -301,8 +301,10 @@ def run_protocol(net: Network, schedule: DriveSchedule, shots: int, seed: int,
         # The sum of a contiguous masked copy, as a trajectory's alpha_sq.
         good_prob = float((np.abs(final) ** 2)[prep.mask.bits].sum())
         pos = _draw(final, uniforms)
-        samples = tuple(index_assignment(net.nodes, k)
-                        for k in prep.state.codes[pos].tolist())
+        drawn = prep.state.codes[pos].tolist()
+        # Each distinct drawn state is formatted once.
+        names = {k: index_assignment(net.nodes, k) for k in set(drawn)}
+        samples = tuple(map(names.__getitem__, drawn))
         n_solutions = int(np.count_nonzero(solutions[pos]))
 
     if n_solutions > 0:

@@ -1,5 +1,8 @@
 """Watchdog stepping, drive schedules, and the two closed-form references."""
+import ast
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -504,6 +507,15 @@ def test_closed_form_scan_calls_scalar_targets_a_constant_number_of_times(
     assert np.abs(final - closed_form_link(0.3, 0.9).amps).max() <= 1e-14
 
 
+def row_overlap(new, prev):
+    """|<new|prev>| of two rows: the real and imaginary parts of
+    sum conj(new_i) * prev_i as real products, each added as numpy adds one
+    row, and the modulus by hypot."""
+    dot_re = np.add.reduce(new.real * prev.real + new.imag * prev.imag)
+    dot_im = np.add.reduce(new.real * prev.imag - new.imag * prev.real)
+    return abs(complex(dot_re, dot_im))
+
+
 def assert_columns_are_row_formulas(traj, sectors, alpha_of, energy_of):
     """Every column equals, bit for bit, its formula applied to one row."""
     for k, amps in enumerate(traj.amps):
@@ -514,7 +526,7 @@ def assert_columns_are_row_formulas(traj, sectors, alpha_of, energy_of):
         assert traj.alpha_sq[k] == alpha_of(amps, probs)
         assert traj.beta_sq[k] == 1.0 - traj.alpha_sq[k]
         assert traj.energy[k] == energy_of(amps, probs)
-        overlap = abs(np.vdot(amps, traj.amps[k - 1])) if k else 1.0
+        overlap = row_overlap(amps, traj.amps[k - 1]) if k else 1.0
         assert traj.step_overlap[k] == overlap
     for column in (traj.amps, traj.t, traj.phi, traj.p0, traj.p1,
                    traj.alpha_sq, traj.beta_sq, traj.energy,
@@ -562,8 +574,227 @@ def test_triplet_columns_match_row_formulas(theta, kind, phi_final, n_steps):
     sym = symmetrizer_two().matrix
 
     def alpha_of(amps, probs):
-        return min(float(np.linalg.norm(sym @ amps) ** 2), 1.0)
+        norm = math.sqrt(left_to_right_sum_sq(sym @ amps))
+        return min(norm * norm, 1.0)
 
     assert_columns_are_row_formulas(
         traj, traj.final_state.sectors("p1"), alpha_of,
         energy_of=lambda amps, probs: 1.0 - alpha_of(amps, probs))
+
+
+# --- the float stepper against numpy steps, and no BLAS ----------------------
+
+def left_to_right_sum_sq(amps):
+    """The sum of re^2 + im^2 over complex numbers, added left to right."""
+    total = 0.0
+    for z in amps:
+        z = complex(z)
+        total += z.real * z.real + z.imag * z.imag
+    return total
+
+
+def reference_norm(x):
+    """`_norm` as one numpy reduction: numpy's pairwise sum of re^2 + im^2."""
+    return math.sqrt(np.add.reduce(x.real * x.real + x.imag * x.imag))
+
+
+def reference_rescale(amps, sectors, targets, allowed, leak_model):
+    """The rescale on numpy arrays that the float stepper replaces."""
+    out = np.zeros(amps.size, dtype=complex)
+    for idx, target in zip(sectors, targets):
+        if target <= dynamics._MASS_EPS:
+            continue
+        component = amps[idx]
+        norm = reference_norm(component)
+        if norm > dynamics._MASS_EPS:
+            out[idx] = math.sqrt(target) * component / norm
+        else:
+            refill = dynamics._refill_indices(idx, allowed, leak_model)
+            out[refill] = math.sqrt(target / refill.size)
+    return out
+
+
+def reference_rows(amps, schedule, step):
+    """Step `amps` over the schedule's grid on numpy arrays, keeping every row."""
+    rows = [amps]
+    for t in dynamics._grid_times(schedule).tolist():
+        rows.append(step(rows[-1], schedule_targets(schedule, t)))
+    return np.array(rows)
+
+
+def reference_evolve_rows(psi0, mask, drive, schedule, leak_model,
+                          enforce_mask):
+    sectors = psi0.sectors(drive)
+    allowed = mask.bits if enforce_mask else np.ones(mask.dim, dtype=bool)
+    return reference_rows(psi0.amps, schedule, lambda prev, targets:
+                          reference_rescale(prev * allowed, sectors, targets,
+                                            allowed, leak_model))
+
+
+def reference_triplet_rows(theta, schedule):
+    schedule = replace(schedule, theta0=theta)
+    sym = symmetrizer_two().matrix
+    psi0 = closed_form_triplet(theta, 0.0)
+    particles = (psi0.sectors("p1"), psi0.sectors("p2"))
+    no_refill = np.zeros(4, dtype=bool)
+
+    def step(prev, targets):
+        current = prev
+        for _ in range(dynamics._FIXPOINT_MAX_ITER):
+            nxt = sym @ current
+            nxt = nxt / reference_norm(nxt)
+            for sectors in particles:
+                nxt = reference_rescale(nxt, sectors, targets, no_refill,
+                                        "none")
+            if reference_norm(nxt - current) < dynamics._FIXPOINT_TOL:
+                return nxt
+            current = nxt
+        raise DegenerateDynamicsError(
+            f"symmetrizer fixed point did not converge in "
+            f"{dynamics._FIXPOINT_MAX_ITER} iterations")
+
+    return reference_rows(psi0.amps, schedule, step)
+
+
+def assert_same_outcome(rows, reference_rows):
+    """Equal rows bit for bit, or the same `DegenerateDynamicsError` message."""
+    def outcome(compute):
+        try:
+            return compute()
+        except DegenerateDynamicsError as exc:
+            return str(exc)
+
+    got, want = outcome(rows), outcome(reference_rows)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert np.array_equal(got, want)
+
+
+@given(closed_form_cases())
+@settings(max_examples=200, deadline=None)
+# Sector r=0 holds no allowed state and its target is positive: both raise.
+@example((closed_form_link(0.3, 0.0), ConstraintMask(4, np.array([0, 0, 1, 0])),
+          "r", linear(0.0, math.pi / 2, dt=0.5), "none", True))
+def test_evolve_rows_equal_numpy_reference_steps(case):
+    psi0, mask, drive, schedule, leak_model, enforce_mask = case
+    assert_same_outcome(
+        lambda: evolve(psi0, mask, drive, schedule, leak_model=leak_model,
+                       enforce_mask=enforce_mask).amps,
+        lambda: reference_evolve_rows(psi0, mask, drive, schedule, leak_model,
+                                      enforce_mask))
+
+
+@given(st.floats(min_value=0.01, max_value=math.pi / 2 - 0.01),
+       st.sampled_from(dynamics.SCHEDULE_KINDS),
+       crossing_angles | st.floats(-2 * math.pi, 2 * math.pi),
+       st.integers(1, 40))
+@settings(max_examples=100, deadline=None)
+# From pi/4 the p0 target falls to zero and is demanded again: both raise.
+@example(math.pi / 4, "linear-ramp", math.pi / 2, 10)
+def test_triplet_rows_equal_numpy_reference_steps(theta, kind, phi_final,
+                                                  n_steps):
+    schedule = DriveSchedule(kind=kind, phi_final=phi_final, tau=1.0,
+                             dt=1.0 / n_steps)
+    assert_same_outcome(
+        lambda: triplet_watchdog_demo(theta, schedule).amps,
+        lambda: reference_triplet_rows(theta, schedule))
+
+
+def test_triplet_fixed_point_cap_message_equals_reference(monkeypatch):
+    monkeypatch.setattr(dynamics, "_FIXPOINT_MAX_ITER", 1)
+    schedule = linear(0.3, 0.1, dt=1e-2)
+    assert_same_outcome(lambda: triplet_watchdog_demo(0.3, schedule).amps,
+                        lambda: reference_triplet_rows(0.3, schedule))
+
+
+# Real and imaginary parts over many orders of magnitude, squares finite.
+parts = st.sampled_from((0.0, 1.0, -0.5)) | st.floats(-1e100, 1e100)
+complex_lists = st.lists(st.builds(complex, parts, parts), min_size=1,
+                         max_size=7)
+
+
+@given(complex_lists)
+@settings(max_examples=300, deadline=None)
+def test_norm_is_a_left_to_right_sum_below_eight_entries(amps):
+    x = np.array(amps, dtype=complex)
+    assert dynamics._norm(x) == math.sqrt(left_to_right_sum_sq(amps))
+    assert dynamics._py_sum_sq(amps) == left_to_right_sum_sq(amps)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 15, 16, 17, 127, 128, 129,
+                               255, 256, 300, 1000, 4099])
+def test_pairwise_sum_is_numpy_add_reduce(n):
+    rng = np.random.default_rng(n)
+    terms = rng.random(n) * 10.0 ** rng.integers(-8, 9, n)
+    assert dynamics._pairwise_sum(terms.tolist()) == np.add.reduce(terms)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    assert dynamics._py_sum_sq(x.tolist()) == dynamics._sum_sq(x)
+
+
+@given(st.integers(1, 7).flatmap(lambda width: st.lists(
+    st.lists(st.builds(complex, parts, parts), min_size=width,
+             max_size=width), min_size=2, max_size=5)))
+@settings(max_examples=200, deadline=None)
+def test_step_overlap_is_a_left_to_right_sum_below_eight_entries(rows):
+    overlaps = dynamics._step_overlaps(np.array(rows, dtype=complex))
+    assert overlaps[0] == 1.0
+    for k in range(1, len(rows)):
+        dot_re = dot_im = 0.0
+        for new, prev in zip(rows[k], rows[k - 1]):
+            dot_re += new.real * prev.real + new.imag * prev.imag
+            dot_im += new.real * prev.imag - new.imag * prev.real
+        assert overlaps[k] == abs(complex(dot_re, dot_im))
+
+
+# Halving is exact above the subnormal range.
+normal_parts = st.sampled_from((0.0, 1.0, -0.5)) | st.floats(
+    -1e100, 1e100).filter(lambda v: abs(v) > 1e-300)
+
+
+@given(st.lists(st.builds(complex, normal_parts, normal_parts), min_size=4,
+                max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_symmetrize_is_the_symmetrizer(amps):
+    x = np.array(amps, dtype=complex)
+    sym = symmetrizer_two().matrix
+    assert np.array_equal(dynamics._symmetrize(x.tolist()), sym @ x)
+    rows = np.stack([x, x[::-1]])
+    assert np.array_equal(np.stack(dynamics._symmetrize(rows.T), axis=-1),
+                          rows @ sym.T)
+
+
+# numpy names that reach BLAS (or its LAPACK) for float and complex arrays.
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum",
+              "linalg"}
+
+
+def blas_uses(source):
+    """The `@` operators and BLAS-backed names in a module's source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) \
+                and isinstance(node.op, ast.MatMult):
+            found.append(f"@ at line {node.lineno}")
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append(f".{node.attr} at line {node.lineno}")
+        elif isinstance(node, ast.Name) and node.id in BLAS_NAMES:
+            found.append(f"{node.id} at line {node.lineno}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""]
+            names += [alias.name for alias in node.names]
+            found += [f"import {name} at line {node.lineno}"
+                      for name in names
+                      if BLAS_NAMES & set(name.split("."))]
+    return found
+
+
+def test_blas_uses_finds_each_form():
+    source = ("import numpy.linalg\nfrom numpy import vdot\n"
+              "a @ b\nc @= d\nx.dot(y)\nnp.matmul(a, b)\n")
+    assert len(blas_uses(source)) == 6
+
+
+def test_dynamics_calls_no_blas():
+    assert blas_uses(Path(dynamics.__file__).read_text()) == []

@@ -42,24 +42,24 @@ GOLDEN = [
     (("run", "--shots", "100", "--network", "fig1-unsat", "--schedule", "exponential-relax", "--leak", "uniform-excited"),
      1, "434233382c4116f6aef185fb87e7a03fda92b0de66236b4847ffe6e78211880a"),
     (("simulate-link", "--theta", "0.3"),
-     0, "c84bc02055d72792685fab547711a5276199c2a923e8a851e3b64784b277b3fb"),
+     0, "2fd0af3991542cd2f3866a7a942e4e0c337585abd3a270e611979294b7a155da"),
     (("simulate-link", "--theta", "0", "--schedule", "cosine-ramp"),
-     0, "e075286320511f43f0ff44a2ee64a78ab80f12296b08823282756a7bc6a4e6d2"),
+     0, "9d74888d0be407609daf31cff0acce0d872bfb9a6945c872ca5a5a4370452b0e"),
     (("simulate-link", "--theta", "0", "--schedule", "cosine-ramp", "--no-mask"),
-     0, "31e108dd16cc4fe469325e8bac3e45630f4982ddd39bdd6b75589bb6233efc2a"),
+     0, "906f103f4e21a537818c1711c4160cb26615608c968729f305e1b82b597dc4ff"),
     (("simulate-link", "--theta", "0", "--schedule", "cosine-ramp", "--no-mask", "--leak", "uniform-excited"),
      2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (("simulate-triplet", "--theta", "0.3"),
-     0, "119d0291638be27a9b291e316021fa6f28f0f6f8485f790dac37d416bd2edf5c"),
+     0, "8c12c7d69df15f0286a90674edf60277ec02026fc22ae657693f7edcbbdb5931"),
     (("simulate-triplet", "--theta", "0.785398163397448", "--phi-final", "1.5707963267948966", "--dt", "0.1"),
      2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     # The benchmark-scale traces: 10^4 recorded rows each.
     (("simulate-link", "--theta", "0.3", "--dt", "1e-4"),
-     0, "b8d93bc251d976c668d1b2f709cda2a3f3efccd41afc65dd9b4a85d3e9b0bea9"),
+     0, "a203e402ac82bcfd7f6509565e222be27ecc4a52131e044d218b1c2cd2547b5e"),
     (("simulate-triplet", "--theta", "0.3", "--dt", "1e-4"),
-     0, "789eb1ac5fdff58013a3385b5d1c33ee1ef839d89bf7ad7659e8ab326e919c23"),
+     0, "04761020b1e42d2ba12fd377cebe2219aafffdae2c1b77fcc33d1255a20b973b"),
     (("simulate-triplet", "--theta", "0.2", "--schedule", "exponential-relax", "--dt", "1e-4"),
-     0, "276fac651d767a154f88c898b34faa84e886a8d7c345aee7c070fa2b61a8c187"),
+     0, "9ad420bb1d7ab6e1a7b46a7cf616996a5699f1114c793bb00f8fdc2c46814444"),
 ]
 
 

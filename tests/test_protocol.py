@@ -9,7 +9,13 @@ from statnet import dynamics, protocol
 from statnet.cli import main
 from statnet.dynamics import DriveSchedule, evolve, final_amps
 from statnet.errors import DegenerateDynamicsError, UnpreparableNetworkError
-from statnet.hilbert import StateVector, basis_index, basis_state, reduced_diag
+from statnet.hilbert import (
+    StateVector,
+    basis_index,
+    basis_state,
+    index_assignment,
+    reduced_diag,
+)
 from statnet.network import (
     Gate,
     Network,
@@ -243,6 +249,26 @@ def test_protocol_soundness():
     res = run_protocol(net, SCHED, shots=10, seed=3)
     for s in res.samples:
         assert assignment_satisfies(net, s, include_pins=True)
+
+
+# Three independent links driven on the last: the final state spreads over
+# the four assignments of the free links.
+THREE_LINKS = parse_network("nodes x0 y0 x1 y1 x2 y2\nlink x0 -> y0\n"
+                            "link x1 -> y1\nlink x2 -> y2\n"
+                            "fix y2=1 output\ndrive y2\n")
+
+
+@pytest.mark.parametrize("shots", [1, 100, 10 ** 4])
+def test_samples_equal_per_shot_formatting(shots):
+    res = run_protocol(THREE_LINKS, SCHED, shots=shots, seed=5)
+    prep = prepare_ground(THREE_LINKS)
+    final = final_amps(prep.state.amps, prep.mask.bits,
+                       prep.state.sectors(THREE_LINKS.drive_node),
+                       res.schedule, "none")
+    pos = protocol._draw(final, protocol._shot_uniforms(5, shots))
+    assert res.samples == tuple(index_assignment(THREE_LINKS.nodes, k)
+                                for k in prep.state.codes[pos].tolist())
+    assert len(set(res.samples)) == min(shots, 4)
 
 
 def test_protocol_rejects_zero_shots():
