@@ -51,9 +51,10 @@ def _trace_csv(traj: dynamics.Trajectory, amps_at) -> str:
     the closed form, whose amplitudes at total angle a are `amps_at(a)`."""
     reference = np.array([amps_at(traj.schedule.theta0 + phi)
                           for phi in traj.phi.tolist()], dtype=complex)
+    deviation = traj.amps - reference
     columns = (traj.t, traj.phi, traj.p0, traj.p1, traj.alpha_sq,
                traj.beta_sq, traj.energy, traj.step_overlap,
-               np.abs(traj.amps - reference).max(axis=1))
+               np.hypot(deviation.real, deviation.imag).max(axis=1))
     # %-formatting a float at .17g gives the bytes of format(x, ".17g").
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     return ("t,phi,p0,p1,alpha_sq,beta_sq,energy,step_overlap,"

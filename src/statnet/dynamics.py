@@ -29,8 +29,9 @@ without a trajectory.
 
 No reduction goes to BLAS, whose summation order depends on the build and
 the CPU: every norm and inner product is a sum of real products in numpy's
-pairwise order (`_sum_sq`, `_step_overlaps`), which `_py_sum_sq` repeats on
-Python floats.
+pairwise order (`_sum_sq`, `_step_overlaps`), and every probability is
+`hilbert.probabilities`, re*re + im*im.  `_py_sum_sq` adds a short list of
+Python complex numbers left to right, as numpy adds fewer than 8 terms.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DegenerateDynamicsError
-from .hilbert import StateVector
+from .hilbert import StateVector, probabilities
 from .statics import ConstraintMask
 
 SCHEDULE_KINDS = ("linear-ramp", "cosine-ramp", "exponential-relax")
@@ -173,15 +174,14 @@ class Trajectory:
 
 
 def _sum_sq(x: np.ndarray) -> np.ndarray:
-    """The sum of |x_i|^2 along the last axis of a complex array.
+    """The sum of `probabilities(x)` along the last axis.
 
-    Each term is re*re + im*im, and `np.add.reduce` adds the terms in
-    numpy's pairwise order: left to right below 8 terms, in eight
-    interleaved partial sums up to 128, and by halves beyond.  That order
-    is numpy's own on every build, where a BLAS dot product's is not.
+    `np.add.reduce` adds the terms in numpy's pairwise order: left to right
+    below 8 terms, in eight interleaved partial sums up to 128, and by
+    halves beyond.  That order is numpy's own on every build, where a BLAS
+    dot product's is not.
     """
-    re, im = x.real, x.imag
-    return np.add.reduce(re * re + im * im, axis=-1)
+    return np.add.reduce(probabilities(x), axis=-1)
 
 
 def _norm(x: np.ndarray) -> float:
@@ -189,39 +189,16 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(_sum_sq(x))
 
 
-def _pairwise_sum(terms: list[float]) -> float:
-    """`np.add.reduce` of a float64 vector, in numpy's order, on Python floats.
-
-    Python's `sum` is not used: from Python 3.12 on it compensates rounding.
-    """
-    n = len(terms)
-    if n < 8:
-        total = 0.0
-        for x in terms:
-            total += x
-        return total
-    if n <= 128:
-        tail = n - n % 8
-        r = terms[:8]
-        for i in range(8, tail, 8):
-            r = [a + b for a, b in zip(r, terms[i:i + 8])]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for x in terms[tail:]:
-            total += x
-        return total
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-
-
 def _py_sum_sq(amps: list[complex]) -> float:
-    """`_sum_sq` of a list of Python complex numbers, bit for bit."""
-    if len(amps) < 8:
-        # `_pairwise_sum`'s own loop, without building the list of terms.
-        total = 0.0
-        for z in amps:
-            total += z.real * z.real + z.imag * z.imag
-        return total
-    return _pairwise_sum([z.real * z.real + z.imag * z.imag for z in amps])
+    """`_sum_sq` of a list of Python complex numbers, bit for bit: below 8
+    terms numpy adds left to right, as this loop does (Python's `sum`
+    compensates rounding from 3.12 on), and a longer list goes to `_sum_sq`."""
+    if len(amps) >= 8:
+        return float(_sum_sq(np.array(amps, dtype=complex)))
+    total = 0.0
+    for z in amps:
+        total += z.real * z.real + z.imag * z.imag
+    return total
 
 
 def _refill_indices(idx: np.ndarray, allowed: np.ndarray,
@@ -348,7 +325,7 @@ def evolve(psi0: StateVector, mask: ConstraintMask, drive_node: str,
     t, phi, amps, overlap = _walk_grid(psi0.amps, schedule, step)
     # Each column reduces a contiguous copy of its entries row by row, as a
     # one-dimensional sum of one row would.
-    probs = np.abs(amps) ** 2
+    probs = probabilities(amps)
     return Trajectory(
         schedule, psi0.node_order, psi0.codes, t, phi, amps,
         p0=probs.take(sectors[0], axis=1).sum(axis=1),
@@ -516,7 +493,7 @@ def triplet_watchdog_demo(theta: float, schedule: DriveSchedule,
             f"{_FIXPOINT_MAX_ITER} iterations")
 
     t, phi, amps, overlap = _walk_grid(psi0.amps, schedule, step)
-    probs = np.abs(amps) ** 2
+    probs = probabilities(amps)
     # Python's x ** 2 calls C pow, which is not always correctly rounded.
     norms = np.sqrt(_sum_sq(np.stack(_symmetrize(amps.T), axis=-1)))
     alpha_sq = np.minimum(norms * norms, 1.0)

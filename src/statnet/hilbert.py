@@ -5,7 +5,8 @@ the C-order ravel of the `(2,)*n` basis tensor whose axis i is the i-th
 declared node, so the first declared node is the most significant bit.  A
 state stores its amplitudes only on its `codes`, the ascending basis codes
 outside which it is zero; by default that is all 2^n of them.
-`node_bit` is the one place that turns a node into its bit of a code.
+`node_bit` is the one place that turns a node into its bit of a code, and
+`probabilities` the one place that turns amplitudes into probabilities.
 All values are immutable after construction and all operations are pure
 functions.  Constructors always copy the caller's arrays and freeze the
 copies, so no two states share an array.
@@ -24,6 +25,13 @@ def node_bit(node_order: tuple[str, ...], node: str) -> int:
     except ValueError:
         raise ValueError(f"unknown node {node!r}") from None
     return 1 << (len(node_order) - 1 - index)
+
+
+def probabilities(amps: np.ndarray) -> np.ndarray:
+    """|a|^2 of each amplitude as re*re + im*im, for any shape: unlike numpy's
+    complex `abs`, a SIMD loop, its bits do not depend on the CPU."""
+    re, im = amps.real, amps.imag
+    return re * re + im * im
 
 
 def _checked_codes(codes, n_nodes: int) -> np.ndarray:
@@ -76,7 +84,7 @@ class StateVector:
         return len(self.node_order)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        return float(np.sqrt(np.add.reduce(probabilities(self.amps))))
 
     def sectors(self, node: str) -> tuple[np.ndarray, np.ndarray]:
         """Ascending positions in `amps` of the codes where `node` reads 0, and 1."""
@@ -120,7 +128,7 @@ def basis_state(node_order: tuple[str, ...], assignment: str) -> StateVector:
 def reduced_diag(v: StateVector, node: str) -> SectorDiag:
     """Diagonal of the partial trace over all nodes but `node`."""
     sector0, sector1 = v.sectors(node)
-    probs = np.abs(v.amps) ** 2
+    probs = probabilities(v.amps)
     p1 = float(probs[sector1].sum())
     p0 = float(probs[sector0].sum())
     return SectorDiag(node, p0, p1)

@@ -133,7 +133,7 @@ _GATE_RE = re.compile(
 _LINK_RE = re.compile(r"link\s+(\w+)\s*->\s*(\w+)\s*$")
 _FIX_RE = re.compile(r"fix\s+(\w+)\s*=\s*(\S+)(?:\s+(input|output))?\s*$")
 _DRIVE_RE = re.compile(r"drive\s+(\w+)\s*$")
-_ROW_RE = re.compile(r"([01]+)\s*->\s*([01]+)\s*$")
+_ROW_RE = re.compile(r"([01]*)\s*->\s*([01]*)\s*$")
 
 
 def _split_names(raw: str) -> tuple[str, ...]:

@@ -11,10 +11,10 @@ drive node's output pin asks for, for which preparation stores that whole
 sector as well.  The evolution is deterministic and only its end is
 measured, so a decision computes the final state once, without stepping
 (`dynamics.final_amps`): the drive has moved the drive node's sector mass
-onto the pinned output value.  Measuring is one cumulative distribution over
-the final state's stored amplitudes, built once, and one seeded uniform per
-shot searched against it; each sample is checked offline against the full
-constraint set by its stored position.  Shot i's uniform is still defined as
+onto the pinned output value.  Measuring is one cumulative distribution of
+the final state's `hilbert.probabilities`, built once, and one seeded uniform
+per shot searched against it; each sample is checked offline against the
+full constraint set by its stored position.  Shot i's uniform is still defined as
 the first `random()` of `np.random.default_rng([seed, i])`, but it is
 computed for all shots at once, by numpy's seeding and PCG64 arithmetic on
 arrays (`_shot_uniforms`), so a decision builds no `Generator`.
@@ -29,7 +29,8 @@ import numpy as np
 
 from .dynamics import DriveSchedule, final_amps
 from .errors import DegenerateDynamicsError, UnpreparableNetworkError
-from .hilbert import StateVector, index_assignment, node_bit, reduced_diag
+from .hilbert import (StateVector, index_assignment, node_bit, probabilities,
+                      reduced_diag)
 from .network import Network, check_enumerable, render
 from .statics import ConstraintMask, support
 
@@ -178,7 +179,7 @@ def _draw(amps: np.ndarray, uniforms: float | np.ndarray):
     number of uniforms.  Like `choice`, it raises `ValueError` unless the
     total probability is finite and positive.
     """
-    probs = np.abs(amps) ** 2
+    probs = probabilities(amps)
     total = probs.sum()
     if not (math.isfinite(total) and total > 0):
         raise ValueError("cannot measure a state whose total probability "
@@ -299,7 +300,7 @@ def run_protocol(net: Network, schedule: DriveSchedule, shots: int, seed: int,
         samples, n_solutions = (None,) * shots, 0
     else:
         # The sum of a contiguous masked copy, as a trajectory's alpha_sq.
-        good_prob = float((np.abs(final) ** 2)[prep.mask.bits].sum())
+        good_prob = float(probabilities(final)[prep.mask.bits].sum())
         pos = _draw(final, uniforms)
         drawn = prep.state.codes[pos].tolist()
         # Each distinct drawn state is formatted once.

@@ -5,14 +5,14 @@ network, so products commute exactly and a projector is a boolean mask over
 basis indices: true where the constraint allows the basis state.  A gate's
 constraint is its `(2,)*m` truth table over its nodes, broadcast along their
 axes of the `(2,)*n` basis tensor; a pin's is the one-node table of its value.
-These broadcast tables are the whole constraint: a mask is their conjunction,
-and a penalty Hamiltonian is `energy` times the number of them that are false
-at each basis state.
+These broadcast tables are the whole constraint: a gate's or pin's mask is
+its table, and a penalty Hamiltonian is `energy` times the number of them
+that are false at each basis state.
 
 The dense masks hold 2^n entries, so they refuse more than
-`DEFAULT_NODE_LIMIT` nodes.  `support` lists the same allowed states without
-them: it joins the gates' truth-table rows as int64 basis codes, so its cost
-follows the size of the support, not 2^n.
+`DEFAULT_NODE_LIMIT` nodes.  `support`, the only conjunction, lists the
+states the network allows without them: it joins the gates' truth-table rows
+as int64 basis codes, so its cost follows the size of the support, not 2^n.
 """
 from __future__ import annotations
 
@@ -102,13 +102,11 @@ def _tables(net: Network, include_output_pins: bool) -> list[np.ndarray]:
     return tables
 
 
-def _conjunction(net: Network, tables: list[np.ndarray]) -> ConstraintMask:
-    """True on each basis state that every broadcast table allows."""
+def _mask(net: Network, table: np.ndarray) -> ConstraintMask:
+    """One broadcast table over the whole basis."""
     check_enumerable(net)
-    bits = np.ones((2,) * net.n_nodes, dtype=bool)
-    for table in tables:
-        bits &= table
-    return ConstraintMask(net.dim, bits.ravel())
+    return ConstraintMask(net.dim,
+                          np.broadcast_to(table, (2,) * net.n_nodes).ravel())
 
 
 def _penalty(net: Network, tables: list[np.ndarray],
@@ -125,17 +123,21 @@ def _penalty(net: Network, tables: list[np.ndarray],
 
 def gate_mask(net: Network, gate: Gate) -> ConstraintMask:
     """True where the gate's nodes carry a truth-table row."""
-    return _conjunction(net, [_gate_table(net, gate)])
+    return _mask(net, _gate_table(net, gate))
 
 
 def pin_mask(net: Network, pin: Pin) -> ConstraintMask:
     """True where the pinned node carries the pinned value."""
-    return _conjunction(net, [_pin_table(net, pin)])
+    return _mask(net, _pin_table(net, pin))
 
 
 def network_mask(net: Network, include_output_pins: bool = True) -> ConstraintMask:
-    """Conjunction of all gate masks, input-pin masks, and optionally output pins."""
-    return _conjunction(net, _tables(net, include_output_pins))
+    """Conjunction of all gate masks, input-pin masks, and optionally output
+    pins: the codes of `support`, scattered onto the 2^n basis."""
+    check_enumerable(net)
+    bits = np.zeros(net.dim, dtype=bool)
+    bits[support(net, include_output_pins)] = True
+    return ConstraintMask(net.dim, bits)
 
 
 def gate_hamiltonian(net: Network, gate: Gate,

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from statnet.fock import FockVector, ModeBasis
 from statnet.hilbert import (
@@ -12,6 +12,7 @@ from statnet.hilbert import (
     basis_state,
     index_assignment,
     node_bit,
+    probabilities,
     reduced_diag,
 )
 from statnet.statics import PenaltyHamiltonian
@@ -183,3 +184,19 @@ def test_statevector_never_shares_codes():
 def test_statevector_rejects_bad_codes(codes):
     with pytest.raises(ValueError):
         StateVector(TWO, [1.0, 0.0], codes=codes)
+
+
+# Real and imaginary parts over many orders of magnitude, squares finite.
+parts = st.sampled_from((0.0, 1.0, -0.5)) | st.floats(-1e150, 1e150)
+
+
+@given(st.integers(1, 4).flatmap(lambda width: st.lists(
+    st.lists(st.builds(complex, parts, parts), min_size=width,
+             max_size=width), min_size=1, max_size=4)))
+@settings(max_examples=200, deadline=None)
+def test_probabilities_are_re_re_plus_im_im(rows):
+    matrix = np.array(rows, dtype=complex)
+    expected = [[z.real * z.real + z.imag * z.imag for z in row]
+                for row in rows]
+    assert probabilities(matrix).tolist() == expected
+    assert probabilities(matrix[0]).tolist() == expected[0]

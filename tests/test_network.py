@@ -2,7 +2,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from statnet.errors import ParseError
 from statnet.network import (
@@ -196,5 +196,10 @@ def test_oracle_solutions_pass_each_gate(net):
 
 
 @given(small_gate_networks())
+# A gate without outputs, and one without inputs.
+@example(Network(("a", "b"), (Gate("g", ("a", "b"), (), TruthTable(
+    2, 0, (("00", ""), ("11", "")))),)))
+@example(Network(("a",), (Gate("g", (), ("a",), TruthTable(
+    0, 1, (("", "1"),))),)))
 def test_render_roundtrip_random(net):
     assert parse_network(render(net)) == net

@@ -14,6 +14,7 @@ from statnet.hilbert import (
     basis_index,
     basis_state,
     index_assignment,
+    probabilities,
     reduced_diag,
 )
 from statnet.network import (
@@ -196,7 +197,7 @@ def test_measure_never_draws_zero_amplitude():
        st.integers(0, 2 ** 32 - 1))
 def test_measure_draws_what_rng_choice_draws(weights, seed):
     v = StateVector(("r", "s"), np.sqrt(weights) * np.exp(1j * np.arange(4)))
-    probs = np.abs(v.amps) ** 2
+    probs = probabilities(v.amps)
     if not probs.sum():
         with pytest.raises(ValueError), np.errstate(invalid="ignore"):
             np.random.default_rng(seed).choice(4, p=probs / probs.sum())
@@ -458,6 +459,39 @@ def test_support_run_matches_dense_stepper(net, seed, leak_model, shots):
     assert res.samples == samples
     assert res.n_solutions == n_solutions
     assert res.decision == ("satisfiable" if n_solutions else "unsatisfiable")
+
+
+# --- one probability kernel --------------------------------------------------
+
+def test_every_layer_reads_probabilities_of_complex_amplitudes():
+    """Each probability a layer reports is a sum of `probabilities`.
+
+    On CPUs whose complex `abs` is a SIMD loop, |a|**2 by `np.abs` differs
+    from re*re + im*im in the last bit for some of these amplitudes.
+    """
+    amps = np.array([0.6 + 0.3j, 0.1 - 0.7j, 0.2 + 0.05j, -0.1 + 0.02j])
+    amps = amps / math.sqrt(probabilities(amps).sum())
+    v = StateVector(("r", "s"), amps)
+    probs = probabilities(v.amps)
+    diag = reduced_diag(v, "r")
+    assert (diag.p0, diag.p1) == (probs[:2].sum(), probs[2:].sum())
+
+    link = parse_network("nodes r s\nlink r -> s\n")
+    mask = gate_mask(link, link.gates[0])
+    traj = evolve(v, mask, "r", DriveSchedule(dt=0.5))
+    assert (traj.p0[0], traj.p1[0]) == (diag.p0, diag.p1)
+    assert traj.alpha_sq[0] == probs[mask.bits].sum()
+    assert traj.energy[0] == probs[~mask.bits].sum()
+
+    # A run prepares its own state, so only its final state can be compared.
+    for net in (builtin_fig1(), builtin_fig1_unsat()):
+        res = run_protocol(net, SCHED, shots=1, seed=0)
+        prep = prepare_ground(net)
+        final = final_amps(prep.state.amps, prep.mask.bits,
+                           prep.state.sectors(net.drive_node), res.schedule,
+                           "none")
+        assert res.good_universe_prob_final == \
+            probabilities(final)[prep.mask.bits].sum()
 
 
 def violations(net, include_output_pins):
