@@ -18,20 +18,19 @@ the symmetrizer lags the closed form by O(dt).
 Both evolutions walk the grid in one loop (`_walk_grid`) and rescale the two
 drive sectors in one routine (`_rescale`); they differ only in the projection
 and in their diagnostics.  The recording stepper runs on Python complex
-numbers, one list per row, and repeats numpy's arithmetic on them operation
-for operation, so it gives the bits a numpy step would.  A `Trajectory` is a
-set of columns: the walk's rows become one amplitude matrix, and each
-diagnostic is computed once over that matrix.  Per-row objects
-(`Trajectory.points`, `final_state`) are built only when a caller asks for
-them.  A decision needs only the final state of the diagonal-mask evolution;
-`final_amps` computes it from the stepper's invariant, on numpy arrays,
-without a trajectory.
+numbers, one list per row, and repeats numpy's arithmetic operation for
+operation, so it gives a numpy step's bits.  A `Trajectory` is a set of
+columns: the walk's rows become one amplitude matrix, and each diagnostic is
+computed once over that matrix.  Per-row objects (`Trajectory.points`,
+`final_state`) are built only when a caller asks for them.  A decision needs
+only the final state of the diagonal-mask evolution; `final_amps` computes it
+from the stepper's invariant, on numpy arrays, without a trajectory.
 
 No reduction goes to BLAS, whose summation order depends on the build and
 the CPU: every norm and inner product is a sum of real products in numpy's
 pairwise order (`_sum_sq`, `_step_overlaps`), and every probability is
-`hilbert.probabilities`, re*re + im*im.  `_py_sum_sq` adds a short list of
-Python complex numbers left to right, as numpy adds fewer than 8 terms.
+`hilbert.probabilities`, re*re + im*im.  `_py_sum_sq` states that order on
+Python complex numbers; the stepper's short sums run its loop in place.
 """
 from __future__ import annotations
 
@@ -57,6 +56,8 @@ _SCAN_ANGLE_LIMIT = 1e6
 # Inner fixed-point iteration for non-diagonal projectors.
 _FIXPOINT_TOL = 1e-15
 _FIXPOINT_MAX_ITER = 500
+# numpy adds fewer terms than this left to right (`_py_sum_sq`).
+_PAIRWISE_FROM = 8
 
 
 @dataclass(frozen=True)
@@ -190,10 +191,11 @@ def _norm(x: np.ndarray) -> float:
 
 
 def _py_sum_sq(amps: list[complex]) -> float:
-    """`_sum_sq` of a list of Python complex numbers, bit for bit: below 8
-    terms numpy adds left to right, as this loop does (Python's `sum`
-    compensates rounding from 3.12 on), and a longer list goes to `_sum_sq`."""
-    if len(amps) >= 8:
+    """`_sum_sq` of a list of Python complex numbers, bit for bit: numpy adds
+    fewer than _PAIRWISE_FROM terms left to right, as this loop does (Python's
+    `sum` compensates rounding from 3.12 on), and more go to `_sum_sq`.  The
+    stepper's short sums run this loop in place, with no list and no call."""
+    if len(amps) >= _PAIRWISE_FROM:
         return float(_sum_sq(np.array(amps, dtype=complex)))
     total = 0.0
     for z in amps:
@@ -227,24 +229,29 @@ def _rescale(amps: list[complex], sectors: tuple[list[int], list[int]],
 
     `amps` and the result are lists of Python complex numbers; `sectors`
     holds the two sectors' positions in `amps`, and `allowed` is the boolean
-    constraint mask over the same positions.  A sector is scaled as numpy
-    scales an array, `sqrt(target) * component / norm`: numpy divides a
-    complex number by a real one as a product with the reciprocal, and a
-    product with a real number, in numpy and in Python alike, adds only
-    products with zero to each part.  A demanded sector that carries no mass
-    is refilled at `_refill_indices`, which raises when there is nowhere to
-    refill.
+    constraint mask over them.  A sector is scaled as numpy scales an array,
+    `sqrt(target) * component / norm`: numpy divides a complex number by a
+    real one as a product with the reciprocal, and a product with a real
+    number, in numpy and in Python alike, adds only products with zero to
+    each part.  A demanded sector that carries no mass is refilled at
+    `_refill_indices`, which raises when there is nowhere to refill.
     """
     out = [0j] * len(amps)
     for idx, target in zip(sectors, targets):
         if target <= _MASS_EPS:
             continue
-        component = [amps[i] for i in idx]
-        norm = math.sqrt(_py_sum_sq(component))
+        if len(idx) < _PAIRWISE_FROM:  # `_py_sum_sq` of the sector, in place
+            total = 0.0
+            for i in idx:
+                z = amps[i]
+                total += z.real * z.real + z.imag * z.imag
+        else:
+            total = _py_sum_sq([amps[i] for i in idx])
+        norm = math.sqrt(total)
         if norm > _MASS_EPS:
             scale, inverse = math.sqrt(target), 1 / norm
-            for i, z in zip(idx, component):
-                out[i] = z * scale * inverse
+            for i in idx:
+                out[i] = amps[i] * scale * inverse
         else:
             refill = _refill_indices(np.array(idx, dtype=np.int64), allowed,
                                      leak_model).tolist()
@@ -270,10 +277,11 @@ def _walk_grid(amps: np.ndarray, schedule: DriveSchedule, step):
     (row 0 is `amps`) and step_overlap.
     """
     t = [0.0] + _grid_times(schedule).tolist()
-    phi = [schedule.phi(x) for x in t]
-    rows = [amps.tolist()]
+    # `schedule.phi` without its range check: the grid lies in [0, tau].
+    phi = [schedule._ramp(min(x / schedule.tau, 1.0), math) for x in t]
+    rows, theta0 = [amps.tolist()], schedule.theta0
     for angle in phi[1:]:
-        rows.append(step(rows[-1], _targets_at(schedule.theta0 + angle)))
+        rows.append(step(rows[-1], _targets_at(theta0 + angle)))
     matrix = np.array(rows, dtype=complex)
     return np.array(t), np.array(phi), matrix, _step_overlaps(matrix)
 
@@ -454,16 +462,14 @@ def triplet_watchdog_demo(theta: float, schedule: DriveSchedule,
     """Two identical two-state particles under the symmetrizer watchdog.
 
     `drive` names the driven particle: "p1", "p2", or "both".  It is checked
-    and otherwise unused: every step imposes the schedule's sector targets on
-    the reduced diagonals of both particles, so the three choices produce one
-    and the same trajectory.  A sector that loses all its mass while its
-    target is positive raises `DegenerateDynamicsError`; the demo space has no
-    constraint to refill it from.  The fixed point runs on Python complex
-    numbers and gives the bits of the same iteration on numpy arrays; its
-    stopping test is unchanged (`_FIXPOINT_TOL`, and a
-    `DegenerateDynamicsError` after `_FIXPOINT_MAX_ITER` iterations).
-    `alpha_sq` is min(|S row|^2, 1) for the symmetrizer S, the norm squared
-    as a product.
+    and otherwise unused: every step imposes the sector targets on the reduced
+    diagonals of both particles, so the three choices give one trajectory.
+    A sector that loses all its mass while its target is positive raises
+    `DegenerateDynamicsError`; the demo space has no constraint to refill it
+    from.  The fixed point runs on Python complex numbers with the bits of
+    the same iteration on numpy arrays, until a change below `_FIXPOINT_TOL`,
+    and raises after `_FIXPOINT_MAX_ITER`.  `alpha_sq` is min(|S row|^2, 1)
+    for the symmetrizer S, the norm squared as a product.
     """
     if drive not in ("p1", "p2", "both"):
         raise ValueError("drive must be 'p1', 'p2', or 'both'")
@@ -476,16 +482,22 @@ def triplet_watchdog_demo(theta: float, schedule: DriveSchedule,
                       for p in ("p1", "p2"))
     no_refill = np.zeros(4, dtype=bool)
 
-    def step(prev: list[complex], targets: tuple[float, float]) -> list[complex]:
-        current = prev
+    def step(current, targets):
         for _ in range(_FIXPOINT_MAX_ITER):
+            # Both norms sum four terms: `_py_sum_sq`'s loop, in place.
             nxt = _symmetrize(current)
-            inverse = 1 / math.sqrt(_py_sum_sq(nxt))
+            total = 0.0
+            for z in nxt:
+                total += z.real * z.real + z.imag * z.imag
+            inverse = 1 / math.sqrt(total)
             nxt = [z * inverse for z in nxt]
             for sectors in particles:
                 nxt = _rescale(nxt, sectors, targets, no_refill, "none")
-            change = [a - b for a, b in zip(nxt, current)]
-            if math.sqrt(_py_sum_sq(change)) < _FIXPOINT_TOL:
+            total = 0.0
+            for a, b in zip(nxt, current):
+                z = a - b
+                total += z.real * z.real + z.imag * z.imag
+            if math.sqrt(total) < _FIXPOINT_TOL:
                 return nxt
             current = nxt
         raise DegenerateDynamicsError(

@@ -331,6 +331,8 @@ def repetition_bound(p_good: float, confidence: float) -> int:
         raise ValueError("confidence must lie in (0, 1)")
     if p_good == 1.0:
         return 1
+    if 1.0 - p_good == 1.0:
+        raise ValueError("p_good is below float resolution: 1 - p_good is 1")
     n = math.ceil(math.log(1.0 - confidence) / math.log(1.0 - p_good))
     # Guard against floating point sitting exactly on the boundary.
     while 1.0 - (1.0 - p_good) ** n < confidence:

@@ -418,13 +418,17 @@ band_angles = st.builds(lambda zero, d, c: (zero + d * 1e-7 - c, 2 * c),
                         st.sampled_from((0.0, 0.3)))
 
 
+# Drive durations: with tau != 1 the grid fraction t/tau is not t.
+taus = st.sampled_from((1.0, 0.37, 3.0))
+
+
 @st.composite
-def closed_form_cases(draw):
+def closed_form_cases(draw, max_nodes=4):
     """Random stored codes (all 2^n, or a non-empty subset as `run` stores),
     a mask over them, complex psi0 with mass off the mask, and a schedule."""
-    n_nodes = draw(st.integers(2, 4))
+    n_nodes = draw(st.integers(2, max_nodes))
     dim = 2 ** n_nodes
-    nodes = tuple("abcd"[:n_nodes])
+    nodes = tuple("abcde"[:n_nodes])
     codes = draw(st.just(list(range(dim))) | st.sets(
         st.integers(0, dim - 1), min_size=1).map(sorted))
     size = len(codes)
@@ -438,9 +442,10 @@ def closed_form_cases(draw):
     theta0, phi_final = draw(band_angles | st.tuples(
         crossing_angles | st.floats(-math.pi, math.pi),
         crossing_angles | st.floats(-2 * math.pi, 2 * math.pi)))
+    tau = draw(taus)
     schedule = DriveSchedule(
         kind=draw(st.sampled_from(dynamics.SCHEDULE_KINDS)),
-        theta0=theta0, phi_final=phi_final, tau=1.0, dt=1.0 / n_steps)
+        theta0=theta0, phi_final=phi_final, tau=tau, dt=tau / n_steps)
     return (psi0, ConstraintMask(size, np.array(bits)),
             draw(st.sampled_from(nodes)), schedule,
             draw(st.sampled_from(("none", "uniform-excited"))),
@@ -562,11 +567,12 @@ def test_recorded_columns_match_row_formulas(case):
 @given(st.floats(min_value=0.01, max_value=math.pi / 2 - 0.01),
        st.sampled_from(dynamics.SCHEDULE_KINDS),
        crossing_angles | st.floats(-2 * math.pi, 2 * math.pi),
-       st.sampled_from((1, 2, 3, 10, 40)))
+       st.sampled_from((1, 2, 3, 10, 40)), taus)
 @settings(max_examples=60, deadline=None)
-def test_triplet_columns_match_row_formulas(theta, kind, phi_final, n_steps):
-    schedule = DriveSchedule(kind=kind, phi_final=phi_final, tau=1.0,
-                             dt=1.0 / n_steps)
+def test_triplet_columns_match_row_formulas(theta, kind, phi_final, n_steps,
+                                            tau):
+    schedule = DriveSchedule(kind=kind, phi_final=phi_final, tau=tau,
+                             dt=tau / n_steps)
     try:
         traj = triplet_watchdog_demo(theta, schedule)
     except DegenerateDynamicsError:
@@ -672,11 +678,18 @@ def assert_same_outcome(rows, reference_rows):
         assert np.array_equal(got, want)
 
 
-@given(closed_form_cases())
+# Five nodes give drive sectors of 9-16 entries, whose norms are pairwise sums.
+@given(closed_form_cases(max_nodes=5))
 @settings(max_examples=200, deadline=None)
 # Sector r=0 holds no allowed state and its target is positive: both raise.
 @example((closed_form_link(0.3, 0.0), ConstraintMask(4, np.array([0, 0, 1, 0])),
           "r", linear(0.0, math.pi / 2, dt=0.5), "none", True))
+# All 32 codes of five nodes: both drive sectors hold 16 entries.
+@example((StateVector(tuple("abcde"),
+                      np.exp(1j * np.arange(32)) / math.sqrt(32)),
+          ConstraintMask(32, np.arange(32) % 3 > 0), "c",
+          DriveSchedule(kind="cosine-ramp", theta0=0.3, phi_final=2.0,
+                        tau=0.37, dt=0.37 / 10), "none", True))
 def test_evolve_rows_equal_numpy_reference_steps(case):
     psi0, mask, drive, schedule, leak_model, enforce_mask = case
     assert_same_outcome(
@@ -689,14 +702,14 @@ def test_evolve_rows_equal_numpy_reference_steps(case):
 @given(st.floats(min_value=0.01, max_value=math.pi / 2 - 0.01),
        st.sampled_from(dynamics.SCHEDULE_KINDS),
        crossing_angles | st.floats(-2 * math.pi, 2 * math.pi),
-       st.integers(1, 40))
+       st.integers(1, 40), taus)
 @settings(max_examples=100, deadline=None)
 # From pi/4 the p0 target falls to zero and is demanded again: both raise.
-@example(math.pi / 4, "linear-ramp", math.pi / 2, 10)
+@example(math.pi / 4, "linear-ramp", math.pi / 2, 10, 1.0)
 def test_triplet_rows_equal_numpy_reference_steps(theta, kind, phi_final,
-                                                  n_steps):
-    schedule = DriveSchedule(kind=kind, phi_final=phi_final, tau=1.0,
-                             dt=1.0 / n_steps)
+                                                  n_steps, tau):
+    schedule = DriveSchedule(kind=kind, phi_final=phi_final, tau=tau,
+                             dt=tau / n_steps)
     assert_same_outcome(
         lambda: triplet_watchdog_demo(theta, schedule).amps,
         lambda: reference_triplet_rows(theta, schedule))

@@ -362,6 +362,20 @@ def test_repetition_bound_validates_inputs():
         repetition_bound(0.5, 1.0)
 
 
+@pytest.mark.parametrize("p_good", [1e-17, 2.0 ** -54, 5e-324])
+def test_repetition_bound_rejects_p_good_below_float_resolution(p_good):
+    # 1 - p_good rounds to 1, so no n can reach the confidence.
+    with pytest.raises(ValueError, match="below float resolution"):
+        repetition_bound(p_good, 0.5)
+
+
+def test_repetition_bound_smallest_resolvable_p_good():
+    # 1 - 2^-53 is the double just below 1: the bound is finite and tight.
+    n = repetition_bound(2.0 ** -53, 0.5)
+    assert 1.0 - (1.0 - 2.0 ** -53) ** n >= 0.5
+    assert 1.0 - (1.0 - 2.0 ** -53) ** (n - 1) < 0.5
+
+
 # --- mask against the string oracle ------------------------------------------
 
 @st.composite
