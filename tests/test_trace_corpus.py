@@ -61,6 +61,10 @@ def corpus_argvs() -> list[list[str]]:
     # The triplet loses its p1=0 sector while the target is positive: exit 2.
     argvs.append(["simulate-triplet", "--theta", "0.785398163397448",
                   "--phi-final", "1.5707963267948966", "--dt", "0.1"])
+    # The benchmark's triplet shape, with each drive name it passes.
+    for drive in ("p2", "both"):
+        argvs.append(["simulate-triplet", "--theta", "0.3", "--drive", drive,
+                      "--dt", "0.001"])
     return argvs
 
 
