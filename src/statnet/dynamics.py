@@ -15,16 +15,18 @@ caller names as driven: a symmetric state has equal marginals, so the two
 targets agree.  Rescaling only the named particle and leaving the other to
 the symmetrizer lags the closed form by O(dt).
 
-Both evolutions walk the grid in one loop (`_walk_grid`) and rescale the two
-drive sectors in one routine (`_rescale`); they differ only in the projection
-and in their diagnostics.  The recording stepper runs on Python complex
-numbers, one list per row, and repeats numpy's arithmetic operation for
-operation, so it gives a numpy step's bits.  A `Trajectory` is a set of
-columns: the walk's rows become one amplitude matrix, and each diagnostic is
-computed once over that matrix.  Per-row objects (`Trajectory.points`,
-`final_state`) are built only when a caller asks for them.  A decision needs
-only the final state of the diagonal-mask evolution; `final_amps` computes it
-from the stepper's invariant, on numpy arrays, without a trajectory.
+Both evolutions walk the grid in one loop (`_walk_grid`), one list of Python
+numbers per row, and repeat numpy's arithmetic operation for operation, so
+they give a numpy step's bits.  `evolve` rescales the drive sectors of Python
+complex numbers (`_rescale`).  The triplet's start and every coefficient of
+its step are real, so its fixed point is written out over the four amplitudes
+as Python floats, which carry the real parts of the complex iteration: the
+imaginary parts it would add are zero.  A `Trajectory` is a set of columns:
+the walk's rows become one amplitude matrix, and each diagnostic is computed
+once over that matrix.  Per-row objects (`Trajectory.points`, `final_state`)
+are built only when a caller asks for them.  A decision needs only the final
+state of the diagonal-mask evolution; `final_amps` computes it from the
+stepper's invariant, on numpy arrays, without a trajectory.
 
 No reduction goes to BLAS, whose summation order depends on the build and
 the CPU: every norm and inner product is a sum of real products in numpy's
@@ -223,34 +225,39 @@ def _refill_indices(idx: np.ndarray, allowed: np.ndarray,
 
 
 def _rescale(amps: list[complex], sectors: tuple[list[int], list[int]],
-             targets: tuple[float, float], allowed: np.ndarray,
-             leak_model: str) -> list[complex]:
-    """Place each target mass on its drive sector, preserving direction and phase.
+             live: tuple[list[int], list[int]], targets: tuple[float, float],
+             allowed: np.ndarray, leak_model: str) -> list[complex]:
+    """Project onto `allowed`, and place each target mass on its drive sector,
+    preserving direction and phase.
 
     `amps` and the result are lists of Python complex numbers; `sectors`
-    holds the two sectors' positions in `amps`, and `allowed` is the boolean
-    constraint mask over them.  A sector is scaled as numpy scales an array,
+    holds the two sectors' positions in `amps`, `live` the allowed ones
+    among them, and `allowed` is the boolean constraint mask.  A sector is
+    scaled as numpy scales its projected component,
     `sqrt(target) * component / norm`: numpy divides a complex number by a
     real one as a product with the reciprocal, and a product with a real
     number, in numpy and in Python alike, adds only products with zero to
-    each part.  A demanded sector that carries no mass is refilled at
+    each part, so a projected-out entry stays zero and only the live ones
+    are scaled.  A demanded sector that carries no mass is refilled at
     `_refill_indices`, which raises when there is nowhere to refill.
     """
     out = [0j] * len(amps)
-    for idx, target in zip(sectors, targets):
+    for idx, positions, target in zip(sectors, live, targets):
         if target <= _MASS_EPS:
             continue
-        if len(idx) < _PAIRWISE_FROM:  # `_py_sum_sq` of the sector, in place
+        if len(idx) < _PAIRWISE_FROM:
+            # `_py_sum_sq` in place: a projected-out entry would add a zero.
             total = 0.0
-            for i in idx:
+            for i in positions:
                 z = amps[i]
                 total += z.real * z.real + z.imag * z.imag
         else:
-            total = _py_sum_sq([amps[i] for i in idx])
+            # numpy's pairwise order groups the terms by position, zeros too.
+            total = _py_sum_sq([amps[i] if allowed[i] else 0j for i in idx])
         norm = math.sqrt(total)
         if norm > _MASS_EPS:
             scale, inverse = math.sqrt(target), 1 / norm
-            for i in idx:
+            for i in positions:
                 out[i] = amps[i] * scale * inverse
         else:
             refill = _refill_indices(np.array(idx, dtype=np.int64), allowed,
@@ -271,10 +278,11 @@ def _grid_times(schedule: DriveSchedule) -> np.ndarray:
 def _walk_grid(amps: np.ndarray, schedule: DriveSchedule, step):
     """Step over the schedule's grid from `amps`, keeping every row.
 
-    `step(prev, targets)` takes the previous row as a list of Python complex
-    numbers and returns the next one as such a list, for the sector targets
-    at the step's end time.  Returns the columns t, phi, the amplitude matrix
-    (row 0 is `amps`) and step_overlap.
+    `step(prev, targets)` takes the previous row as a list of Python numbers
+    and returns the next one as such a list, for the sector targets at the
+    step's end time: complex numbers, or floats when `amps` is real.  Returns
+    the columns t, phi, the complex amplitude matrix (row 0 is `amps`) and
+    step_overlap.
     """
     t = [0.0] + _grid_times(schedule).tolist()
     # `schedule.phi` without its range check: the grid lies in [0, tau].
@@ -322,13 +330,13 @@ def evolve(psi0: StateVector, mask: ConstraintMask, drive_node: str,
     """
     if mask.bits.shape != psi0.amps.shape:
         raise ValueError("mask dimension mismatch")
-    sectors = tuple(idx.tolist() for idx in psi0.sectors(drive_node))
     allowed = mask.bits if enforce_mask else np.ones(psi0.amps.size, dtype=bool)
-    keep = allowed.tolist()
+    positions = psi0.sectors(drive_node)
+    sectors = tuple(idx.tolist() for idx in positions)
+    live = tuple(idx[allowed[idx]].tolist() for idx in positions)
 
     def step(prev, targets):
-        projected = [z if a else 0j for z, a in zip(prev, keep)]
-        return _rescale(projected, sectors, targets, allowed, leak_model)
+        return _rescale(prev, sectors, live, targets, allowed, leak_model)
 
     t, phi, amps, overlap = _walk_grid(psi0.amps, schedule, step)
     # Each column reduces a contiguous copy of its entries row by row, as a
@@ -466,10 +474,12 @@ def triplet_watchdog_demo(theta: float, schedule: DriveSchedule,
     diagonals of both particles, so the three choices give one trajectory.
     A sector that loses all its mass while its target is positive raises
     `DegenerateDynamicsError`; the demo space has no constraint to refill it
-    from.  The fixed point runs on Python complex numbers with the bits of
-    the same iteration on numpy arrays, until a change below `_FIXPOINT_TOL`,
-    and raises after `_FIXPOINT_MAX_ITER`.  `alpha_sq` is min(|S row|^2, 1)
-    for the symmetrizer S, the norm squared as a product.
+    from.  The fixed point runs, until a change below `_FIXPOINT_TOL`, on
+    the four amplitudes as Python floats, in straight-line arithmetic with
+    the operations of the same iteration on complex numpy arrays and so with
+    its bits: every imaginary part stays zero.  It raises after
+    `_FIXPOINT_MAX_ITER` iterations.  `alpha_sq` is min(|S row|^2, 1) for
+    the symmetrizer S, the norm squared as a product.
     """
     if drive not in ("p1", "p2", "both"):
         raise ValueError("drive must be 'p1', 'p2', or 'both'")
@@ -477,42 +487,75 @@ def triplet_watchdog_demo(theta: float, schedule: DriveSchedule,
         raise ValueError("theta must lie strictly inside (0, pi/2)")
     schedule = replace(schedule, theta0=theta)
     psi0 = closed_form_triplet(theta, 0.0)
-    # The drive sectors of p1 and of p2; nothing is allowed as a refill.
-    particles = tuple(tuple(idx.tolist() for idx in psi0.sectors(p))
-                      for p in ("p1", "p2"))
     no_refill = np.zeros(4, dtype=bool)
 
+    def lost(sector):
+        """Raise for a demanded drive sector that carries no mass: the demo
+        has no allowed state to refill it from."""
+        _refill_indices(np.array(sector), no_refill, "none")
+
     def step(current, targets):
+        # The amplitudes of |00>, |01>, |10>, |11> as real floats: c is the
+        # current iterate, u its symmetrized and normalised image, v after
+        # the rescale of p1's sectors (0, 1) and (2, 3), w after p2's (0, 2)
+        # and (1, 3).  Each sector becomes z * sqrt(target) * (1/norm), or
+        # zero where its target is at most _MASS_EPS; every norm is a left
+        # to right sum from 0.0, as `_py_sum_sq` adds four entries.
+        (t0, t1), (c00, c01, c10, c11) = targets, current
+        on0, on1 = t0 > _MASS_EPS, t1 > _MASS_EPS
+        root0, root1 = math.sqrt(t0), math.sqrt(t1)
         for _ in range(_FIXPOINT_MAX_ITER):
-            # Both norms sum four terms: `_py_sum_sq`'s loop, in place.
-            nxt = _symmetrize(current)
-            total = 0.0
-            for z in nxt:
-                total += z.real * z.real + z.imag * z.imag
-            inverse = 1 / math.sqrt(total)
-            nxt = [z * inverse for z in nxt]
-            for sectors in particles:
-                nxt = _rescale(nxt, sectors, targets, no_refill, "none")
-            total = 0.0
-            for a, b in zip(nxt, current):
-                z = a - b
-                total += z.real * z.real + z.imag * z.imag
-            if math.sqrt(total) < _FIXPOINT_TOL:
-                return nxt
-            current = nxt
+            mean = 0.5 * c01 + 0.5 * c10
+            inverse = 1 / math.sqrt(0.0 + c00 * c00 + mean * mean
+                                    + mean * mean + c11 * c11)
+            u00, u01, u11 = c00 * inverse, mean * inverse, c11 * inverse
+            u10 = u01
+            v00 = v01 = v10 = v11 = w00 = w01 = w10 = w11 = 0.0
+            if on0:
+                norm = math.sqrt(0.0 + u00 * u00 + u01 * u01)
+                if not norm > _MASS_EPS:
+                    lost((0, 1))
+                inverse = 1 / norm
+                v00, v01 = u00 * root0 * inverse, u01 * root0 * inverse
+            if on1:
+                norm = math.sqrt(0.0 + u10 * u10 + u11 * u11)
+                if not norm > _MASS_EPS:
+                    lost((2, 3))
+                inverse = 1 / norm
+                v10, v11 = u10 * root1 * inverse, u11 * root1 * inverse
+            if on0:
+                norm = math.sqrt(0.0 + v00 * v00 + v10 * v10)
+                if not norm > _MASS_EPS:
+                    lost((0, 2))
+                inverse = 1 / norm
+                w00, w10 = v00 * root0 * inverse, v10 * root0 * inverse
+            if on1:
+                norm = math.sqrt(0.0 + v01 * v01 + v11 * v11)
+                if not norm > _MASS_EPS:
+                    lost((1, 3))
+                inverse = 1 / norm
+                w01, w11 = v01 * root1 * inverse, v11 * root1 * inverse
+            d00, d01, d10, d11 = w00 - c00, w01 - c01, w10 - c10, w11 - c11
+            if math.sqrt(0.0 + d00 * d00 + d01 * d01 + d10 * d10
+                         + d11 * d11) < _FIXPOINT_TOL:
+                return [w00, w01, w10, w11]
+            c00, c01, c10, c11 = w00, w01, w10, w11
         raise DegenerateDynamicsError(
             f"symmetrizer fixed point did not converge in "
             f"{_FIXPOINT_MAX_ITER} iterations")
 
-    t, phi, amps, overlap = _walk_grid(psi0.amps, schedule, step)
+    # The rows stay real: closed_form_triplet is real, and so is every
+    # coefficient of the step.
+    t, phi, amps, overlap = _walk_grid(psi0.amps.real, schedule, step)
     probs = probabilities(amps)
     # Python's x ** 2 calls C pow, which is not always correctly rounded.
     norms = np.sqrt(_sum_sq(np.stack(_symmetrize(amps.T), axis=-1)))
     alpha_sq = np.minimum(norms * norms, 1.0)
+    sectors = psi0.sectors("p1")
     return Trajectory(
         schedule, psi0.node_order, psi0.codes, t, phi, amps,
-        p0=probs.take(particles[0][0], axis=1).sum(axis=1),
-        p1=probs.take(particles[0][1], axis=1).sum(axis=1),
+        p0=probs.take(sectors[0], axis=1).sum(axis=1),
+        p1=probs.take(sectors[1], axis=1).sum(axis=1),
         alpha_sq=alpha_sq, energy=1.0 - alpha_sq, step_overlap=overlap)
 
 

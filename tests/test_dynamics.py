@@ -690,6 +690,13 @@ def assert_same_outcome(rows, reference_rows):
           ConstraintMask(32, np.arange(32) % 3 > 0), "c",
           DriveSchedule(kind="cosine-ramp", theta0=0.3, phi_final=2.0,
                         tau=0.37, dt=0.37 / 10), "none", True))
+# Three nodes: both drive sectors hold 4 entries, and the mask forbids some of
+# each while psi0 carries mass there, so the stepper skips projected-out
+# entries instead of summing their zeros.
+@example((StateVector(tuple("abc"), np.exp(1j * np.arange(8)) / math.sqrt(8)),
+          ConstraintMask(8, np.array([0, 1, 1, 0, 1, 0, 0, 1])), "b",
+          DriveSchedule(kind="exponential-relax", theta0=0.3, phi_final=2.0,
+                        dt=0.1), "none", True))
 def test_evolve_rows_equal_numpy_reference_steps(case):
     psi0, mask, drive, schedule, leak_model, enforce_mask = case
     assert_same_outcome(
@@ -706,6 +713,9 @@ def test_evolve_rows_equal_numpy_reference_steps(case):
 @settings(max_examples=100, deadline=None)
 # From pi/4 the p0 target falls to zero and is demanded again: both raise.
 @example(math.pi / 4, "linear-ramp", math.pi / 2, 10, 1.0)
+# The benchmark's shape at dt=1e-3.
+@example(0.3, "linear-ramp", math.pi / 3, 1000, 1.0)
+@example(0.3, "exponential-relax", math.pi / 3, 1000, 1.0)
 def test_triplet_rows_equal_numpy_reference_steps(theta, kind, phi_final,
                                                   n_steps, tau):
     schedule = DriveSchedule(kind=kind, phi_final=phi_final, tau=tau,
@@ -713,6 +723,14 @@ def test_triplet_rows_equal_numpy_reference_steps(theta, kind, phi_final,
     assert_same_outcome(
         lambda: triplet_watchdog_demo(theta, schedule).amps,
         lambda: reference_triplet_rows(theta, schedule))
+
+
+@pytest.mark.parametrize("kind", dynamics.SCHEDULE_KINDS)
+def test_triplet_amplitudes_are_real(kind):
+    """The triplet stepper's premise: a real start and real step coefficients
+    keep every imaginary part exactly zero."""
+    schedule = DriveSchedule(kind=kind, phi_final=math.pi / 3, dt=1e-2)
+    assert not triplet_watchdog_demo(0.3, schedule).amps.imag.any()
 
 
 def test_triplet_fixed_point_cap_message_equals_reference(monkeypatch):
