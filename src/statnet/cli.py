@@ -48,7 +48,8 @@ def _write(out_path: str | None, text: str) -> None:
 
 def _trace_csv(traj: dynamics.Trajectory, amps_at) -> str:
     """The trajectory's columns and, last, the max deviation of each row from
-    the closed form, whose real amplitudes at total angle a are `amps_at(a)`."""
+    the closed form, whose real amplitudes at total angle a are
+    `amps_at(a)`."""
     reference = np.array([amps_at(traj.schedule.theta0 + phi)
                           for phi in traj.phi.tolist()], dtype=float)
     deviation = traj.amps - reference
