@@ -487,12 +487,11 @@ def triplet_watchdog_demo(theta: float, schedule: DriveSchedule,
         raise ValueError("theta must lie strictly inside (0, pi/2)")
     schedule = replace(schedule, theta0=theta)
     psi0 = closed_form_triplet(theta, 0.0)
-    no_refill = np.zeros(4, dtype=bool)
 
     def lost(sector):
         """Raise for a demanded drive sector that carries no mass: the demo
         has no allowed state to refill it from."""
-        _refill_indices(np.array(sector), no_refill, "none")
+        _refill_indices(np.array(sector), np.zeros(4, dtype=bool), "none")
 
     def step(current, targets):
         # The amplitudes of |00>, |01>, |10>, |11> as real floats: c is the
