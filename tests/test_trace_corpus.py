@@ -78,9 +78,9 @@ def digests(argv: list[str]) -> dict:
             "exit": code}
 
 
-def load_corpus() -> dict:
+def load_corpus(corpus: Path = CORPUS) -> dict:
     return {" ".join(entry["argv"]): entry
-            for entry in json.loads(CORPUS.read_text())}
+            for entry in json.loads(corpus.read_text())}
 
 
 ARGVS = corpus_argvs()
@@ -97,11 +97,12 @@ def test_trace_bytes_equal_the_corpus(argv):
     assert digests(argv) == want
 
 
-def record() -> None:
-    entries = [{"argv": argv, **digests(argv)} for argv in ARGVS]
-    CORPUS.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries)
+def record(corpus: Path = CORPUS, argvs=ARGVS, run=digests) -> None:
+    """Write `run(argv)` of every invocation to `corpus`, keyed by argv."""
+    entries = [{"argv": argv, **run(argv)} for argv in argvs]
+    corpus.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries)
                       + "\n]\n")
-    print(f"recorded {len(entries)} invocations in {CORPUS}")
+    print(f"recorded {len(entries)} invocations in {corpus}")
 
 
 if __name__ == "__main__":
