@@ -125,15 +125,12 @@ def cmd_solve_brute(args) -> int:
 
 
 def cmd_simulate_link(args) -> int:
-    if args.no_mask and args.leak != "none":
-        # Without the projection every state is allowed: the leak never acts.
-        raise ValueError("--leak has no effect with --no-mask")
     schedule = _schedule_from_args(args, args.theta, args.phi_final)
     # The closed form is stated on the wire's nodes (r, s), in this order.
     net = network.parse_network("nodes r s\nlink r -> s\n")
     mask = statics.gate_mask(net, net.gates[0])
     psi0 = dynamics.closed_form_link(args.theta, 0.0)
-    traj = dynamics.evolve(psi0, mask, "r", schedule, leak_model=args.leak,
+    traj = dynamics.evolve(psi0, mask, "r", schedule,
                            enforce_mask=not args.no_mask)
     _write(args.out, _trace_csv(traj, dynamics.link_amps))
     return 0
@@ -189,7 +186,7 @@ _COMMANDS = (
      cmd_solve_brute,
      ("network", "out")),
     ("simulate-link", "watchdog evolution of a single inverting wire",
-     cmd_simulate_link, _DEMO_DRIVE + ("leak", "no-mask", "out")),
+     cmd_simulate_link, _DEMO_DRIVE + ("no-mask", "out")),
     ("simulate-triplet", "two-identical-particle symmetrizer demo",
      cmd_simulate_triplet, _DEMO_DRIVE + ("drive", "out")),
     ("run", "drive-relax-measure decision procedure", cmd_run,

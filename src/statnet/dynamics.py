@@ -29,10 +29,11 @@ state of the diagonal-mask evolution; `final_amps` computes it from the
 stepper's invariant, on numpy arrays, without a trajectory.
 
 No reduction goes to BLAS, whose summation order depends on the build and
-the CPU: every norm and inner product is a sum of real products in numpy's
-pairwise order (`_sum_sq`, `_step_overlaps`), and every probability is
-`hilbert.probabilities`, re*re + im*im.  `_py_sum_sq` states that order on
-Python complex numbers; the stepper's short sums run its loop in place.
+the CPU: every norm and mass is `hilbert.sum_sq`/`hilbert.norm`, a sum of
+re*re + im*im in numpy's pairwise order, and every inner product a sum of
+real products in that order (`_step_overlaps`).  numpy adds fewer than 8
+terms left to right, so the stepper's short sums run that loop in place on
+Python numbers.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DegenerateDynamicsError
-from .hilbert import StateVector, probabilities
+from .hilbert import StateVector, norm, sum_sq
 from .statics import ConstraintMask
 
 SCHEDULE_KINDS = ("linear-ramp", "cosine-ramp", "exponential-relax")
@@ -58,8 +59,10 @@ _SCAN_ANGLE_LIMIT = 1e6
 # Inner fixed-point iteration for non-diagonal projectors.
 _FIXPOINT_TOL = 1e-15
 _FIXPOINT_MAX_ITER = 500
-# numpy adds fewer terms than this left to right (`_py_sum_sq`).
+# numpy adds fewer terms than this left to right (`hilbert.sum_sq`).
 _PAIRWISE_FROM = 8
+_LOST_SECTOR = ("drive demands mass in a sector that holds none and has no "
+                "allowed state to refill")
 
 
 @dataclass(frozen=True)
@@ -176,35 +179,6 @@ class Trajectory:
         return self.state(-1)
 
 
-def _sum_sq(x: np.ndarray) -> np.ndarray:
-    """The sum of `probabilities(x)` along the last axis.
-
-    `np.add.reduce` adds the terms in numpy's pairwise order: left to right
-    below 8 terms, in eight interleaved partial sums up to 128, and by
-    halves beyond.  That order is numpy's own on every build, where a BLAS
-    dot product's is not.
-    """
-    return np.add.reduce(probabilities(x), axis=-1)
-
-
-def _norm(x: np.ndarray) -> float:
-    """The 2-norm of a complex vector, the square root of `_sum_sq`."""
-    return math.sqrt(_sum_sq(x))
-
-
-def _py_sum_sq(amps: list[complex]) -> float:
-    """`_sum_sq` of a list of Python complex numbers, bit for bit: numpy adds
-    fewer than _PAIRWISE_FROM terms left to right, as this loop does (Python's
-    `sum` compensates rounding from 3.12 on), and more go to `_sum_sq`.  The
-    stepper's short sums run this loop in place, with no list and no call."""
-    if len(amps) >= _PAIRWISE_FROM:
-        return float(_sum_sq(np.array(amps, dtype=complex)))
-    total = 0.0
-    for z in amps:
-        total += z.real * z.real + z.imag * z.imag
-    return total
-
-
 def _refill_indices(idx: np.ndarray, allowed: np.ndarray,
                     leak_model: str) -> np.ndarray:
     """Where a drive sector that carries no mass is refilled, uniformly.
@@ -219,9 +193,7 @@ def _refill_indices(idx: np.ndarray, allowed: np.ndarray,
         return constrained
     if leak_model == "uniform-excited" and idx.size:
         return idx
-    raise DegenerateDynamicsError(
-        "drive demands mass in a sector that holds none and has no allowed "
-        "state to refill")
+    raise DegenerateDynamicsError(_LOST_SECTOR)
 
 
 def _rescale(amps: list[complex], sectors: tuple[list[int], list[int]],
@@ -246,17 +218,20 @@ def _rescale(amps: list[complex], sectors: tuple[list[int], list[int]],
         if target <= _MASS_EPS:
             continue
         if len(idx) < _PAIRWISE_FROM:
-            # `_py_sum_sq` in place: a projected-out entry would add a zero.
+            # `sum_sq` adds so few terms left to right, as this loop does
+            # (Python's `sum` compensates rounding from 3.12 on); a
+            # projected-out entry would add a zero.
             total = 0.0
             for i in positions:
                 z = amps[i]
                 total += z.real * z.real + z.imag * z.imag
         else:
             # numpy's pairwise order groups the terms by position, zeros too.
-            total = _py_sum_sq([amps[i] if allowed[i] else 0j for i in idx])
-        norm = math.sqrt(total)
-        if norm > _MASS_EPS:
-            scale, inverse = math.sqrt(target), 1 / norm
+            total = float(sum_sq(np.array(
+                [amps[i] if allowed[i] else 0j for i in idx], dtype=complex)))
+        length = math.sqrt(total)
+        if length > _MASS_EPS:
+            scale, inverse = math.sqrt(target), 1 / length
             for i in positions:
                 out[i] = amps[i] * scale * inverse
         else:
@@ -341,13 +316,12 @@ def evolve(psi0: StateVector, mask: ConstraintMask, drive_node: str,
     t, phi, amps, overlap = _walk_grid(psi0.amps, schedule, step)
     # Each column reduces a contiguous copy of its entries row by row, as a
     # one-dimensional sum of one row would.
-    probs = probabilities(amps)
     return Trajectory(
         schedule, psi0.node_order, psi0.codes, t, phi, amps,
-        p0=probs.take(sectors[0], axis=1).sum(axis=1),
-        p1=probs.take(sectors[1], axis=1).sum(axis=1),
-        alpha_sq=probs.compress(mask.bits, axis=1).sum(axis=1),
-        energy=probs.compress(~mask.bits, axis=1).sum(axis=1),
+        p0=sum_sq(amps.take(sectors[0], axis=1)),
+        p1=sum_sq(amps.take(sectors[1], axis=1)),
+        alpha_sq=sum_sq(amps.compress(mask.bits, axis=1)),
+        energy=sum_sq(amps.compress(~mask.bits, axis=1)),
         step_overlap=overlap)
 
 
@@ -400,10 +374,10 @@ def final_amps(psi0: np.ndarray, allowed: np.ndarray,
     final = np.zeros_like(psi0)
     for s, idx in enumerate(sectors):
         component = projected[idx]
-        norm = _norm(component)
+        length = norm(component)
         # Grid position (0-based) from which the sector holds the refill.
         emptied = -1
-        if norm > _MASS_EPS:
+        if length > _MASS_EPS:
             emptied = int(empty[s].argmax()) if empty[s].any() else n
         # A later step refills the sector: raise where the stepper would,
         # even if the last step leaves it empty.
@@ -412,7 +386,7 @@ def final_amps(psi0: np.ndarray, allowed: np.ndarray,
         if empty[s, -1]:
             continue
         if emptied == n:
-            final[idx] = math.sqrt(mass[s, -1]) * component / norm
+            final[idx] = math.sqrt(mass[s, -1]) * component / length
         else:
             final[refill] = math.sqrt(mass[s, -1] / refill.size)
     return final
@@ -451,20 +425,6 @@ def q_rs_apply(phi: float, v: StateVector) -> StateVector:
                        [a00, c * a01 - s * a10, s * a01 + c * a10, a11])
 
 
-def _symmetrize(amps):
-    """`fock.symmetrizer_two()` applied to the amplitudes of |00>, |01>, |10>, |11>.
-
-    `amps` holds four numbers, or four columns of them; the result is a
-    list of four.  (1 + P_12)/2 keeps |00> and |11> and gives |01> and |10>
-    the mean of the two, 0.5*a01 + 0.5*a10: halving is exact above the
-    subnormal range, so this is the matrix product's value in any summation
-    order.
-    """
-    a00, a01, a10, a11 = amps
-    mean = 0.5 * a01 + 0.5 * a10
-    return [a00, mean, mean, a11]
-
-
 def triplet_watchdog_demo(theta: float, schedule: DriveSchedule,
                           drive: str = "p1") -> Trajectory:
     """Two identical two-state particles under the symmetrizer watchdog.
@@ -488,18 +448,13 @@ def triplet_watchdog_demo(theta: float, schedule: DriveSchedule,
     schedule = replace(schedule, theta0=theta)
     psi0 = closed_form_triplet(theta, 0.0)
 
-    def lost(sector):
-        """Raise for a demanded drive sector that carries no mass: the demo
-        has no allowed state to refill it from."""
-        _refill_indices(np.array(sector), np.zeros(4, dtype=bool), "none")
-
     def step(current, targets):
         # The amplitudes of |00>, |01>, |10>, |11> as real floats: c is the
         # current iterate, u its symmetrized and normalised image, v after
         # the rescale of p1's sectors (0, 1) and (2, 3), w after p2's (0, 2)
         # and (1, 3).  Each sector becomes z * sqrt(target) * (1/norm), or
         # zero where its target is at most _MASS_EPS; every norm is a left
-        # to right sum from 0.0, as `_py_sum_sq` adds four entries.
+        # to right sum from 0.0, as `sum_sq` adds four entries.
         (t0, t1), (c00, c01, c10, c11) = targets, current
         on0, on1 = t0 > _MASS_EPS, t1 > _MASS_EPS
         root0, root1 = math.sqrt(t0), math.sqrt(t1)
@@ -511,28 +466,28 @@ def triplet_watchdog_demo(theta: float, schedule: DriveSchedule,
             u10 = u01
             v00 = v01 = v10 = v11 = w00 = w01 = w10 = w11 = 0.0
             if on0:
-                norm = math.sqrt(0.0 + u00 * u00 + u01 * u01)
-                if not norm > _MASS_EPS:
-                    lost((0, 1))
-                inverse = 1 / norm
+                length = math.sqrt(0.0 + u00 * u00 + u01 * u01)
+                if not length > _MASS_EPS:
+                    raise DegenerateDynamicsError(_LOST_SECTOR)
+                inverse = 1 / length
                 v00, v01 = u00 * root0 * inverse, u01 * root0 * inverse
             if on1:
-                norm = math.sqrt(0.0 + u10 * u10 + u11 * u11)
-                if not norm > _MASS_EPS:
-                    lost((2, 3))
-                inverse = 1 / norm
+                length = math.sqrt(0.0 + u10 * u10 + u11 * u11)
+                if not length > _MASS_EPS:
+                    raise DegenerateDynamicsError(_LOST_SECTOR)
+                inverse = 1 / length
                 v10, v11 = u10 * root1 * inverse, u11 * root1 * inverse
             if on0:
-                norm = math.sqrt(0.0 + v00 * v00 + v10 * v10)
-                if not norm > _MASS_EPS:
-                    lost((0, 2))
-                inverse = 1 / norm
+                length = math.sqrt(0.0 + v00 * v00 + v10 * v10)
+                if not length > _MASS_EPS:
+                    raise DegenerateDynamicsError(_LOST_SECTOR)
+                inverse = 1 / length
                 w00, w10 = v00 * root0 * inverse, v10 * root0 * inverse
             if on1:
-                norm = math.sqrt(0.0 + v01 * v01 + v11 * v11)
-                if not norm > _MASS_EPS:
-                    lost((1, 3))
-                inverse = 1 / norm
+                length = math.sqrt(0.0 + v01 * v01 + v11 * v11)
+                if not length > _MASS_EPS:
+                    raise DegenerateDynamicsError(_LOST_SECTOR)
+                inverse = 1 / length
                 w01, w11 = v01 * root1 * inverse, v11 * root1 * inverse
             d00, d01, d10, d11 = w00 - c00, w01 - c01, w10 - c10, w11 - c11
             if math.sqrt(0.0 + d00 * d00 + d01 * d01 + d10 * d10
@@ -546,15 +501,19 @@ def triplet_watchdog_demo(theta: float, schedule: DriveSchedule,
     # The rows stay real: closed_form_triplet is real, and so is every
     # coefficient of the step.
     t, phi, amps, overlap = _walk_grid(psi0.amps.real, schedule, step)
-    probs = probabilities(amps)
+    # The symmetrizer (1 + P_12)/2 keeps |00> and |11> and gives |01> and
+    # |10> the mean of the two: halving is exact above the subnormal range,
+    # so the mean is the matrix product's value in any summation order.
+    a00, a01, a10, a11 = amps.T
+    mean = 0.5 * a01 + 0.5 * a10
+    norms = np.sqrt(sum_sq(np.stack([a00, mean, mean, a11], axis=-1)))
     # Python's x ** 2 calls C pow, which is not always correctly rounded.
-    norms = np.sqrt(_sum_sq(np.stack(_symmetrize(amps.T), axis=-1)))
     alpha_sq = np.minimum(norms * norms, 1.0)
     sectors = psi0.sectors("p1")
     return Trajectory(
         schedule, psi0.node_order, psi0.codes, t, phi, amps,
-        p0=probs.take(sectors[0], axis=1).sum(axis=1),
-        p1=probs.take(sectors[1], axis=1).sum(axis=1),
+        p0=sum_sq(amps.take(sectors[0], axis=1)),
+        p1=sum_sq(amps.take(sectors[1], axis=1)),
         alpha_sq=alpha_sq, energy=1.0 - alpha_sq, step_overlap=overlap)
 
 

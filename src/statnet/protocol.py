@@ -30,7 +30,7 @@ import numpy as np
 from .dynamics import DriveSchedule, final_amps
 from .errors import DegenerateDynamicsError, UnpreparableNetworkError
 from .hilbert import (StateVector, index_assignment, node_bit, probabilities,
-                      reduced_diag)
+                      reduced_diag, sum_sq)
 from .network import Network, check_enumerable, render
 from .statics import ConstraintMask, support
 
@@ -300,7 +300,7 @@ def run_protocol(net: Network, schedule: DriveSchedule, shots: int, seed: int,
         samples, n_solutions = (None,) * shots, 0
     else:
         # The sum of a contiguous masked copy, as a trajectory's alpha_sq.
-        good_prob = float(probabilities(final)[prep.mask.bits].sum())
+        good_prob = float(sum_sq(final.compress(prep.mask.bits)))
         pos = _draw(final, uniforms)
         drawn = prep.state.codes[pos].tolist()
         # Each distinct drawn state is formatted once.

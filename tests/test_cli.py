@@ -237,11 +237,12 @@ def test_simulate_link_out_file(tmp_path, capsys):
 
 
 def test_simulate_link_no_mask_rejects_leak(capsys):
-    # Without the projection every state is allowed, so no sector can leak.
-    code, out, err = run_cli(["simulate-link", "--no-mask", "--leak",
-                              "uniform-excited"], capsys)
+    # The link allows one state in each drive sector, so a leak model never
+    # acts: simulate-link has no --leak, with or without --no-mask.
+    code, out, err = run_cli(["simulate-link", "--leak", "uniform-excited"],
+                             capsys)
     assert (code, out) == (2, "")
-    assert "--no-mask" in err
+    assert "unrecognized arguments: --leak uniform-excited" in err
 
 
 def test_simulate_triplet_drive_choices_byte_identical(capsys):

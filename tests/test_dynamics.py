@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from statnet import dynamics
+from statnet import dynamics, hilbert
 from statnet.dynamics import (
     DriveSchedule,
     closed_form_link,
@@ -600,7 +600,8 @@ def left_to_right_sum_sq(amps):
 
 
 def reference_norm(x):
-    """`_norm` as one numpy reduction: numpy's pairwise sum of re^2 + im^2."""
+    """`hilbert.norm` as one numpy reduction: numpy's pairwise sum of
+    re^2 + im^2."""
     return math.sqrt(np.add.reduce(x.real * x.real + x.imag * x.imag))
 
 
@@ -749,16 +750,9 @@ complex_lists = st.lists(st.builds(complex, parts, parts), min_size=1,
 @settings(max_examples=300, deadline=None)
 def test_norm_is_a_left_to_right_sum_below_eight_entries(amps):
     x = np.array(amps, dtype=complex)
-    assert dynamics._norm(x) == math.sqrt(left_to_right_sum_sq(amps))
-    assert dynamics._py_sum_sq(amps) == left_to_right_sum_sq(amps)
-
-
-@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 15, 16, 17, 127, 128, 129,
-                               255, 256, 300, 1000, 4099])
-def test_pairwise_sum_is_numpy_add_reduce(n):
-    rng = np.random.default_rng(n)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    assert dynamics._py_sum_sq(x.tolist()) == dynamics._sum_sq(x)
+    want = math.sqrt(left_to_right_sum_sq(amps))
+    assert hilbert.norm(x) == want
+    assert StateVector(("a", "b", "c"), x, range(len(amps))).norm() == want
 
 
 @given(st.integers(1, 7).flatmap(lambda width: st.lists(
@@ -774,23 +768,6 @@ def test_step_overlap_is_a_left_to_right_sum_below_eight_entries(rows):
             dot_re += new.real * prev.real + new.imag * prev.imag
             dot_im += new.real * prev.imag - new.imag * prev.real
         assert overlaps[k] == abs(complex(dot_re, dot_im))
-
-
-# Halving is exact above the subnormal range.
-normal_parts = st.sampled_from((0.0, 1.0, -0.5)) | st.floats(
-    -1e100, 1e100).filter(lambda v: abs(v) > 1e-300)
-
-
-@given(st.lists(st.builds(complex, normal_parts, normal_parts), min_size=4,
-                max_size=4))
-@settings(max_examples=200, deadline=None)
-def test_symmetrize_is_the_symmetrizer(amps):
-    x = np.array(amps, dtype=complex)
-    sym = symmetrizer_two().matrix
-    assert np.array_equal(dynamics._symmetrize(x.tolist()), sym @ x)
-    rows = np.stack([x, x[::-1]])
-    assert np.array_equal(np.stack(dynamics._symmetrize(rows.T), axis=-1),
-                          rows @ sym.T)
 
 
 # numpy names that reach BLAS (or its LAPACK) for float and complex arrays.
@@ -843,3 +820,36 @@ def test_dynamics_calls_no_blas():
     for name in modules:
         if name != "fock":
             assert blas_uses((package / f"{name}.py").read_text()) == [], name
+
+
+def probability_callers(source):
+    """The function around each `probabilities(...)` call in a module's
+    source, None at module level."""
+    callers = []
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and "probabilities" in (
+                    getattr(child.func, "id", None),
+                    getattr(child.func, "attr", None)):
+                callers.append(name)
+            visit(child, name)
+
+    visit(ast.parse(source), None)
+    return callers
+
+
+def test_probabilities_are_summed_only_in_hilbert():
+    """Outside `hilbert`, whose `sum_sq` sums every mass and norm, only
+    `protocol._draw` calls `probabilities`: the draw needs each term."""
+    assert probability_callers(
+        "probabilities(x)\ndef f():\n    hilbert.probabilities(y)\n") \
+        == [None, "f"]
+    package = Path(dynamics.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.stem != "hilbert":
+            want = ["_draw"] if path.stem == "protocol" else []
+            assert probability_callers(path.read_text()) == want, path.stem

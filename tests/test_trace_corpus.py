@@ -48,16 +48,12 @@ def corpus_argvs() -> list[list[str]]:
         for theta in ("0.0", "0.3"):
             argvs.append(["simulate-link", "--schedule", kind,
                           "--theta", theta, "--no-mask", "--dt", "0.01"])
-            argvs.append(["simulate-link", "--schedule", kind,
-                          "--theta", theta, "--leak", "uniform-excited",
-                          "--dt", "0.01"])
     # From theta=0 sector r=1 starts empty and is refilled at the first step;
     # a half turn empties sector r=0 at the midpoint and refills it after.
-    for leak in ("none", "uniform-excited"):
-        for dt in ("0.01", "0.001"):
-            argvs.append(["simulate-link", "--schedule", "cosine-ramp",
-                          "--theta", "0", "--phi-final", repr(math.pi),
-                          "--leak", leak, "--dt", dt])
+    for dt in ("0.01", "0.001"):
+        argvs.append(["simulate-link", "--schedule", "cosine-ramp",
+                      "--theta", "0", "--phi-final", repr(math.pi),
+                      "--dt", dt])
     # The triplet loses its p1=0 sector while the target is positive: exit 2.
     argvs.append(["simulate-triplet", "--theta", "0.785398163397448",
                   "--phi-final", "1.5707963267948966", "--dt", "0.1"])
