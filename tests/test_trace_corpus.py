@@ -61,6 +61,15 @@ def corpus_argvs() -> list[list[str]]:
     for drive in ("p2", "both"):
         argvs.append(["simulate-triplet", "--theta", "0.3", "--drive", drive,
                       "--dt", "0.001"])
+    # The benchmark's trace size, 10^4 rows, on each schedule, with theta in
+    # its range [0.1, 0.5].
+    for kind, theta in zip(SCHEDULES, ("0.1", "0.3", "0.5")):
+        argvs.append(["simulate-link", "--schedule", kind, "--theta", theta,
+                      "--dt", "0.0001"])
+        for drive in ("p2", "both"):
+            argvs.append(["simulate-triplet", "--schedule", kind,
+                          "--theta", theta, "--drive", drive,
+                          "--dt", "0.0001"])
     return argvs
 
 
