@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Commands: check, solve-brute, simulate-link, simulate-triplet, run.
-All outputs are byte-deterministic given (inputs, flags, seed); floats are
-printed with 17 significant digits and lines end with '\\n'.  The env var
+All outputs are byte-deterministic given (inputs, flags, seed) and lines end
+with '\\n'.  Trace CSVs print floats with 17 significant digits; the JSON of
+run and check --dump prints each float's shortest repr.  The env var
 STATNET_SEED overrides --seed of the one command that takes it, run.
 
 A call builds the parser of the command it names, not of all five: the
@@ -46,21 +47,35 @@ def _write(out_path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _trace_csv(traj: dynamics.Trajectory, amps_at) -> str:
+def _format_column(column: np.ndarray) -> list[str]:
+    """`"%.17g" % x` of each entry, formatting each distinct bit pattern once.
+
+    The key is the bit pattern, not the value, so 0.0 and -0.0 stay apart.
+    """
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    text = np.array(["%.17g" % x for x in bits.view(float).tolist()],
+                    dtype=object)
+    return text[inverse].tolist()
+
+
+def _trace_csv(traj: dynamics.Trajectory, amps_of) -> str:
     """The trajectory's columns and, last, the max deviation of each row from
-    the closed form, whose real amplitudes at total angle a are
-    `amps_at(a)`."""
-    reference = np.array([amps_at(traj.schedule.theta0 + phi)
-                          for phi in traj.phi.tolist()], dtype=float)
+    the closed form, whose real amplitudes are `amps_of(cos, sin)` of the
+    total angle."""
+    # libm's cos and sin, as the scalar closed forms call them: numpy's
+    # vector loops may round differently.
+    angles = (traj.phi + traj.schedule.theta0).tolist()
+    cos = np.array(list(map(math.cos, angles)))
+    sin = np.array(list(map(math.sin, angles)))
+    reference = np.stack(np.broadcast_arrays(*amps_of(cos, sin)), axis=1)
     deviation = traj.amps - reference
     columns = (traj.t, traj.phi, traj.p0, traj.p1, traj.alpha_sq,
                traj.beta_sq, traj.energy, traj.step_overlap,
                np.hypot(deviation.real, deviation.imag).max(axis=1))
-    # %-formatting a float at .17g gives the bytes of format(x, ".17g").
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
     return ("t,phi,p0,p1,alpha_sq,beta_sq,energy,step_overlap,"
             "deviation_from_closed_form\n"
-            + "".join(row % r for r in zip(*(c.tolist() for c in columns))))
+            + "\n".join(map(",".join,
+                            zip(*map(_format_column, columns)))) + "\n")
 
 
 def _schedule_from_args(args, theta0: float = 0.0,

@@ -392,27 +392,31 @@ def final_amps(psi0: np.ndarray, allowed: np.ndarray,
     return final
 
 
-def link_amps(angle: float) -> list[float]:
-    """Amplitudes of the link's closed form at total angle theta+phi."""
-    return [0.0, math.cos(angle), math.sin(angle), 0.0]
+# The closed forms' real amplitudes over |00>, |01>, |10>, |11>, from the
+# cos c and sin s of the total angle theta+phi: floats, or arrays of one
+# entry per angle, beside which the 0.0 entries broadcast.
+def link_amps(c, s) -> list:
+    """The link's closed form: c|01> + s|10>."""
+    return [0.0, c, s, 0.0]
 
 
-def triplet_amps(angle: float) -> list[float]:
-    """Amplitudes of the triplet's closed form at total angle theta+phi."""
-    c, s = math.cos(angle), math.sin(angle)
+def triplet_amps(c, s) -> list:
+    """The triplet's closed form, the product state (c|0> + s|1>)^(x)2."""
     return [c * c, s * c, s * c, s * s]
 
 
 def closed_form_link(theta: float, phi: float) -> StateVector:
     """cos(theta+phi)|01> + sin(theta+phi)|10> on nodes (r, s)."""
-    return StateVector(("r", "s"),
-                       np.array(link_amps(theta + phi), dtype=complex))
+    angle = theta + phi
+    return StateVector(("r", "s"), np.array(
+        link_amps(math.cos(angle), math.sin(angle)), dtype=complex))
 
 
 def closed_form_triplet(theta: float, phi: float) -> StateVector:
     """The rotated symmetric two-particle state (a product state)."""
-    return StateVector(("p1", "p2"),
-                       np.array(triplet_amps(theta + phi), dtype=complex))
+    angle = theta + phi
+    return StateVector(("p1", "p2"), np.array(
+        triplet_amps(math.cos(angle), math.sin(angle)), dtype=complex))
 
 
 def q_rs_apply(phi: float, v: StateVector) -> StateVector:

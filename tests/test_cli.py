@@ -7,12 +7,15 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from statnet import dynamics
-from statnet.cli import _COMMANDS, DUMP_NODE_LIMIT, main
+from statnet.cli import (_COMMANDS, DUMP_NODE_LIMIT, _format_column,
+                         _trace_csv, main)
 
 CSV_HEADER = ("t,phi,p0,p1,alpha_sq,beta_sq,energy,step_overlap,"
               "deviation_from_closed_form")
@@ -277,6 +280,80 @@ def test_simulate_triplet_lost_sector_exit_code(capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert "constrained subspace" not in err
+
+
+def per_row_trace_csv(traj, amps_of):
+    """The trace writer that formats every row with one "%.17g" pattern,
+    on a closed-form reference built one angle at a time."""
+    reference = np.array([amps_of(math.cos(angle), math.sin(angle))
+                          for angle in (traj.schedule.theta0 + phi
+                                        for phi in traj.phi.tolist())],
+                         dtype=float)
+    deviation = traj.amps - reference
+    columns = (traj.t, traj.phi, traj.p0, traj.p1, traj.alpha_sq,
+               traj.beta_sq, traj.energy, traj.step_overlap,
+               np.hypot(deviation.real, deviation.imag).max(axis=1))
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    return (CSV_HEADER + "\n"
+            + "".join(row % r for r in zip(*(c.tolist() for c in columns))))
+
+
+# Floats whose text stands apart: both zeros, NaN, the infinities,
+# subnormals and the ends of the normal range.
+SPECIAL_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                  1e-310, 2.2250738585072014e-308, 1e-300, -1e-300, 1e300,
+                  -1e300, 0.1, 1.0)
+ANY_FLOAT = st.sampled_from(SPECIAL_FLOATS) | st.floats() \
+    | st.floats(min_value=1e-300, max_value=1e300)
+# Angles stay finite, as math.cos and math.sin require.
+ANGLE = st.sampled_from((0.0, -0.0, math.nan, 5e-324, 1e-300, 1e300)) \
+    | st.floats(min_value=-1e300, max_value=1e300)
+AMP = st.sampled_from((0.0, -0.0, 5e-324, 1e-310, 0.5)) \
+    | st.floats(min_value=-2.0, max_value=2.0)
+
+
+@st.composite
+def trace_columns(draw):
+    """A trajectory-like namespace: columns of 1 to 20 rows, each either a
+    few values repeated or a fresh value per row."""
+    rows = draw(st.integers(min_value=1, max_value=20))
+
+    def column(values, shape=(rows,)):
+        size = math.prod(shape)
+        if draw(st.booleans()):
+            values = st.sampled_from(draw(st.lists(values, min_size=1,
+                                                   max_size=3)))
+        return np.array(draw(st.lists(values, min_size=size, max_size=size)),
+                        dtype=float).reshape(shape)
+
+    amps = column(AMP, (rows, 4))
+    if draw(st.booleans()):
+        amps = amps + 1j * column(AMP, (rows, 4))
+    return SimpleNamespace(
+        schedule=SimpleNamespace(theta0=draw(st.floats(-1.0, 1.0))),
+        phi=column(ANGLE), amps=amps,
+        **{name: column(ANY_FLOAT) for name in (
+            "t", "p0", "p1", "alpha_sq", "beta_sq", "energy",
+            "step_overlap")})
+
+
+@given(trace_columns(), st.sampled_from((dynamics.link_amps,
+                                         dynamics.triplet_amps)))
+@example(SimpleNamespace(
+    schedule=SimpleNamespace(theta0=0.0), phi=np.array([0.0, -0.0, 0.0]),
+    amps=np.zeros((3, 4)), t=np.array([-0.0, 0.0, -0.0]),
+    p0=np.full(3, math.nan), p1=np.array([math.inf, -math.inf, 5e-324]),
+    alpha_sq=np.array([1e-300, 1e300, 1e-300]), beta_sq=np.zeros(3),
+    energy=np.array([-0.0, -0.0, 0.0]), step_overlap=np.ones(3)),
+    dynamics.link_amps)
+@settings(max_examples=40, deadline=None)
+def test_trace_csv_bytes_equal_the_per_row_writer(traj, amps_of):
+    assert _trace_csv(traj, amps_of) == per_row_trace_csv(traj, amps_of)
+
+
+def test_format_column_keeps_both_zeros_apart():
+    column = np.array([0.0, -0.0, 0.0, math.nan, -0.0, 0.5])
+    assert _format_column(column) == ["0", "-0", "0", "nan", "-0", "0.5"]
 
 
 # --- run ---------------------------------------------------------------------

@@ -263,6 +263,43 @@ def test_closed_form_triplet_is_product_state():
     assert np.linalg.matrix_rank(amps, tol=1e-12) == 1
 
 
+def float_bits(values):
+    return np.ascontiguousarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("kind", dynamics.SCHEDULE_KINDS)
+@pytest.mark.parametrize("dt", (1e-2, 1e-3))
+def test_closed_forms_on_arrays_have_the_scalar_bits(kind, dt):
+    """`link_amps`/`triplet_amps` on arrays of libm cos and sin, as the trace
+    writer builds its reference, give the bits of the scalar closed forms at
+    every grid angle; those keep the bits of their per-angle formulas."""
+    theta = 0.3
+    sched = DriveSchedule(kind=kind, theta0=theta, phi_final=math.pi / 3,
+                          dt=dt)
+    phis = evolve(closed_form_link(theta, 0.0), LINK_MASK, "r",
+                  sched).phi.tolist()
+    angles = [theta + phi for phi in phis]
+    cos = np.array(list(map(math.cos, angles)))
+    sin = np.array(list(map(math.sin, angles)))
+
+    def link_at(angle):
+        return [0.0, math.cos(angle), math.sin(angle), 0.0]
+
+    def triplet_at(angle):
+        c, s = math.cos(angle), math.sin(angle)
+        return [c * c, s * c, s * c, s * s]
+
+    for amps_of, closed_form, formula in (
+            (dynamics.link_amps, closed_form_link, link_at),
+            (dynamics.triplet_amps, closed_form_triplet, triplet_at)):
+        rows = np.stack(np.broadcast_arrays(*amps_of(cos, sin)), axis=1)
+        scalar = np.array([closed_form(theta, phi).amps for phi in phis])
+        assert not scalar.imag.any()
+        assert np.array_equal(float_bits(rows), float_bits(scalar.real))
+        assert np.array_equal(float_bits(scalar.real),
+                              float_bits([formula(a) for a in angles]))
+
+
 def test_q_rs_swaps_at_right_angle():
     out = q_rs_apply(math.pi / 2, basis_state(("r", "s"), "01"))
     assert np.allclose(out.amps, [0, 0, 1, 0], atol=1e-15)
@@ -820,6 +857,35 @@ def test_dynamics_calls_no_blas():
     for name in modules:
         if name != "fock":
             assert blas_uses((package / f"{name}.py").read_text()) == [], name
+
+
+# numpy's transcendental loops, which may round otherwise than libm.
+NUMPY_TRANSCENDENTALS = {"cos", "sin", "exp"}
+
+
+def numpy_transcendental_uses(source):
+    """Each np.cos/np.sin/np.exp (or numpy.*) and import of one in a source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) \
+                and node.attr in NUMPY_TRANSCENDENTALS \
+                and getattr(node.value, "id", None) in ("np", "numpy"):
+            found.append(f"{node.value.id}.{node.attr} at line {node.lineno}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [f"import {alias.name} at line {node.lineno}"
+                      for alias in node.names
+                      if alias.name in NUMPY_TRANSCENDENTALS]
+    return found
+
+
+def test_cli_calls_no_numpy_transcendentals():
+    """The trace writer's closed-form reference takes cos and sin from libm,
+    one angle at a time, as the scalar closed forms do."""
+    assert len(numpy_transcendental_uses(
+        "np.cos(x)\nnumpy.sin(x)\nfrom numpy import exp\n")) == 3
+    assert numpy_transcendental_uses("math.cos(x)\nmap(math.sin, a)\n") == []
+    source = (Path(dynamics.__file__).parent / "cli.py").read_text()
+    assert numpy_transcendental_uses(source) == []
 
 
 def probability_callers(source):
