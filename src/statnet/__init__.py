@@ -14,6 +14,7 @@ assignments that satisfy every constraint.  Subpackages:
 - dynamics: the watchdog stepper, drive schedules, closed forms
 - protocol: prepare / drive / measure / decide with repetition statistics
 - cli: the `statnet` command-line entry point
+- record: the frozen-record base of every value type, and `replace`
 """
 from .errors import (
     DegenerateDynamicsError,

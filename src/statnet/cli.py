@@ -16,7 +16,6 @@ large to build).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -88,6 +87,8 @@ def _schedule_from_args(args, theta0: float = 0.0,
 def cmd_check(args) -> int:
     net = _load_network(args.network)
     if args.dump:
+        import json
+
         if net.n_nodes > DUMP_NODE_LIMIT:
             raise ValueError(f"{net.n_nodes} nodes exceeds check --dump "
                              f"limit {DUMP_NODE_LIMIT}")
@@ -160,6 +161,8 @@ def cmd_simulate_triplet(args) -> int:
 
 
 def cmd_run(args) -> int:
+    import json
+
     net = _load_network(args.network)
     schedule = _schedule_from_args(args)
     result = protocol.run_protocol(net, schedule, shots=args.shots,

@@ -38,12 +38,12 @@ Python numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DegenerateDynamicsError
 from .hilbert import StateVector, norm, sum_sq
+from .record import Record, replace
 from .statics import ConstraintMask
 
 SCHEDULE_KINDS = ("linear-ramp", "cosine-ramp", "exponential-relax")
@@ -65,8 +65,7 @@ _LOST_SECTOR = ("drive demands mass in a sector that holds none and has no "
                 "allowed state to refill")
 
 
-@dataclass(frozen=True)
-class DriveSchedule:
+class DriveSchedule(Record):
     """Rotation profile phi(t) applied on top of the initial angle theta0."""
 
     kind: str = "linear-ramp"
@@ -117,8 +116,7 @@ def _targets_at(angle: float) -> tuple[float, float]:
     return math.cos(angle) ** 2, math.sin(angle) ** 2
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
+class TrajectoryPoint(Record):
     """One row of a `Trajectory`, as Python objects."""
 
     t: float
@@ -131,8 +129,7 @@ class TrajectoryPoint:
     step_overlap: float
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """A recorded evolution as read-only columns; row k is the state at `t[k]`.
 
     `amps` is the (rows, stored states) amplitude matrix over `codes` of
@@ -153,9 +150,9 @@ class Trajectory:
     alpha_sq: np.ndarray
     energy: np.ndarray
     step_overlap: np.ndarray
-    beta_sq: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        # `beta_sq` is derived from `alpha_sq`, so it is not a field.
         object.__setattr__(self, "beta_sq", 1.0 - self.alpha_sq)
         for name in ("t", "phi", "amps", "p0", "p1", "alpha_sq", "energy",
                      "step_overlap", "beta_sq"):

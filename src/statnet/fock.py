@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from .record import Record
 
 PROJECTOR_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ModeBasis:
+class ModeBasis(Record):
     """Ordered single-particle modes (spin, site) for a list of lattice sites."""
 
     sites: tuple[str, ...]
@@ -33,8 +33,7 @@ class ModeBasis:
         return 2 * self.sites.index(site) + chi
 
 
-@dataclass(frozen=True)
-class FockVector:
+class FockVector(Record):
     """Superposition over occupation configurations (bit m = mode m occupied)."""
 
     basis: ModeBasis
@@ -76,8 +75,7 @@ def creation_matrix(basis: ModeBasis, chi: int, site: str) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True)
-class PermutationProjector:
+class PermutationProjector(Record):
     """Symmetrizer or antisymmetrizer over an n-particle tensor basis."""
 
     matrix: np.ndarray

@@ -15,9 +15,10 @@ copies, so no two states share an array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from .record import Record
 
 
 def node_bit(node_order: tuple[str, ...], node: str) -> int:
@@ -61,8 +62,7 @@ def _checked_codes(codes, n_nodes: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(Record):
     """Complex amplitudes over the computational basis of the named nodes.
 
     `amps[i]` is the amplitude of basis code `codes[i]`; every other basis
@@ -110,8 +110,7 @@ class StateVector:
         return np.flatnonzero(bit == 0), np.flatnonzero(bit)
 
 
-@dataclass(frozen=True)
-class SectorDiag:
+class SectorDiag(Record):
     """Diagonal of one node's reduced density matrix."""
 
     node: str

@@ -15,17 +15,16 @@ ordered by the ``nodes`` declaration (first node = most significant bit).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ParseError
+from .record import Record
 
 DEFAULT_NODE_LIMIT = 24
 
 NOT_ROWS = (("0", "1"), ("1", "0"))
 
 
-@dataclass(frozen=True)
-class TruthTable:
+class TruthTable(Record):
     in_arity: int
     out_arity: int
     rows: tuple[tuple[str, str], ...]
@@ -48,8 +47,7 @@ class TruthTable:
         return dict(self.rows)
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(Record):
     name: str
     in_nodes: tuple[str, ...]
     out_nodes: tuple[str, ...]
@@ -70,8 +68,7 @@ class Gate:
         return self.table.rows == NOT_ROWS
 
 
-@dataclass(frozen=True)
-class Pin:
+class Pin(Record):
     node: str
     value: int
     kind: str  # "input" | "output"
@@ -83,8 +80,7 @@ class Pin:
             raise ValueError(f"pin {self.node}: kind must be input or output")
 
 
-@dataclass(frozen=True)
-class Network:
+class Network(Record):
     nodes: tuple[str, ...]
     gates: tuple[Gate, ...] = ()
     pins: tuple[Pin, ...] = ()
@@ -140,18 +136,9 @@ def _split_names(raw: str) -> tuple[str, ...]:
     return tuple(n.strip() for n in raw.split(",") if n.strip())
 
 
-@dataclass
-class _RawPin:
-    node: str
-    value: int
-    kind: str | None
-    line: int
-
-
 def link_gate(src: str, dst: str) -> Gate:
     """The desugared form of ``link src -> dst``."""
-    return Gate(name=f"link_{src}_{dst}", in_nodes=(src,), out_nodes=(dst,),
-                table=TruthTable(1, 1, NOT_ROWS))
+    return Gate(f"link_{src}_{dst}", (src,), (dst,), TruthTable(1, 1, NOT_ROWS))
 
 
 def _parse_gate(line: str) -> Gate:
@@ -182,7 +169,8 @@ def parse_network(text: str) -> Network:
     """Parse the DSL into a fully validated Network."""
     nodes: tuple[str, ...] | None = None
     gates: list[Gate] = []
-    raw_pins: list[_RawPin] = []
+    # (node, value, kind or None, line) of each fix statement.
+    raw_pins: list[tuple[str, int, str | None, int]] = []
     drive: str | None = None
 
     # Gate bodies may span lines: join continuation lines until braces balance.
@@ -227,7 +215,7 @@ def parse_network(text: str) -> Network:
                 node, value_raw, kind = m.groups()
                 if value_raw not in ("0", "1"):
                     raise ValueError(f"pin {node}: value must be 0 or 1, got {value_raw!r}")
-                raw_pins.append(_RawPin(node, int(value_raw), kind, lineno))
+                raw_pins.append((node, int(value_raw), kind, lineno))
             elif line.startswith("drive"):
                 m = _DRIVE_RE.match(line)
                 if not m:
@@ -245,12 +233,12 @@ def parse_network(text: str) -> Network:
 
     outputs = {n for g in gates for n in g.out_nodes}
     pins = []
-    for rp in raw_pins:
-        kind = rp.kind or ("output" if rp.node in outputs else "input")
+    for node, value, kind, lineno in raw_pins:
+        kind = kind or ("output" if node in outputs else "input")
         try:
-            pins.append(Pin(rp.node, rp.value, kind))
+            pins.append(Pin(node, value, kind))
         except ValueError as exc:
-            raise ParseError(str(exc), rp.line) from None
+            raise ParseError(str(exc), lineno) from None
 
     try:
         return Network(nodes, tuple(gates), tuple(pins), drive)

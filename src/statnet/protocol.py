@@ -21,9 +21,7 @@ arrays (`_shot_uniforms`), so a decision builds no `Generator`.
 """
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +30,7 @@ from .errors import DegenerateDynamicsError, UnpreparableNetworkError
 from .hilbert import (StateVector, index_assignment, node_bit, probabilities,
                       reduced_diag, sum_sq)
 from .network import Network, check_enumerable, render
+from .record import Record, replace
 from .statics import ConstraintMask, support
 
 # Reference per-shot success probability used for the stated confidence of a
@@ -64,8 +63,7 @@ _MULT_HI, _MULT_LO, _MULT_LO_HI, _MULT_LO_LO = (
                         (32, _MASK32), (0, _MASK32)))
 
 
-@dataclass(frozen=True)
-class Preparation:
+class Preparation(Record):
     """The prepared state and the input-constrained mask it is evolved under.
 
     `mask` has one entry per stored state of `state`: true on the support,
@@ -83,8 +81,7 @@ class Preparation:
         return self.n_sector0 + self.n_sector1
 
 
-@dataclass(frozen=True)
-class ProtocolResult:
+class ProtocolResult(Record):
     shots: int
     samples: tuple[str | None, ...]
     n_solutions: int
@@ -116,6 +113,8 @@ class ProtocolResult:
 
 
 def network_hash(net: Network) -> str:
+    import hashlib
+
     return hashlib.sha256(render(net).encode()).hexdigest()[:16]
 
 

@@ -16,20 +16,18 @@ as int64 basis codes, so its cost follows the size of the support, not 2^n.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .hilbert import node_bit
 from .network import DEFAULT_NODE_LIMIT, Gate, Network, Pin, check_enumerable
+from .record import Record
 
 DEFAULT_PENALTY = 1.0
 # Basis codes are int64 with the first declared node as the top bit.
 MAX_CODE_NODES = 62
 
 
-@dataclass(frozen=True)
-class ConstraintMask:
+class ConstraintMask(Record):
     """Boolean diagonal indicator (a projector A_i), one entry per basis state.
 
     The masks built here cover all 2^n basis indices; a prepared state's
@@ -56,8 +54,7 @@ class ConstraintMask:
         return int(self.bits.sum())
 
 
-@dataclass(frozen=True)
-class PenaltyHamiltonian:
+class PenaltyHamiltonian(Record):
     """Nonnegative diagonal energy array (an H_i)."""
 
     dim: int

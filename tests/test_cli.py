@@ -429,17 +429,28 @@ def test_run_builds_no_generator(shots, capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == FIG1_RUN_DIGESTS[shots]
 
 
-def test_run_process_never_imports_numpy_random():
+# A module stays out of a process that has no use for it: a bare import of
+# the CLI needs neither the record machinery of `dataclasses` nor `hashlib`
+# (only `run` prints a network hash) nor `json` (only `run` and
+# `check --dump` print JSON); `run` draws its shots without `numpy.random`.
+@pytest.mark.parametrize("args, absent", [
+    (["-c", "import statnet.cli"], {"dataclasses", "hashlib", "json"}),
+    (["-m", "statnet.cli", "solve-brute", "--network", "fig1"],
+     {"hashlib", "json"}),
+    (["-m", "statnet.cli", "simulate-link", "--dt", "1e-2"],
+     {"hashlib", "json"}),
+    (["-m", "statnet.cli", "run", "--network", "fig1"], {"numpy.random"}),
+], ids=["import", "solve-brute", "simulate-link", "run"])
+def test_process_never_imports(args, absent):
     # -X importtime lists every module the process imports, on stderr.
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m",
-                           "statnet.cli", "run", "--network", "fig1"],
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
                           capture_output=True, text=True,
                           env=src_first_env())
     assert proc.returncode == 0
     modules = {line.rsplit("|", 1)[-1].strip()
                for line in proc.stderr.splitlines()}
     assert "numpy" in modules
-    assert "numpy.random" not in modules
+    assert not absent & modules
 
 
 def test_run_bad_env_seed(capsys, monkeypatch):

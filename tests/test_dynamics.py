@@ -1,7 +1,6 @@
 """Watchdog stepping, drive schedules, and the two closed-form references."""
 import ast
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +23,7 @@ from statnet.errors import DegenerateDynamicsError
 from statnet.fock import symmetrizer_two
 from statnet.hilbert import StateVector, basis_state, probabilities
 from statnet.network import parse_network
+from statnet.record import replace
 from statnet.statics import ConstraintMask, gate_mask
 
 LINK_NET = parse_network("nodes r s\nlink r -> s\n")
@@ -857,6 +857,27 @@ def test_dynamics_calls_no_blas():
     for name in modules:
         if name != "fock":
             assert blas_uses((package / f"{name}.py").read_text()) == [], name
+
+
+def imported_modules(source):
+    """The top-level package of each module a source imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    """Every value type is a `record.Record`, the one record implementation."""
+    assert imported_modules("import os, dataclasses.x\n"
+                            "from dataclasses import replace\n"
+                            "from . import network\n") == {"os", "dataclasses"}
+    package = Path(dynamics.__file__).parent
+    for path in package.glob("*.py"):
+        assert "dataclasses" not in imported_modules(path.read_text()), path.name
 
 
 # numpy's transcendental loops, which may round otherwise than libm.

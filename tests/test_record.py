@@ -6,13 +6,12 @@ same class with equal fields, and equal records hash equal; their repr is
 ``Class(field=value, ...)``; and `replace` builds a new record through the
 same validation.
 """
-from dataclasses import replace
-
 import pytest
 
 from statnet.dynamics import DriveSchedule
 from statnet.hilbert import SectorDiag
 from statnet.network import Gate, Network, Pin, TruthTable
+from statnet.record import replace
 
 NOT_TABLE = TruthTable(1, 1, (("0", "1"), ("1", "0")))
 LINK = Gate("l", ("a",), ("b",), NOT_TABLE)
