@@ -404,6 +404,39 @@ def small_networks(draw):
     return Network(nodes, tuple(gates), tuple(pins), drive)
 
 
+@st.composite
+def wide_networks(draw):
+    """1-6 random gates over 3-9 nodes, random pins, a driven output pin.
+
+    Each gate has 0-3 inputs and 0-2 outputs, not both 0, and 1 to
+    2^inputs rows, so the join order, gates shared across several joins,
+    gates without inputs or outputs and free nodes all occur.
+    """
+    nodes = tuple("abcdefghi"[:draw(st.integers(3, 9))])
+    gates = []
+    for i in range(draw(st.integers(1, 6))):
+        n_in = draw(st.integers(0, 3))
+        n_out = draw(st.integers(0 if n_in else 1,
+                                 min(2, len(nodes) - n_in)))
+        order = draw(st.permutations(nodes))
+        ins = draw(st.lists(st.integers(0, 2 ** n_in - 1), min_size=1,
+                            unique=True))
+        rows = tuple((format(k, f"0{n_in}b") if n_in else "",
+                      format(draw(st.integers(0, 2 ** n_out - 1)), f"0{n_out}b")
+                      if n_out else "")
+                     for k in sorted(ins))
+        gates.append(Gate(f"g{i}", tuple(order[:n_in]),
+                          tuple(order[n_in:n_in + n_out]),
+                          TruthTable(n_in, n_out, rows)))
+    drive = draw(st.sampled_from(nodes))
+    pins = [Pin(drive, draw(st.integers(0, 1)), "output")]
+    for node in nodes:
+        kind = draw(st.sampled_from((None, None, "input", "output")))
+        if node != drive and kind:
+            pins.append(Pin(node, draw(st.integers(0, 1)), kind))
+    return Network(nodes, tuple(gates), tuple(pins), drive)
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_networks(), st.integers(0, 2 ** 16))
 def test_mask_kernel_matches_string_oracle(net, seed):
@@ -424,9 +457,7 @@ def test_mask_kernel_matches_string_oracle(net, seed):
         if s is not None and assignment_satisfies(net, s, include_pins=True))
 
 
-@settings(max_examples=100, deadline=None)
-@given(small_networks(), st.booleans())
-def test_support_matches_mask_and_string_oracle(net, include_output_pins):
+def check_support_against_oracles(net, include_output_pins):
     codes = support(net, include_output_pins)
     assert codes.dtype == np.int64
     mask = network_mask(net, include_output_pins)
@@ -438,17 +469,26 @@ def test_support_matches_mask_and_string_oracle(net, include_output_pins):
                               for a in brute_force_solutions(oracle)]
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_networks(), st.integers(0, 2 ** 16),
-       st.sampled_from(("none", "uniform-excited")), st.integers(1, 64))
-def test_support_run_matches_dense_stepper(net, seed, leak_model, shots):
+@settings(max_examples=100, deadline=None)
+@given(small_networks(), st.booleans())
+def test_support_matches_mask_and_string_oracle(net, include_output_pins):
+    check_support_against_oracles(net, include_output_pins)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_networks(), st.booleans())
+def test_support_of_wide_networks_matches_oracles(net, include_output_pins):
+    check_support_against_oracles(net, include_output_pins)
+
+
+def check_run_against_dense_stepper(net, kind, seed, leak_model, shots):
     """The stored run agrees with the dense stepper on the dense preparation.
 
     Its batched draw gives the samples of one `measure_sample` per shot.
     """
     if not support(net, include_output_pins=False).size:
         return
-    sched = DriveSchedule(kind="cosine-ramp", tau=1.0, dt=0.1)
+    sched = DriveSchedule(kind=kind, tau=1.0, dt=0.1)
     res = run_protocol(net, sched, shots=shots, seed=seed,
                        leak_model=leak_model)
     prep = prepare_ground(net, leak_model)
@@ -473,6 +513,24 @@ def test_support_run_matches_dense_stepper(net, seed, leak_model, shots):
     assert res.samples == samples
     assert res.n_solutions == n_solutions
     assert res.decision == ("satisfiable" if n_solutions else "unsatisfiable")
+
+
+LEAK_MODELS = st.sampled_from(("none", "uniform-excited"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_networks(), st.integers(0, 2 ** 16), LEAK_MODELS,
+       st.integers(1, 64))
+def test_support_run_matches_dense_stepper(net, seed, leak_model, shots):
+    check_run_against_dense_stepper(net, "cosine-ramp", seed, leak_model,
+                                    shots)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_networks(), st.sampled_from(dynamics.SCHEDULE_KINDS),
+       st.integers(0, 2 ** 16), LEAK_MODELS, st.integers(1, 64))
+def test_wide_run_matches_dense_stepper(net, kind, seed, leak_model, shots):
+    check_run_against_dense_stepper(net, kind, seed, leak_model, shots)
 
 
 # --- one probability kernel --------------------------------------------------
