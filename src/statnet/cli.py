@@ -6,8 +6,14 @@ with '\\n'.  Trace CSVs print floats with 17 significant digits; the JSON of
 run and check --dump prints each float's shortest repr.  The env var
 STATNET_SEED overrides --seed of the one command that takes it, run.
 
-A call builds the parser of the command it names, not of all five: the
-usage, help and error messages are the same either way.
+A call whose argv is in the canonical form is read straight from the flag
+table, without argparse: a command, then only that command's flags, each at
+most once and spelled in full as `--flag value` or `--switch`, each value
+passing the flag's type and choices and not beginning with '-'.  It gives
+the namespace argparse would.  Any other argv (help, every error,
+abbreviations, `--flag=value`, repeated flags, values beginning with '-')
+goes to argparse, which builds the parser of the command it names, not of
+all five: the usage, help and error messages are the same either way.
 
 Exit codes: 0 success (satisfiable for solve-brute/run), 1 unsatisfiable,
 2 error (parse failure, bad flags, degenerate dynamics, a step grid too
@@ -15,16 +21,20 @@ large to build).
 """
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import dynamics, network, protocol, statics
 from .errors import StatnetError
 from .hilbert import index_assignment
+
+if TYPE_CHECKING:
+    import argparse
 
 # `check --dump` writes six 2^n float lists as JSON text: at 16 nodes about
 # 8 MB and 125 MiB peak RSS, growing fourfold per two nodes.
@@ -212,12 +222,55 @@ _COMMANDS = (
 )
 
 
+def _read_canonical(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace `build_parser().parse_args(argv)` returns, for argv in
+    the canonical form (see the module docstring); None for any other argv.
+    """
+    for name, _, handler, flags in _COMMANDS:
+        if argv and argv[0] == name:
+            break
+    else:
+        return None
+    values = {}
+    for flag in flags:
+        spec = _FLAGS[flag]
+        # argparse's defaults: a switch is False, any other flag None.
+        switch = spec.get("action") == "store_true"
+        values[flag] = spec.get("default", False if switch else None)
+    unread = set(flags)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag = token[2:]
+        if not token.startswith("--") or flag not in unread:
+            return None
+        unread.remove(flag)
+        spec = _FLAGS[flag]
+        if spec.get("action") == "store_true":
+            values[flag] = True
+            continue
+        value = next(tokens, "-")  # a missing value, which argparse reports
+        if value.startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        values[flag] = value
+    return SimpleNamespace(
+        command=name, fn=handler,
+        **{flag.replace("-", "_"): value for flag, value in values.items()})
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every command, or with `command` of that one only.
 
     The one-command parser's usage still lists every command, so the
     messages it prints are the full parser's.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="statnet",
         description="Watchdog-projection simulator for constrained Boolean "
@@ -240,12 +293,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    names = [name for name, *_ in _COMMANDS]
-    parser = build_parser(argv[0] if argv and argv[0] in names else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    args = _read_canonical(argv)
+    if args is None:
+        names = [name for name, *_ in _COMMANDS]
+        parser = build_parser(argv[0] if argv and argv[0] in names else None)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     env_seed = os.environ.get("STATNET_SEED")
     if env_seed is not None and "seed" in vars(args):
         try:

@@ -7,7 +7,8 @@ state stores its amplitudes only on its `codes`, the ascending basis codes
 outside which it is zero; by default that is all 2^n of them.
 `node_bit` is the one place that turns a node into its bit of a code,
 `probabilities` the one place that turns amplitudes into probabilities, and
-`sum_sq`/`norm` the one place where a mass or a norm is summed.
+`sum_probs` (with `sum_sq`/`norm` on it) the one place where a mass or a
+norm is summed.
 All values are immutable after construction and all operations are pure
 functions.  Constructors always copy the caller's arrays and freeze the
 copies, so no two states share an array.
@@ -37,15 +38,20 @@ def probabilities(amps: np.ndarray) -> np.ndarray:
     return re * re + im * im
 
 
-def sum_sq(x: np.ndarray) -> np.ndarray:
-    """The sum of `probabilities(x)` along the last axis.
+def sum_probs(probs: np.ndarray) -> np.ndarray:
+    """The sum of probabilities along the last axis.
 
     `np.add.reduce` adds the terms in numpy's pairwise order: left to right
     below 8 terms, in eight interleaved partial sums up to 128, and by
     halves beyond.  That order is numpy's own on every build, where a BLAS
     dot product's is not.
     """
-    return np.add.reduce(probabilities(x), axis=-1)
+    return np.add.reduce(probs, axis=-1)
+
+
+def sum_sq(x: np.ndarray) -> np.ndarray:
+    """The sum of `probabilities(x)` along the last axis, by `sum_probs`."""
+    return sum_probs(probabilities(x))
 
 
 def norm(x: np.ndarray) -> float:

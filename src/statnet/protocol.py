@@ -28,7 +28,7 @@ import numpy as np
 from .dynamics import DriveSchedule, final_amps
 from .errors import DegenerateDynamicsError, UnpreparableNetworkError
 from .hilbert import (StateVector, index_assignment, node_bit, probabilities,
-                      reduced_diag, sum_sq)
+                      reduced_diag, sum_probs)
 from .network import Network, check_enumerable, render
 from .record import Record, replace
 from .statics import ConstraintMask, support
@@ -170,7 +170,8 @@ def _drive_schedule_for(net: Network, prep: Preparation,
 
 
 def _draw(amps: np.ndarray, uniforms: float | np.ndarray):
-    """Positions in `amps` that `Generator.choice` draws for these uniforms.
+    """Positions in `amps` that `Generator.choice` draws for these uniforms,
+    and the probabilities of `amps` they were drawn from.
 
     `rng.choice(amps.size, p=probs / probs.sum())` normalises the
     probabilities, accumulates them, scales the cumulative sum to end at 1
@@ -185,7 +186,7 @@ def _draw(amps: np.ndarray, uniforms: float | np.ndarray):
                          f"is {total}")
     cdf = (probs / total).cumsum()
     cdf /= cdf[-1]
-    return cdf.searchsorted(uniforms, side="right")
+    return cdf.searchsorted(uniforms, side="right"), probs
 
 
 def _shot_uniforms(seed: int, shots: int) -> np.ndarray:
@@ -263,7 +264,7 @@ def measure_sample(v: StateVector, rng: np.random.Generator) -> str:
     order, as `rng.choice` does, so it lands on the same basis state as
     `rng.choice` over all 2^n would.
     """
-    k = int(v.codes[_draw(v.amps, rng.random())])
+    k = int(v.codes[_draw(v.amps, rng.random())[0]])
     return index_assignment(v.node_order, k)
 
 
@@ -298,9 +299,9 @@ def run_protocol(net: Network, schedule: DriveSchedule, shots: int, seed: int,
         final, good_prob = None, 0.0
         samples, n_solutions = (None,) * shots, 0
     else:
+        pos, probs = _draw(final, uniforms)
         # The sum of a contiguous masked copy, as a trajectory's alpha_sq.
-        good_prob = float(sum_sq(final.compress(prep.mask.bits)))
-        pos = _draw(final, uniforms)
+        good_prob = float(sum_probs(probs.compress(prep.mask.bits)))
         drawn = prep.state.codes[pos].tolist()
         # Each distinct drawn state is formatted once.
         names = {k: index_assignment(net.nodes, k) for k in set(drawn)}

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from statnet import dynamics
-from statnet.cli import (_COMMANDS, DUMP_NODE_LIMIT, _format_column,
-                         _trace_csv, main)
+from statnet.cli import (_COMMANDS, _FLAGS, DUMP_NODE_LIMIT, _format_column,
+                         _read_canonical, _trace_csv, build_parser, main)
 
 CSV_HEADER = ("t,phi,p0,p1,alpha_sq,beta_sq,energy,step_overlap,"
               "deviation_from_closed_form")
@@ -432,14 +432,17 @@ def test_run_builds_no_generator(shots, capsys, monkeypatch):
 # A module stays out of a process that has no use for it: a bare import of
 # the CLI needs neither the record machinery of `dataclasses` nor `hashlib`
 # (only `run` prints a network hash) nor `json` (only `run` and
-# `check --dump` print JSON); `run` draws its shots without `numpy.random`.
+# `check --dump` print JSON); `run` draws its shots without `numpy.random`;
+# and canonical argv is read without `argparse`.
 @pytest.mark.parametrize("args, absent", [
-    (["-c", "import statnet.cli"], {"dataclasses", "hashlib", "json"}),
+    (["-c", "import statnet.cli"],
+     {"argparse", "dataclasses", "hashlib", "json"}),
     (["-m", "statnet.cli", "solve-brute", "--network", "fig1"],
-     {"hashlib", "json"}),
+     {"argparse", "hashlib", "json"}),
     (["-m", "statnet.cli", "simulate-link", "--dt", "1e-2"],
-     {"hashlib", "json"}),
-    (["-m", "statnet.cli", "run", "--network", "fig1"], {"numpy.random"}),
+     {"argparse", "hashlib", "json"}),
+    (["-m", "statnet.cli", "run", "--network", "fig1"],
+     {"argparse", "numpy.random"}),
 ], ids=["import", "solve-brute", "simulate-link", "run"])
 def test_process_never_imports(args, absent):
     # -X importtime lists every module the process imports, on stderr.
@@ -451,6 +454,16 @@ def test_process_never_imports(args, absent):
                for line in proc.stderr.splitlines()}
     assert "numpy" in modules
     assert not absent & modules
+
+
+def test_process_reads_a_bad_value_with_argparse():
+    # The error bytes of a fresh process, which imports argparse only here.
+    proc = subprocess.run([sys.executable, "-m", "statnet.cli", "run",
+                           "--shots", "x"], capture_output=True, text=True,
+                          env=dict(src_first_env(), COLUMNS="80"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", RUN_USAGE + "statnet run: error: argument --shots: invalid int "
+                           "value: 'x'\n")
 
 
 def test_run_bad_env_seed(capsys, monkeypatch):
@@ -621,6 +634,100 @@ def test_parser_help_and_error_bytes(args, code, out, err, capsys,
     # argparse wraps help to the terminal width, which COLUMNS sets.
     monkeypatch.setenv("COLUMNS", "80")
     assert run_cli(args, capsys) == (code, out, err)
+
+
+# Spellings that only argparse reads, each beside a canonical argv of the
+# same meaning.  A value that begins with '-' has no canonical spelling but
+# the same value after a space, which int and float strip.
+ARGPARSE_SPELLINGS = [
+    (["run", "--shots=5"], ["run", "--shots", "5"]),
+    (["run", "--sh", "5"], ["run", "--shots", "5"]),
+    (["run", "--shots", "3", "--shots", "5"], ["run", "--shots", "5"]),
+    (["run", "--seed", "-1"], ["run", "--seed", " -1"]),
+    (["simulate-link", "--dt", "0.1", "--theta", "-0.5"],
+     ["simulate-link", "--dt", "0.1", "--theta", " -0.5"]),
+    (["simulate-triplet", "--dt", "0.1", "--phi-final", "-1.0"],
+     ["simulate-triplet", "--dt", "0.1", "--phi-final", " -1.0"]),
+]
+
+
+@pytest.mark.parametrize("spelling,canonical", ARGPARSE_SPELLINGS,
+                         ids=[" ".join(a) for a, _ in ARGPARSE_SPELLINGS])
+def test_argparse_spelling_runs_as_its_canonical_form(spelling, canonical,
+                                                      capsys):
+    assert _read_canonical(spelling) is None
+    assert _read_canonical(canonical) is not None
+    assert run_cli(spelling, capsys) == run_cli(canonical, capsys)
+
+
+COMMAND_NAMES = [name for name, *_ in _COMMANDS]
+# Tokens that argparse reads in its own way: help, the end of options, a
+# lone dash, the empty string, prefixes and `--flag=value`.
+ODD_TOKENS = ["-h", "--help", "--", "-", "", "--s", "--sh", "--no",
+              "--shots=5", "--theta=-1", "--dump=1", "ru", "Run"]
+FLAG_TOKENS = [f"--{flag}" for flag in _FLAGS]
+# Every flag's choices, numbers of each kind, values that begin with '-',
+# bad ints, non-choices, and command and network names.
+VALUE_TOKENS = sorted({choice for spec in _FLAGS.values()
+                       for choice in spec.get("choices", ())}
+                      | {"0", "5", "100", "0.25", "1e-3", "nan", "inf",
+                         " 2", "-1", "-0.5", "-1e-3", "1.5", "x", "0x10",
+                         "p4", "fig1", "fig1-unsat", "out.csv", ""}
+                      | set(COMMAND_NAMES))
+
+
+# Values of each type that the type reads.
+TYPED_VALUES = {int: ["0", "5", " 2", "100"],
+                float: ["0.25", "1e-3", "nan", "inf", "5"],
+                str: ["fig1", "out.csv", ""]}
+
+
+@st.composite
+def cli_argv(draw):
+    """A command and a few of its flags, each with a value of its type or
+    choices or any value token; in half the cases, one more token anywhere."""
+    command = draw(st.sampled_from(COMMAND_NAMES))
+    flags = next(flags for name, _, _, flags in _COMMANDS if name == command)
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=4,
+                              unique=True)):
+        spec = _FLAGS[flag]
+        argv.append(f"--{flag}")
+        if spec.get("action") != "store_true":
+            own = spec.get("choices") or TYPED_VALUES[spec.get("type", str)]
+            argv.append(draw(st.sampled_from(own)
+                             | st.sampled_from(VALUE_TOKENS)))
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(
+            ODD_TOKENS + FLAG_TOKENS + VALUE_TOKENS)))
+    return argv
+
+
+def by_repr(namespace):
+    """vars(namespace) with floats as their repr, as NaN equals no float."""
+    return {key: repr(value) if isinstance(value, float) else value
+            for key, value in vars(namespace).items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argv())
+@example(["run"])
+@example(["check", "--dump", "--network", "x", "--out", ""])
+@example(["simulate-link", "--no-mask", "--theta", "nan", "--tau", " 2"])
+@example(["simulate-triplet", "--drive", "both", "--schedule", "cosine-ramp"])
+@example(["run", "--shots", "5", "--seed", "3", "--leak", "uniform-excited"])
+def test_canonical_reader_agrees_with_argparse(argv):
+    """Each argv the table reader accepts, argparse parses to equal vars,
+    through the full parser and through the one main builds for argv[0]."""
+    args = _read_canonical(argv)
+    if args is None:
+        return
+    for command in (None, argv[0]):
+        try:
+            parsed = build_parser(command).parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse refused {argv!r}, which the reader read")
+        assert by_repr(args) == by_repr(parsed)
 
 
 def test_unknown_command_exit_code(capsys):

@@ -266,7 +266,7 @@ def test_samples_equal_per_shot_formatting(shots):
     final = final_amps(prep.state.amps, prep.mask.bits,
                        prep.state.sectors(THREE_LINKS.drive_node),
                        res.schedule, "none")
-    pos = protocol._draw(final, protocol._shot_uniforms(5, shots))
+    pos, _ = protocol._draw(final, protocol._shot_uniforms(5, shots))
     assert res.samples == tuple(index_assignment(THREE_LINKS.nodes, k)
                                 for k in prep.state.codes[pos].tolist())
     assert len(set(res.samples)) == min(shots, 4)
