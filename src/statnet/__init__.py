@@ -8,8 +8,8 @@ assignments that satisfy every constraint.  Subpackages:
 - hilbert: state vectors stored on basis codes, basis indexing, a node's
   drive sectors
 - network: the gate/pin DSL, parsing, and a brute-force oracle
-- statics: constraint masks and penalty counts, both read from broadcast
-  truth tables, and the support as a join of the truth tables
+- statics: the support as a join of the truth tables, and the constraint
+  masks and penalty counts scattered from it
 - fock: fermionic mode algebra, (anti)symmetrizers, the link Hamiltonian
 - dynamics: the watchdog stepper, drive schedules, closed forms
 - protocol: prepare / drive / measure / decide with repetition statistics

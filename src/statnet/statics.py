@@ -2,17 +2,17 @@
 
 Every operator here is diagonal in the computational basis of the full
 network, so products commute exactly and a projector is a boolean mask over
-basis indices: true where the constraint allows the basis state.  A gate's
-constraint is its `(2,)*m` truth table over its nodes, broadcast along their
-axes of the `(2,)*n` basis tensor; a pin's is the one-node table of its value.
-These broadcast tables are the whole constraint: a gate's or pin's mask is
-its table, and a penalty Hamiltonian is `energy` times the number of them
-that are false at each basis state.
+basis indices: true where the constraint allows the basis state.  `support`
+is the one statement of which states a set of gates and pins allows: it
+joins the gates' truth-table rows as int64 basis codes, filtered by the
+pinned bits, and expands the nodes none of them touches, so its cost follows
+the size of the support, not 2^n.  Every dense mask scatters those codes
+onto the 2^n basis: a gate's or pin's mask is the support of it alone, the
+network mask that of all of them, and a penalty Hamiltonian is `energy`
+times the number of single-constraint masks false at each basis state.
 
 The dense masks hold 2^n entries, so they refuse more than
-`DEFAULT_NODE_LIMIT` nodes.  `support`, the only conjunction, lists the
-states the network allows without them: it joins the gates' truth-table rows
-as int64 basis codes, so its cost follows the size of the support, not 2^n.
+`DEFAULT_NODE_LIMIT` nodes; `support` does not build them.
 """
 from __future__ import annotations
 
@@ -70,83 +70,63 @@ class PenaltyHamiltonian(Record):
         object.__setattr__(self, "energies", energies)
 
 
-def _broadcast(net: Network, nodes: tuple[str, ...],
-               table: np.ndarray) -> np.ndarray:
-    """`table` over `nodes`, with its axes moved to theirs in the basis tensor."""
-    axes = [net.nodes.index(n) for n in nodes]
-    shape = [2 if axis in axes else 1 for axis in range(net.n_nodes)]
-    return table.transpose(np.argsort(axes)).reshape(shape)
+def _chosen_pins(net: Network, include_output_pins: bool) -> tuple[Pin, ...]:
+    return tuple(p for p in net.pins
+                 if p.kind == "input" or include_output_pins)
 
 
-def _gate_table(net: Network, gate: Gate) -> np.ndarray:
-    """The gate's truth table, true on each row, broadcast over the network."""
-    table = np.zeros((2,) * len(gate.nodes), dtype=bool)
-    for ins, outs in gate.table.rows:
-        table[tuple(map(int, ins + outs))] = True
-    return _broadcast(net, gate.nodes, table)
-
-
-def _pin_table(net: Network, pin: Pin) -> np.ndarray:
-    """The pinned node's one-node table, true on its value, broadcast."""
-    return _broadcast(net, (pin.node,), np.arange(2) == pin.value)
-
-
-def _tables(net: Network, include_output_pins: bool) -> list[np.ndarray]:
-    """Every gate's and input pin's broadcast table, and optionally output pins'."""
-    tables = [_gate_table(net, g) for g in net.gates]
-    tables += [_pin_table(net, p) for p in net.pins
-               if p.kind == "input" or include_output_pins]
-    return tables
-
-
-def _mask(net: Network, table: np.ndarray) -> ConstraintMask:
-    """One broadcast table over the whole basis."""
+def _allowed(net: Network, gates: tuple[Gate, ...] = (),
+             pins: tuple[Pin, ...] = ()) -> np.ndarray:
+    """True at each basis state that all `gates` and `pins` allow: the codes
+    of their `support`, scattered onto the 2^n basis."""
     check_enumerable(net)
-    return ConstraintMask(net.dim,
-                          np.broadcast_to(table, (2,) * net.n_nodes).ravel())
+    bits = np.zeros(net.dim, dtype=bool)
+    bits[support(Network(net.nodes, gates, pins))] = True
+    return bits
 
 
-def _penalty(net: Network, tables: list[np.ndarray],
+def _penalty(net: Network, gates: tuple[Gate, ...], pins: tuple[Pin, ...],
              energy: float) -> PenaltyHamiltonian:
-    """`energy` times the number of broadcast tables false at each state."""
+    """`energy` times the number of `gates` and `pins` each state violates."""
     if energy <= 0:
         raise ValueError("penalty energy must be > 0")
     check_enumerable(net)
-    violated = np.zeros((2,) * net.n_nodes, np.min_scalar_type(len(tables)))
-    for table in tables:
-        violated += ~table
-    return PenaltyHamiltonian(net.dim, energy * violated.ravel())
+    violated = np.zeros(net.dim, np.min_scalar_type(len(gates) + len(pins)))
+    for gate in gates:
+        violated += ~_allowed(net, (gate,))
+    for pin in pins:
+        violated += ~_allowed(net, pins=(pin,))
+    return PenaltyHamiltonian(net.dim, energy * violated)
 
 
 def gate_mask(net: Network, gate: Gate) -> ConstraintMask:
     """True where the gate's nodes carry a truth-table row."""
-    return _mask(net, _gate_table(net, gate))
+    return ConstraintMask(net.dim, _allowed(net, (gate,)))
 
 
 def pin_mask(net: Network, pin: Pin) -> ConstraintMask:
     """True where the pinned node carries the pinned value."""
-    return _mask(net, _pin_table(net, pin))
+    return ConstraintMask(net.dim, _allowed(net, pins=(pin,)))
 
 
 def network_mask(net: Network, include_output_pins: bool = True) -> ConstraintMask:
     """Conjunction of all gate masks, input-pin masks, and optionally output
     pins: the codes of `support`, scattered onto the 2^n basis."""
-    check_enumerable(net)
-    bits = np.zeros(net.dim, dtype=bool)
-    bits[support(net, include_output_pins)] = True
-    return ConstraintMask(net.dim, bits)
+    return ConstraintMask(net.dim, _allowed(
+        net, net.gates, _chosen_pins(net, include_output_pins)))
 
 
 def gate_hamiltonian(net: Network, gate: Gate,
                      energy: float = DEFAULT_PENALTY) -> PenaltyHamiltonian:
     """Penalty `energy` on every basis state that violates the gate's table."""
-    return _penalty(net, [_gate_table(net, gate)], energy)
+    return _penalty(net, (gate,), (), energy)
 
 
 def network_hamiltonian(net: Network, energy: float = DEFAULT_PENALTY,
                         include_output_pins: bool = False) -> PenaltyHamiltonian:
     """H_N: `energy` per gate and pin violated (output pins optional)."""
-    return _penalty(net, _tables(net, include_output_pins), energy)
+    return _penalty(net, net.gates, _chosen_pins(net, include_output_pins),
+                    energy)
 
 
 def ground_space(h: PenaltyHamiltonian) -> list[int]:
@@ -183,14 +163,15 @@ def support(net: Network, include_output_pins: bool = True) -> np.ndarray:
     bits: every join matches on them, so they filter each gate's truth-table
     rows.  The gate tables are joined one at a time, each time the one
     sharing the most unpinned nodes with those already joined (ties in
-    declaration order); nodes that no gate or pin touches are expanded last.  No 2^n array is built: the limit is on the rows of each
-    join and of the expansion, and on the 62 nodes that int64 codes hold.
+    declaration order); nodes that no gate or pin touches are expanded last.
+    No 2^n array is built: the limit is on the rows of each join and of the
+    expansion, and on the 62 nodes that int64 codes hold.
     """
     n = net.n_nodes
     if n > MAX_CODE_NODES:
         raise ValueError(f"{n} nodes exceeds basis-code limit {MAX_CODE_NODES}")
     weight = {node: node_bit(net.nodes, node) for node in net.nodes}
-    pins = [p for p in net.pins if p.kind == "input" or include_output_pins]
+    pins = _chosen_pins(net, include_output_pins)
     pinned = sum(weight[p.node] for p in pins)
     pinned_code = sum(weight[p.node] for p in pins if p.value)
 

@@ -859,6 +859,30 @@ def test_dynamics_calls_no_blas():
             assert blas_uses((package / f"{name}.py").read_text()) == [], name
 
 
+def rows_readers(source):
+    """The top-level definitions of a source that read an attribute `.rows`,
+    by name, or by line for a statement without one."""
+    return {getattr(node, "name", f"line {node.lineno}")
+            for node in ast.parse(source).body
+            if any(isinstance(sub, ast.Attribute) and sub.attr == "rows"
+                   for sub in ast.walk(node))}
+
+
+def test_rows_readers_finds_each_form():
+    source = ("def f(g):\n    return g.table.rows\n"
+              "class C:\n    def m(self):\n        return [r for r in x.rows]\n"
+              "ROWS = t.rows\n"
+              "def h(rows):\n    return rows\n")
+    assert rows_readers(source) == {"f", "C", "line 6"}
+
+
+def test_only_support_reads_truth_table_rows():
+    """`statics.support` is the one reading of which states a gate allows:
+    every dense mask and penalty scatters its codes."""
+    source = (Path(dynamics.__file__).parent / "statics.py").read_text()
+    assert rows_readers(source) == {"support"}
+
+
 def imported_modules(source):
     """The top-level package of each module a source imports."""
     found = set()

@@ -481,6 +481,32 @@ def test_support_of_wide_networks_matches_oracles(net, include_output_pins):
     check_support_against_oracles(net, include_output_pins)
 
 
+def check_masks_against_string_oracle(net):
+    """Each gate's mask is the string oracle of the gate alone, and each
+    pin's mask the test of its node's bit, at every basis state."""
+    assignments = [index_assignment(net.nodes, k) for k in range(net.dim)]
+    for g in net.gates:
+        alone = Network(net.nodes, (g,))
+        assert gate_mask(net, g).bits.tolist() == [
+            assignment_satisfies(alone, a) for a in assignments], g.name
+    for p in net.pins:
+        bit = 1 << net.n_nodes - 1 - net.nodes.index(p.node)
+        assert pin_mask(net, p).bits.tolist() == [
+            bool(k & bit) == bool(p.value) for k in range(net.dim)], p.node
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_networks())
+def test_gate_and_pin_masks_match_string_oracle(net):
+    check_masks_against_string_oracle(net)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_networks())
+def test_gate_and_pin_masks_of_wide_networks_match_string_oracle(net):
+    check_masks_against_string_oracle(net)
+
+
 def check_run_against_dense_stepper(net, kind, seed, leak_model, shots):
     """The stored run agrees with the dense stepper on the dense preparation.
 
