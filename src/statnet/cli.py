@@ -12,8 +12,7 @@ most once and spelled in full as `--flag value` or `--switch`, each value
 passing the flag's type and choices and not beginning with '-'.  It gives
 the namespace argparse would.  Any other argv (help, every error,
 abbreviations, `--flag=value`, repeated flags, values beginning with '-')
-goes to argparse, which builds the parser of the command it names, not of
-all five: the usage, help and error messages are the same either way.
+goes to the argparse parser of all five commands.
 
 Exit codes: 0 success (satisfiable for solve-brute/run), 1 unsatisfiable,
 2 error (parse failure, bad flags, degenerate dynamics, a step grid too
@@ -263,26 +262,16 @@ def _read_canonical(argv: list[str]) -> SimpleNamespace | None:
         **{flag.replace("-", "_"): value for flag, value in values.items()})
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or with `command` of that one only.
-
-    The one-command parser's usage still lists every command, so the
-    messages it prints are the full parser's.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, for the argv the table reader leaves."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="statnet",
         description="Watchdog-projection simulator for constrained Boolean "
                     "networks deployed in space.")
-    # A metavar would rename the argument in the full parser's errors.
-    metavar = None if command is None else \
-        "{" + ",".join(name for name, *_ in _COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, handler, flags in _COMMANDS:
-        if command not in (None, name):
-            continue
         p = sub.add_parser(name, help=help_text)
         for flag in flags:
             p.add_argument(f"--{flag}", **_FLAGS[flag])
@@ -295,10 +284,8 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _read_canonical(argv)
     if args is None:
-        names = [name for name, *_ in _COMMANDS]
-        parser = build_parser(argv[0] if argv and argv[0] in names else None)
         try:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return 2 if exc.code not in (0, None) else 0
     env_seed = os.environ.get("STATNET_SEED")

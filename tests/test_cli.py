@@ -717,17 +717,15 @@ def by_repr(namespace):
 @example(["simulate-triplet", "--drive", "both", "--schedule", "cosine-ramp"])
 @example(["run", "--shots", "5", "--seed", "3", "--leak", "uniform-excited"])
 def test_canonical_reader_agrees_with_argparse(argv):
-    """Each argv the table reader accepts, argparse parses to equal vars,
-    through the full parser and through the one main builds for argv[0]."""
+    """Each argv the table reader accepts, argparse parses to equal vars."""
     args = _read_canonical(argv)
     if args is None:
         return
-    for command in (None, argv[0]):
-        try:
-            parsed = build_parser(command).parse_args(argv)
-        except SystemExit:
-            pytest.fail(f"argparse refused {argv!r}, which the reader read")
-        assert by_repr(args) == by_repr(parsed)
+    try:
+        parsed = build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"argparse refused {argv!r}, which the reader read")
+    assert by_repr(args) == by_repr(parsed)
 
 
 def test_unknown_command_exit_code(capsys):
