@@ -71,6 +71,7 @@ class PenaltyHamiltonian(Record):
 
 
 def _chosen_pins(net: Network, include_output_pins: bool) -> tuple[Pin, ...]:
+    """The input pins, and the output pins too if `include_output_pins`."""
     return tuple(p for p in net.pins
                  if p.kind == "input" or include_output_pins)
 

@@ -490,7 +490,7 @@ def check_masks_against_string_oracle(net):
         assert gate_mask(net, g).bits.tolist() == [
             assignment_satisfies(alone, a) for a in assignments], g.name
     for p in net.pins:
-        bit = 1 << net.n_nodes - 1 - net.nodes.index(p.node)
+        bit = 1 << (net.n_nodes - 1 - net.nodes.index(p.node))
         assert pin_mask(net, p).bits.tolist() == [
             bool(k & bit) == bool(p.value) for k in range(net.dim)], p.node
 
