@@ -14,9 +14,10 @@ the namespace argparse would.  Any other argv (help, every error,
 abbreviations, `--flag=value`, repeated flags, values beginning with '-')
 goes to the argparse parser of all five commands.
 
-Exit codes: 0 success (satisfiable for solve-brute/run), 1 unsatisfiable,
-2 error (parse failure, bad flags, degenerate dynamics, a step grid too
-large to build).
+Exit codes: 0 success (satisfiable for solve-brute/run), 1 unsatisfiable
+or, for run, inconclusive (what degenerate dynamics give there), 2 error
+(parse failure, bad flags, degenerate dynamics in simulate-*, a step grid
+too large to build).
 """
 from __future__ import annotations
 

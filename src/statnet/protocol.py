@@ -148,8 +148,7 @@ def prepare_ground(net: Network, leak_model: str = "none") -> Preparation:
             # Two disjoint ascending runs: a stable sort merges them.
             codes = np.sort(np.concatenate([codes, sector]), kind="stable")
             in_support = codes & bit != empty
-    amps = np.where(in_support, 1 / math.sqrt(size), 0).astype(complex)
-    state = StateVector(net.nodes, amps, codes)
+    state = StateVector(net.nodes, in_support / math.sqrt(size), codes)
     mask = ConstraintMask(codes.size, in_support)
     if net.drive_node is None:
         return Preparation(state, mask, size, 0, None)

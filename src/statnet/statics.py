@@ -5,7 +5,8 @@ network, so products commute exactly and a projector is a boolean mask over
 basis indices: true where the constraint allows the basis state.  `support`
 is the one statement of which states a set of gates and pins allows: it
 joins the gates' truth-table rows as int64 basis codes, filtered by the
-pinned bits, and expands the nodes none of them touches, so its cost follows
+pinned bits, one broadcast OR per value of the nodes a table shares with
+the rows, and expands the nodes none of them touches, so its cost follows
 the size of the support, not 2^n.  Every dense mask scatters those codes
 onto the 2^n basis: a gate's or pin's mask is the support of it alone, the
 network mask that of all of them, and a penalty Hamiltonian is `energy`
@@ -143,30 +144,28 @@ def _enumerable_rows(rows: int) -> None:
 
 
 def _join(rows: np.ndarray, table: np.ndarray, shared: int) -> np.ndarray:
-    """Every `rows | t` for a table row t that agrees with the row on `shared` bits."""
-    keys = table & shared
-    order = np.argsort(keys)
-    table, keys = table[order], keys[order]
-    row_keys = rows & shared
-    first = np.searchsorted(keys, row_keys, "left")
-    counts = np.searchsorted(keys, row_keys, "right") - first
-    total = int(counts.sum())
-    _enumerable_rows(total)
-    # The matching table rows of row i are table[first[i]:first[i] + counts[i]].
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    return np.repeat(rows, counts) | table[np.repeat(first, counts) + offsets]
+    """Every `rows | t` for a table row t that agrees with the row on `shared`
+    bits, one broadcast per distinct `shared` value of the table: each such
+    group is a pass over `rows`, and the limit is checked before it is built."""
+    keys, table_keys, parts, total = rows & shared, table & shared, [], 0
+    for key in set(table_keys.tolist()):
+        agrees, matches = rows[keys == key], table[table_keys == key]
+        total += agrees.size * matches.size
+        _enumerable_rows(total)
+        parts.append((agrees[:, None] | matches).ravel())
+    return np.concatenate(parts)
 
 
 def support(net: Network, include_output_pins: bool = True) -> np.ndarray:
     """Ascending int64 basis codes of the states `network_mask` allows, read-only.
 
-    The pins come first, as the one starting row, which holds the pinned
-    bits: every join matches on them, so they filter each gate's truth-table
-    rows.  The gate tables are joined one at a time, each time the one
-    sharing the most unpinned nodes with those already joined (ties in
-    declaration order); nodes that no gate or pin touches are expanded last.
-    No 2^n array is built: the limit is on the rows of each join and of the
-    expansion, and on the 62 nodes that int64 codes hold.
+    The pins come first, as the one starting row of pinned bits: every join
+    matches on them, so they filter each gate's truth-table rows.  The table
+    sharing the most unpinned nodes with those joined (ties in declaration
+    order) is joined next, one pass over the rows per value of the shared
+    nodes; nodes that no gate or pin touches are expanded last.  No 2^n
+    array is built: the limit is checked before each join group and the
+    expansion are built, and int64 codes hold at most 62 nodes.
     """
     n = net.n_nodes
     if n > MAX_CODE_NODES:

@@ -1,5 +1,6 @@
 """Constraint masks and penalty Hamiltonians (all diagonal operators)."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from statnet.statics import (
     pin_mask,
     support,
 )
+from test_protocol import check_support_against_oracles
+from test_run_corpus import wide_dsl
 
 LINK_NET = parse_network("nodes r s\nlink r -> s\n")
 XOR_NET = parse_network(
@@ -288,3 +291,56 @@ def test_support_refuses_more_nodes_than_codes_hold():
                         "\nfix n0=1\n")
     with pytest.raises(ValueError, match="63 nodes exceeds basis-code limit 62"):
         support(net)
+
+
+def test_support_peak_memory_is_a_few_times_its_codes():
+    # 2^16 codes without the output pin and 2^15 with it, over 32 nodes.
+    net = parse_network(wide_dsl(16, unsat=False))
+    for include_output_pins, ratio in ((False, 4.5), (True, 6)):
+        support(net, include_output_pins)  # warm-up
+        tracemalloc.start()
+        try:
+            codes = support(net, include_output_pins)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ratio * codes.nbytes, (include_output_pins, peak)
+
+
+def _table_gate(name, ins, out, f):
+    """DSL line of a gate whose output is f(k) on input pattern k."""
+    rows = " ; ".join(f"{k:0{len(ins)}b}->{f(k)}" for k in range(2 ** len(ins)))
+    return f"gate {name} in({','.join(ins)}) out({out}) {{ {rows} }}"
+
+
+def _parity(k):
+    return k.bit_count() % 2
+
+
+A_NODES = [f"a{i}" for i in range(9)]
+# A 512-row parity gate whose inputs are free nodes, the outputs of links,
+# or the inputs of a second 512-row gate (one join group per table row).
+BIG_TABLE_NETS = {
+    "free": "\n".join([
+        "nodes " + " ".join(A_NODES) + " p f",
+        _table_gate("par", A_NODES, "p", _parity),
+        "fix a0=1 input", "fix p=1 output"]),
+    "links": "\n".join([
+        "nodes x0 x1 y0 y1 " + " ".join(A_NODES[2:]) + " p",
+        "link x0 -> y0", "link x1 -> y1",
+        _table_gate("par", ["y0", "y1"] + A_NODES[2:], "p", _parity),
+        "fix x0=0 input", "fix p=0 output"]),
+    "same-inputs": "\n".join([
+        "nodes " + " ".join(A_NODES) + " p q",
+        _table_gate("par", A_NODES, "p", _parity),
+        _table_gate("maj", A_NODES, "q", lambda k: int(k.bit_count() > 4)),
+        "fix a8=1 input", "fix q=1 output"]),
+}
+
+
+@pytest.mark.parametrize("include_output_pins", [False, True])
+@pytest.mark.parametrize("name", sorted(BIG_TABLE_NETS))
+def test_support_of_big_tables_matches_oracles(name, include_output_pins):
+    net = parse_network(BIG_TABLE_NETS[name] + "\n")
+    assert max(len(g.table.rows) for g in net.gates) == 512
+    check_support_against_oracles(net, include_output_pins)
