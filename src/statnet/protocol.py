@@ -8,16 +8,19 @@ check).  The state stores only those assignments, the support that
 drive is diagonal and keeps the state on them; the one exception is the
 uniform-excited leak into a drive sector with no support state that the
 drive node's output pin asks for, for which preparation stores that whole
-sector as well.  The evolution is deterministic and only its end is
-measured, so a decision computes the final state once, without stepping
+sector as well, as the `support` of that pin alone.  One test of the
+support codes against the drive bit gives the drive sector sizes and
+theta0.  The evolution is deterministic and only its end is measured, so a
+decision computes the final state once, without stepping
 (`dynamics.final_amps`): the drive has moved the drive node's sector mass
 onto the pinned output value.  Measuring is one cumulative distribution of
 the final state's `hilbert.probabilities`, built once, and one seeded uniform
-per shot searched against it; each sample is checked offline against the
-full constraint set by its stored position.  Shot i's uniform is still defined as
-the first `random()` of `np.random.default_rng([seed, i])`, but it is
-computed for all shots at once, by numpy's seeding and PCG64 arithmetic on
-arrays (`_shot_uniforms`), so a decision builds no `Generator`.
+per shot searched against it.  Only the drawn states are checked offline: a
+drawn state is a solution when the mask holds it and its output-pin bits
+match.  Shot i's uniform is still defined as the first `random()` of
+`np.random.default_rng([seed, i])`, but it is computed for all shots at
+once, by numpy's seeding and PCG64 arithmetic on arrays (`_shot_uniforms`),
+so a decision builds no `Generator`.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ import numpy as np
 from .dynamics import DriveSchedule, final_amps
 from .errors import DegenerateDynamicsError, UnpreparableNetworkError
 from .hilbert import (StateVector, index_assignment, node_bit, probabilities,
-                      reduced_diag, sum_probs)
+                      sum_probs, sum_sq)
 from .network import Network, check_enumerable, render
 from .record import Record, replace
 from .statics import ConstraintMask, support
@@ -93,23 +96,11 @@ class ProtocolResult(Record):
     schedule: DriveSchedule
 
     def to_json_dict(self) -> dict:
-        return {
-            "network_hash": self.network_hash,
-            "shots": self.shots,
-            "seed": self.seed,
-            "schedule": {
-                "kind": self.schedule.kind,
-                "theta0": self.schedule.theta0,
-                "phi_final": self.schedule.phi_final,
-                "tau": self.schedule.tau,
-                "dt": self.schedule.dt,
-            },
-            "decision": self.decision,
-            "confidence": self.confidence,
-            "n_solutions": self.n_solutions,
-            "samples": list(self.samples),
-            "good_universe_prob_final": self.good_universe_prob_final,
-        }
+        """The fields by name, the schedule as a dict of its own fields."""
+        fields = dict(zip(self._fields, self._values()))
+        fields["schedule"] = dict(zip(self.schedule._fields,
+                                      self.schedule._values()))
+        return fields
 
 
 def network_hash(net: Network) -> str:
@@ -124,37 +115,39 @@ def prepare_ground(net: Network, leak_model: str = "none") -> Preparation:
     The state stores the support only.  Under the uniform-excited leak, a
     drive sector that holds no support state is stored whole, at amplitude
     zero and outside the mask, when the drive node's output pin asks for it,
-    because the drive into it refills it all; that sector has 2^(n-1)
-    states, so the node limit applies.  When the pin asks for the other
-    sector, the drive never demands mass in the empty one, and it is not
-    stored.
+    because the drive into it refills it all.  That sector is the `support`
+    of the pin alone; it has 2^(n-1) states, so the node limit applies.
+    When the pin asks for the other sector, the drive never demands mass in
+    the empty one, and it is not stored.
     """
     codes = support(net, include_output_pins=False)
     if not codes.size:
         raise UnpreparableNetworkError(
             "no assignment satisfies the gates and input pins")
-    size, n1, in_support = codes.size, 0, np.ones(codes.size, dtype=bool)
+    size, n1, theta = codes.size, 0, None
+    in_support = np.ones(size, dtype=bool)
+    amps = in_support / math.sqrt(size)
     if net.drive_node is not None:
-        bit = node_bit(net.nodes, net.drive_node)
-        n1 = int(np.count_nonzero(codes & bit))
-        # One drive sector holds no support state, and the pin asks for it.
-        if leak_model == "uniform-excited" and n1 in (0, size) \
-                and net.pin(net.drive_node).value == int(n1 == 0):
+        pin = net.pin(net.drive_node)
+        bit = node_bit(net.nodes, pin.node)
+        ones = codes & bit != 0
+        n1 = int(np.count_nonzero(ones))
+        # Drive sector 1's mass, summed in stored order as `reduced_diag`
+        # sums it.  A leak sector stored below would add only zeros to it.
+        theta = math.asin(math.sqrt(min(float(sum_sq(amps[ones])), 1.0)))
+        # The pin asks for a drive sector that holds no support state.
+        if leak_model == "uniform-excited" \
+                and (n1 if pin.value else size - n1) == 0:
             check_enumerable(net)
-            empty = 0 if n1 else bit
-            # Every code of the other n-1 nodes, with the drive bit inserted.
-            rest = np.arange(net.dim // 2, dtype=np.int64)
-            sector = ((rest & -bit) << 1) | (rest & (bit - 1)) | empty
             # Two disjoint ascending runs: a stable sort merges them.
-            codes = np.sort(np.concatenate([codes, sector]), kind="stable")
-            in_support = codes & bit != empty
-    state = StateVector(net.nodes, in_support / math.sqrt(size), codes)
-    mask = ConstraintMask(codes.size, in_support)
-    if net.drive_node is None:
-        return Preparation(state, mask, size, 0, None)
-    p1 = reduced_diag(state, net.drive_node).p1
-    theta = math.asin(math.sqrt(min(p1, 1.0)))
-    return Preparation(state, mask, size - n1, n1, theta)
+            codes = np.sort(np.concatenate(
+                [codes, support(Network(net.nodes, pins=(pin,)))]),
+                kind="stable")
+            in_support = (codes & bit != 0) != pin.value
+            amps = in_support / math.sqrt(size)
+    return Preparation(StateVector(net.nodes, amps, codes),
+                       ConstraintMask(codes.size, in_support), size - n1, n1,
+                       theta)
 
 
 def _drive_schedule_for(net: Network, prep: Preparation,
@@ -286,10 +279,6 @@ def run_protocol(net: Network, schedule: DriveSchedule, shots: int, seed: int,
     uniforms = _shot_uniforms(seed, shots)
     prep = prepare_ground(net, leak_model)
     schedule = _drive_schedule_for(net, prep, schedule)
-    solutions = prep.mask.bits.copy()
-    for pin in net.pins:
-        if pin.kind == "output":
-            solutions[prep.state.sectors(pin.node)[1 - pin.value]] = False
     try:
         final = final_amps(prep.state.amps, prep.mask.bits,
                            prep.state.sectors(net.drive_node), schedule,
@@ -301,11 +290,19 @@ def run_protocol(net: Network, schedule: DriveSchedule, shots: int, seed: int,
         pos, probs = _draw(final, uniforms)
         # The sum of a contiguous masked copy, as a trajectory's alpha_sq.
         good_prob = float(sum_probs(probs.compress(prep.mask.bits)))
-        drawn = prep.state.codes[pos].tolist()
+        codes = prep.state.codes[pos]
+        drawn = codes.tolist()
         # Each distinct drawn state is formatted once.
         names = {k: index_assignment(net.nodes, k) for k in set(drawn)}
         samples = tuple(map(names.__getitem__, drawn))
-        n_solutions = int(np.count_nonzero(solutions[pos]))
+        # A drawn state is a solution when it is a support state whose
+        # output-pin bits match.
+        solutions = prep.mask.bits[pos]
+        for pin in net.pins:
+            if pin.kind == "output":
+                solutions &= (codes & node_bit(net.nodes, pin.node) != 0) \
+                    == pin.value
+        n_solutions = int(np.count_nonzero(solutions))
 
     if n_solutions > 0:
         decision, confidence = "satisfiable", 1.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from statnet import dynamics, protocol
+from statnet import dynamics, hilbert, protocol
 from statnet.cli import main
 from statnet.dynamics import DriveSchedule, evolve, final_amps
 from statnet.errors import DegenerateDynamicsError, UnpreparableNetworkError
@@ -14,6 +14,7 @@ from statnet.hilbert import (
     basis_index,
     basis_state,
     index_assignment,
+    node_bit,
     probabilities,
     reduced_diag,
 )
@@ -210,6 +211,45 @@ def test_measure_draws_what_rng_choice_draws(weights, seed):
         assert measure_sample(v, rng) == format(k, "02b")
 
 
+def choice_positions(probs, uniforms):
+    """The positions `Generator.choice(probs.size, p=probs / probs.sum())`
+    draws for these uniforms, by its own steps: normalise, accumulate, scale
+    the cumulative sum to end at 1 and search it on the right."""
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(uniforms, side="right")
+
+
+def check_draw_at_boundaries():
+    """`_draw` at uniforms on a cumulative boundary and just below 1.
+
+    On [0.5, 0.5], u = 0.5 lies on the boundary and draws position 1.  The
+    37th `random(7)` of `default_rng(0)` has a normalised cumulative sum
+    that ends at 0.9999999999999998, so u = 1 - 2^-53 lies past its end
+    before the rescale, and draws the last position after it.
+    """
+    rng = np.random.default_rng(0)
+    for _ in range(37):
+        weights = rng.random(7)
+    assert (weights / weights.sum()).cumsum()[-1] == 0.9999999999999998
+    for amps, u, want in ((np.sqrt([0.5, 0.5]), 0.5, 1),
+                          (np.sqrt(weights), 1 - 2.0 ** -53, 6)):
+        probs = probabilities(amps)
+        cdf = (probs / probs.sum()).cumsum()
+        # Every boundary, the float just below it, and both ends of [0, 1).
+        uniforms = np.concatenate([[0.0, u, 1 - 2.0 ** -53],
+                                   cdf[cdf < 1], np.nextafter(cdf, 0)])
+        pos, drawn_from = protocol._draw(amps, uniforms)
+        assert pos[1] == choice_positions(probs, u) == want
+        assert pos.tolist() == choice_positions(probs, uniforms).tolist()
+        assert pos.max() < amps.size
+        assert drawn_from.tolist() == probs.tolist()
+
+
+def test_draw_at_boundary_uniforms_matches_choice():
+    check_draw_at_boundaries()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 140), st.integers(1, 2000))
 @example(2 ** 32 - 1, 3)
@@ -330,6 +370,35 @@ def test_protocol_evolves_once_per_decision(monkeypatch, shots):
     run_protocol(builtin_fig1(), SCHED, shots=shots, seed=0)
     assert calls == ["final_amps"]
     assert not hasattr(protocol, "evolve")
+
+
+# Three links, each output pinned: one decision reads three output bits.
+THREE_OUTPUTS = parse_network("nodes x0 y0 x1 y1 x2 y2\nlink x0 -> y0\n"
+                              "link x1 -> y1\nlink x2 -> y2\n"
+                              "fix y0=1 output\nfix y1=0 output\n"
+                              "fix y2=1 output\ndrive y2\n")
+
+
+@pytest.mark.parametrize("net", [builtin_fig1(), THREE_OUTPUTS],
+                         ids=["fig1", "three-outputs"])
+def test_protocol_splits_drive_sectors_once_per_decision(monkeypatch, net):
+    # The drive sectors are split once, for `final_amps`; theta0 and the
+    # solution flags read the drive and output bits without `sectors`.
+    calls = []
+    real = StateVector.sectors
+
+    def counted(self, node):
+        calls.append(node)
+        return real(self, node)
+
+    def refused(*args):
+        raise AssertionError("reduced_diag called")
+
+    monkeypatch.setattr(StateVector, "sectors", counted)
+    monkeypatch.setattr(hilbert, "reduced_diag", refused)
+    run_protocol(net, SCHED, shots=5, seed=0)
+    assert calls == [net.drive_node]
+    assert not hasattr(protocol, "reduced_diag")
 
 
 def test_good_universe_probability_reported():
@@ -557,6 +626,83 @@ def test_support_run_matches_dense_stepper(net, seed, leak_model, shots):
        st.integers(0, 2 ** 16), LEAK_MODELS, st.integers(1, 64))
 def test_wide_run_matches_dense_stepper(net, kind, seed, leak_model, shots):
     check_run_against_dense_stepper(net, kind, seed, leak_model, shots)
+
+
+def leak_oracle(net):
+    """The codes and mask that `prepare_ground(net, "uniform-excited")`
+    stores, by bit insertion.
+
+    When the drive pin asks for a drive sector that holds no support state,
+    that sector is every code of the other n-1 nodes with the drive bit
+    inserted at the pinned value, and the support is merged into it.
+    """
+    codes = support(net, include_output_pins=False)
+    bit = node_bit(net.nodes, net.drive_node)
+    value = net.pin(net.drive_node).value
+    if ((codes & bit != 0) == value).any():
+        return codes, np.ones(codes.size, dtype=bool)
+    rest = np.arange(net.dim // 2, dtype=np.int64)
+    sector = ((rest & -bit) << 1) | (rest & (bit - 1)) | (bit * value)
+    merged = np.union1d(codes, sector)
+    return merged, np.isin(merged, codes)
+
+
+def check_leak_preparation(net):
+    """Both preparations against the oracle: the stored codes and mask, and
+    theta0 from the reduced diagonal of the prepared state, bit for bit.
+
+    It reads `protocol.prepare_ground` at each call, so a patched-in
+    replacement is what it checks."""
+    if not support(net, include_output_pins=False).size:
+        return
+    for leak_model in ("none", "uniform-excited"):
+        prep = protocol.prepare_ground(net, leak_model)
+        if leak_model == "uniform-excited":
+            codes, mask = leak_oracle(net)
+            assert prep.state.codes.tolist() == codes.tolist()
+            assert prep.mask.bits.tolist() == mask.tolist()
+        p1 = reduced_diag(prep.state, net.drive_node).p1
+        assert prep.theta == math.asin(math.sqrt(min(p1, 1.0)))
+
+
+def pinned_drive_net(drive, value):
+    """Five nodes; the drive node is the NOT of an input pinned to `value`,
+    so its output pin, at `value` too, asks for the drive sector that holds
+    no support state.  Two other nodes are linked, one is free."""
+    nodes = "abcde"
+    src = nodes[(nodes.index(drive) + 1) % 5]
+    u, v = [n for n in nodes if n not in (drive, src)][:2]
+    return parse_network(f"nodes {' '.join(nodes)}\nlink {src} -> {drive}\n"
+                         f"link {u} -> {v}\nfix {src}={value} input\n"
+                         f"fix {drive}={value} output\ndrive {drive}\n")
+
+
+@pytest.mark.parametrize("value", [0, 1])
+@pytest.mark.parametrize("drive", ["a", "c", "e"])
+def test_leak_sector_when_the_drive_is_first_middle_or_last(drive, value):
+    net = pinned_drive_net(drive, value)
+    prep = prepare_ground(net, "uniform-excited")
+    # 4 support states, 16 in the pinned drive sector.
+    assert (prep.state.codes.size, prep.support_size) == (20, 4)
+    check_leak_preparation(net)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_networks())
+def test_leak_sector_and_theta0_of_wide_networks_match_oracle(net):
+    check_leak_preparation(net)
+
+
+def test_leak_sector_past_the_node_limit_is_refused():
+    # 12 links and a free node: the pinned sector of y11 = 1 is empty.
+    net = parse_network(
+        "nodes z " + " ".join(f"x{i} y{i}" for i in range(12)) + "\n"
+        + "".join(f"link x{i} -> y{i}\n" for i in range(12))
+        + "fix x11=1 input\nfix y11=1 output\ndrive y11\n")
+    assert prepare_ground(net).support_size == 2 ** 12
+    with pytest.raises(ValueError,
+                       match="^25 nodes exceeds enumeration limit 24$"):
+        prepare_ground(net, "uniform-excited")
 
 
 # --- one probability kernel --------------------------------------------------
