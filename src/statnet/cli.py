@@ -195,7 +195,7 @@ _FLAGS = {
                       help="total drive rotation"),
     "shots": dict(type=int, default=100),
     "seed": dict(type=int, default=0),
-    "leak": dict(default="none", choices=("none", "uniform-excited")),
+    "leak": dict(default="none", choices=dynamics.LEAK_MODELS),
     "no-mask": dict(action="store_true",
                     help="drop condition (i): drive without the projector"),
     "drive": dict(default="p1", choices=("p1", "p2", "both")),

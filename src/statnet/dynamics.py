@@ -47,6 +47,7 @@ from .record import Record, replace
 from .statics import ConstraintMask
 
 SCHEDULE_KINDS = ("linear-ramp", "cosine-ramp", "exponential-relax")
+LEAK_MODELS = ("none", "uniform-excited")
 
 # Empty-sector threshold: below this the previous sector mass counts as zero.
 _MASS_EPS = 1e-14
@@ -176,6 +177,12 @@ class Trajectory(Record):
         return self.state(-1)
 
 
+def check_leak_model(leak_model: str) -> None:
+    """Raise unless `leak_model` is one of LEAK_MODELS."""
+    if leak_model not in LEAK_MODELS:
+        raise ValueError(f"unknown leak model {leak_model!r}")
+
+
 def _refill_indices(idx: np.ndarray, allowed: np.ndarray,
                     leak_model: str) -> np.ndarray:
     """Where a drive sector that carries no mass is refilled, uniformly.
@@ -300,6 +307,7 @@ def evolve(psi0: StateVector, mask: ConstraintMask, drive_node: str,
     caller that needs only the final state computes it with `final_amps`,
     without stepping.
     """
+    check_leak_model(leak_model)
     if mask.bits.shape != psi0.amps.shape:
         raise ValueError("mask dimension mismatch")
     allowed = mask.bits if enforce_mask else np.ones(psi0.amps.size, dtype=bool)
@@ -364,6 +372,7 @@ def final_amps(psi0: np.ndarray, allowed: np.ndarray,
     targets are scanned over the grid, as arrays (`_grid_targets`), so the
     cost does not grow with the step count beyond a few array passes.
     """
+    check_leak_model(leak_model)
     mass = _grid_targets(schedule)
     empty = mass <= _MASS_EPS
     n = mass.shape[1]

@@ -2,10 +2,15 @@
 
 Each particle carries a binary internal degree of freedom ("spin" 0/1) and a
 lattice-site label.  The canonical mode order is site-major with spin 0
-before spin 1 inside each site; that order fixes every fermionic sign in the
-occupation-number representation.  With one particle per site the spins
-behave as qubits (`qubit_first_quantized`).  The link Hamiltonian is given by
-its diagonal over the six two-fermion states and checked against its
+before spin 1 inside each site; that order fixes every fermionic sign.  Two
+layouts hold the states.  A Fock configuration is an occupation number:
+mode m is bit m.  A first-quantized state of n particles over d modes is the
+C-order ravel of the `(d,)*n` tensor whose axis i is particle slot i, the
+layout `hilbert` uses for qubits.  Both projectors are the one sum
+(1/n!) sum_sigma sgn(sigma)^k P_sigma, with k = 0 for the symmetrizer and
+k = 1 for the antisymmetrizer.  With one particle per site the spins behave
+as qubits (`qubit_first_quantized`).  The link Hamiltonian is given by its
+diagonal over the six two-fermion states and checked against its
 normal-ordered operator form.
 """
 from __future__ import annotations
@@ -48,30 +53,27 @@ class FockVector(Record):
         object.__setattr__(self, "amps", amps)
 
 
-def occupation_state(basis: ModeBasis, modes: tuple[tuple[int, str], ...],
-                     amp: complex = 1.0) -> FockVector:
+def occupation_state(basis: ModeBasis,
+                     modes: tuple[tuple[int, str], ...]) -> FockVector:
     """Basis configuration with the given modes occupied (canonical sign)."""
     amps = np.zeros(2 ** basis.n_modes, dtype=complex)
-    config = 0
-    for chi, site in modes:
-        config |= 1 << basis.mode_index(chi, site)
-    amps[config] = amp
+    # A set: a mode listed twice sets its bit once.
+    amps[sum({1 << basis.mode_index(chi, site) for chi, site in modes})] = 1.0
     return FockVector(basis, amps)
 
 
-def _parity_below(config: int, mode: int) -> int:
-    """(-1)^(number of occupied modes with index < mode)."""
-    return -1 if bin(config & ((1 << mode) - 1)).count("1") % 2 else 1
-
-
 def creation_matrix(basis: ModeBasis, chi: int, site: str) -> np.ndarray:
-    """a†_(chi,site) as a matrix over the full occupation space."""
+    """a†_(chi,site) as a matrix over the full occupation space.
+
+    Jordan-Wigner: the sign is -1 to the number of occupied lower modes.
+    """
     dim = 2 ** basis.n_modes
     m = basis.mode_index(chi, site)
     mat = np.zeros((dim, dim))
     for config in range(dim):
         if not config >> m & 1:
-            mat[config | (1 << m), config] = _parity_below(config, m)
+            below = config & ((1 << m) - 1)
+            mat[config | (1 << m), config] = (-1) ** below.bit_count()
     return mat
 
 
@@ -90,61 +92,47 @@ class PermutationProjector(Record):
 def permutation_matrix(d: int, n: int, perm: tuple[int, ...]) -> np.ndarray:
     """P_sigma on n d-state particles: particle slot i takes slot perm[i]."""
     dim = d ** n
+    # Entry k of the transposed index tensor is the index whose digit i is
+    # digit perm[i] of k.
+    permuted = np.arange(dim).reshape((d,) * n).transpose(np.argsort(perm))
     mat = np.zeros((dim, dim))
-    strides = [d ** (n - 1 - i) for i in range(n)]
-    for idx in range(dim):
-        digits = [(idx // strides[i]) % d for i in range(n)]
-        permuted = sum(digits[perm[i]] * strides[i] for i in range(n))
-        mat[permuted, idx] = 1.0
+    mat[permuted.ravel(), np.arange(dim)] = 1.0
     return mat
 
 
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    seen = set()
-    for start in range(len(perm)):
-        if start in seen:
-            continue
-        length, j = 0, start
-        while j not in seen:
-            seen.add(j)
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def _perm_sign(values: tuple[int, ...]) -> int:
+    """The Levi-Civita symbol of `values`: the sign of the permutation that
+    sorts them, which is -1 to the number of inversions, or 0 on a repeat."""
+    return math.prod((a < b) - (a > b)
+                     for a, b in itertools.combinations(values, 2))
+
+
+def _projector(d: int, n: int, k: int) -> PermutationProjector:
+    """(1/n!) sum_sigma sgn(sigma)^k P_sigma on n d-state particles."""
+    mat = sum(_perm_sign(perm) ** k * permutation_matrix(d, n, perm)
+              for perm in itertools.permutations(range(n)))
+    return PermutationProjector(mat / math.factorial(n))
 
 
 def symmetrizer_two() -> PermutationProjector:
     """(1 + P_12)/2 on two two-state particles (the triplet-state demo space)."""
-    p12 = permutation_matrix(2, 2, (1, 0))
-    return PermutationProjector(0.5 * (np.eye(4) + p12))
+    return _projector(2, 2, 0)
 
 
 def antisymmetrizer(n: int) -> PermutationProjector:
     """Antisymmetrization projector for n particles on n sites (2n modes each)."""
     if n not in (2, 3):
         raise ValueError("only 2- and 3-particle antisymmetrizers are supported")
-    d = 2 * n
-    dim = d ** n
-    mat = np.zeros((dim, dim))
-    for perm in itertools.permutations(range(n)):
-        mat += _perm_sign(perm) * permutation_matrix(d, n, perm)
-    mat /= math.factorial(n)
-    return PermutationProjector(mat)
+    return _projector(2 * n, n, 1)
 
 
 def slater_vector(basis: ModeBasis, modes_ascending: tuple[int, ...]) -> np.ndarray:
     """First-quantization Slater determinant of the given mode indices."""
-    n = len(modes_ascending)
-    d = basis.n_modes
-    dim = d ** n
-    vec = np.zeros(dim, dtype=complex)
-    strides = [d ** (n - 1 - i) for i in range(n)]
-    norm = 1.0 / math.sqrt(math.factorial(n))
-    for perm in itertools.permutations(range(n)):
-        idx = sum(modes_ascending[perm[i]] * strides[i] for i in range(n))
-        vec[idx] += _perm_sign(perm) * norm
+    shape = (basis.n_modes,) * len(modes_ascending)
+    vec = np.zeros(math.prod(shape), dtype=complex)
+    norm = 1.0 / math.sqrt(math.factorial(len(shape)))
+    for slots in itertools.permutations(modes_ascending):
+        vec[np.ravel_multi_index(slots, shape)] += _perm_sign(slots) * norm
     return vec
 
 
@@ -156,22 +144,21 @@ def qubit_first_quantized(basis: ModeBasis, assignment: str) -> np.ndarray:
 
 
 _TWO_SITE_BASIS = ModeBasis(("r", "s"))
+# (spin, site) pairs of the penalized states a..d, and of the number-operator
+# products that penalize them.
+_HRS_TERMS = (((0, "r"), (1, "r")), ((0, "s"), (1, "s")),
+              ((0, "r"), (0, "s")), ((1, "r"), (1, "s")))
 
 
 def fock_basis_two() -> dict[str, FockVector]:
     """The six antisymmetric two-fermion states on sites r, s."""
     b = _TWO_SITE_BASIS
+    states = {x: occupation_state(b, pair) for x, pair in zip("abcd", _HRS_TERMS)}
+    up, down = (occupation_state(b, ((chi, "r"), (1 - chi, "s"))).amps
+                for chi in (0, 1))
     sqrt2 = np.sqrt(2.0)
-    states = {
-        "a": occupation_state(b, ((0, "r"), (1, "r"))),
-        "b": occupation_state(b, ((0, "s"), (1, "s"))),
-        "c": occupation_state(b, ((0, "r"), (0, "s"))),
-        "d": occupation_state(b, ((1, "r"), (1, "s"))),
-        "e": FockVector(b, (occupation_state(b, ((0, "r"), (1, "s"))).amps
-                            + occupation_state(b, ((1, "r"), (0, "s"))).amps) / sqrt2),
-        "f": FockVector(b, (occupation_state(b, ((0, "r"), (1, "s"))).amps
-                            - occupation_state(b, ((1, "r"), (0, "s"))).amps) / sqrt2),
-    }
+    states["e"] = FockVector(b, (up + down) / sqrt2)
+    states["f"] = FockVector(b, (up - down) / sqrt2)
     return states
 
 
@@ -185,11 +172,6 @@ def hrs_fock() -> np.ndarray:
     space.
     """
     return np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
-
-
-# (spin, site) pairs of the number-operator products, one per penalized state.
-_HRS_TERMS = (((0, "r"), (1, "r")), ((0, "s"), (1, "s")),
-              ((0, "r"), (0, "s")), ((1, "r"), (1, "s")))
 
 
 def second_quantized_hrs(sign: float = -1.0) -> np.ndarray:

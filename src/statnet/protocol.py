@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .dynamics import DriveSchedule, final_amps
+from .dynamics import DriveSchedule, check_leak_model, final_amps
 from .errors import DegenerateDynamicsError, UnpreparableNetworkError
 from .hilbert import (StateVector, index_assignment, node_bit, probabilities,
                       sum_probs, sum_sq)
@@ -120,6 +120,7 @@ def prepare_ground(net: Network, leak_model: str = "none") -> Preparation:
     When the pin asks for the other sector, the drive never demands mass in
     the empty one, and it is not stored.
     """
+    check_leak_model(leak_model)
     codes = support(net, include_output_pins=False)
     if not codes.size:
         raise UnpreparableNetworkError(

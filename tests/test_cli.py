@@ -432,18 +432,20 @@ def test_run_builds_no_generator(shots, capsys, monkeypatch):
 # A module stays out of a process that has no use for it: a bare import of
 # the CLI needs neither the record machinery of `dataclasses` nor `hashlib`
 # (only `run` prints a network hash) nor `json` (only `run` and
-# `check --dump` print JSON); `run` draws its shots without `numpy.random`;
-# and canonical argv is read without `argparse`.
+# `check --dump` print JSON) nor the particle-statistics layer `fock`;
+# `run` draws its shots without `numpy.random`; and canonical argv is read
+# without `argparse`.
 @pytest.mark.parametrize("args, absent", [
     (["-c", "import statnet.cli"],
      {"argparse", "dataclasses", "hashlib", "json"}),
+    (["-c", "import statnet.cli"], {"statnet.fock"}),
     (["-m", "statnet.cli", "solve-brute", "--network", "fig1"],
      {"argparse", "hashlib", "json"}),
     (["-m", "statnet.cli", "simulate-link", "--dt", "1e-2"],
      {"argparse", "hashlib", "json"}),
     (["-m", "statnet.cli", "run", "--network", "fig1"],
      {"argparse", "numpy.random"}),
-], ids=["import", "solve-brute", "simulate-link", "run"])
+], ids=["import", "import-fock", "solve-brute", "simulate-link", "run"])
 def test_process_never_imports(args, absent):
     # -X importtime lists every module the process imports, on stderr.
     proc = subprocess.run([sys.executable, "-X", "importtime", *args],

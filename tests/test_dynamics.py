@@ -549,6 +549,19 @@ def test_closed_form_scan_calls_scalar_targets_a_constant_number_of_times(
     assert np.abs(final - closed_form_link(0.3, 0.9).amps).max() <= 1e-14
 
 
+def test_evolve_rejects_unknown_leak_model():
+    with pytest.raises(ValueError, match="'uniform_excited'"):
+        evolve(closed_form_link(0.3, 0.0), LINK_MASK, "r", linear(0.3, 0.9),
+               leak_model="uniform_excited")
+
+
+def test_final_amps_rejects_unknown_leak_model():
+    psi0 = closed_form_link(0.3, 0.0)
+    with pytest.raises(ValueError, match="'uniform_excited'"):
+        final_amps(psi0.amps, LINK_MASK.bits, psi0.sectors("r"),
+                   linear(0.3, 0.9), "uniform_excited")
+
+
 def row_overlap(new, prev):
     """|<new|prev>| of two rows: the real and imaginary parts of
     sum conj(new_i) * prev_i as real products, each added as numpy adds one

@@ -1,27 +1,41 @@
-"""Mutation gate for the decision path: each mutant must fail a named check.
+"""Mutation gate: each mutant must fail a named check.
 
-A mutant is one textual replacement in one function of `protocol`.  The test
-takes the function's source from `inspect.getsource`, makes the replacement,
-compiles the result into `protocol`'s namespace and patches it in, so every
-caller in `protocol` and the CLI reaches it.  The named check must then fail
+A mutant is one textual replacement in one function.  The test takes the
+function's source from `inspect.getsource`, makes the replacement, compiles
+the result into the namespace of the function's module and patches it in.
+The `protocol` mutants are patched into `protocol`, so every caller in
+`protocol` and the CLI reaches them; the mutants of `statics`, `hilbert`,
+`dynamics` and `fock` are patched into every module that holds the name, the
+test modules whose checks call it included.  The named check must then fail
 with an assertion.  The checks are deterministic: the `_draw` boundary check,
-the leak oracle on fixed nets, and `run` stdout digests that the run corpus
-already holds.  No hypothesis draw runs inside the gate.
+the leak oracle on fixed nets, oracles and fixed tests on fixed examples, and
+the digests that the run and trace corpora already hold.  No hypothesis draw
+runs inside the gate.
 """
 import inspect
+import sys
 import tempfile
+import types
 from pathlib import Path
 
 import pytest
 
-from statnet import protocol
-from statnet.network import builtin_fig1
+import test_dynamics
+import test_fock
+import test_permutations
+import test_protocol
+from statnet import dynamics, fock, hilbert, protocol, statics
+from statnet.network import builtin_fig1, parse_network
 from test_protocol import (STUCK, check_draw_at_boundaries,
-                           check_leak_preparation, pinned_drive_net)
+                           check_leak_preparation,
+                           check_masks_against_string_oracle,
+                           check_support_against_oracles, pinned_drive_net)
 from test_run_corpus import CORPUS, with_files, write_nets
+from test_statics import BIG_TABLE_NETS
 from test_trace_corpus import digests, load_corpus
 
 RUN_CORPUS = load_corpus(CORPUS)
+TRACE_CORPUS = load_corpus()
 
 
 def check_leak_oracle():
@@ -47,6 +61,32 @@ def corpus_check(net, leak="none"):
     return check
 
 
+def check_support_oracles():
+    """`support` against the mask and the string oracle, with and without
+    output pins, on fig1 and the nets of 512-row tables."""
+    for net in [builtin_fig1(),
+                *(parse_network(dsl + "\n") for dsl in BIG_TABLE_NETS.values())]:
+        for include_output_pins in (False, True):
+            check_support_against_oracles(net, include_output_pins)
+
+
+def trace_check(argv):
+    """`argv` prints the bytes the trace corpus holds for it."""
+    entry = TRACE_CORPUS[" ".join(argv)]
+
+    def check():
+        assert digests(argv) == {key: entry[key]
+                                 for key in ("stdout", "stderr", "exit")}
+    return check
+
+
+def check_leak_model_names():
+    """Each entry point refuses a misspelt leak model."""
+    test_protocol.test_prepare_rejects_unknown_leak_model()
+    test_dynamics.test_evolve_rejects_unknown_leak_model()
+    test_dynamics.test_final_amps_rejects_unknown_leak_model()
+
+
 CHECKS = {
     "draw boundaries": check_draw_at_boundaries,
     "leak oracle": check_leak_oracle,
@@ -54,6 +94,18 @@ CHECKS = {
     "run fig1-unsat": corpus_check("fig1-unsat"),
     "run stuck leak": corpus_check("stuck", "uniform-excited"),
     "run wide8": corpus_check("wide8"),
+    "support oracles": check_support_oracles,
+    "fig1 masks oracle": lambda: check_masks_against_string_oracle(
+        builtin_fig1()),
+    "trace triplet": trace_check(["simulate-triplet", "--schedule",
+                                  "linear-ramp", "--theta", "0.3",
+                                  "--dt", "0.01"]),
+    "second quantization": test_fock.test_second_quantized_matches_diagonal,
+    "antisymmetrizer trace":
+        test_fock.test_antisymmetrizer_trace_two_particles,
+    "3-cycle direction":
+        test_permutations.test_three_cycle_moves_slot_perm_i_into_slot_i,
+    "leak model names": check_leak_model_names,
 }
 
 # (check, function, source text, replacement)
@@ -70,13 +122,33 @@ MUTANTS = [
 ]
 
 
-def mutant(function: str, text: str, replacement: str):
-    """`protocol.<function>` with `text` replaced, once, by `replacement`."""
-    source = inspect.getsource(getattr(protocol, function))
+# (check, module, function, source text, replacement)
+LAYER_MUTANTS = [
+    ("support oracles", statics, "support", "    rows = np.sort(rows)\n", ""),
+    ("support oracles", statics, "_join", "set(table_keys.tolist())",
+     "list(set(table_keys.tolist()))[:8]"),
+    ("fig1 masks oracle", statics, "_allowed",
+     "Network(net.nodes, gates, pins)", "Network(net.nodes, gates)"),
+    ("trace triplet", hilbert, "sum_probs", "reduce(probs,",
+     "reduce(probs[..., ::-1],"),
+    ("leak model names", dynamics, "check_leak_model",
+     "leak_model not in LEAK_MODELS", "False"),
+    ("second quantization", fock, "creation_matrix",
+     "(-1) ** below.bit_count()", "1"),
+    ("3-cycle direction", fock, "permutation_matrix", "np.argsort(perm)",
+     "perm"),
+    ("antisymmetrizer trace", fock, "_projector", "_perm_sign(perm) ** k * ",
+     ""),
+]
+
+
+def mutant(function: str, text: str, replacement: str, module=protocol):
+    """`<module>.<function>` with `text` replaced, once, by `replacement`."""
+    source = inspect.getsource(getattr(module, function))
     assert source.count(text) == 1, f"{text!r} is not once in {function}"
     scope = {}
-    exec(compile(source.replace(text, replacement), protocol.__file__, "exec"),
-         vars(protocol), scope)
+    exec(compile(source.replace(text, replacement), module.__file__, "exec"),
+         vars(module), scope)
     return scope[function]
 
 
@@ -93,4 +165,22 @@ def test_mutant_fails_its_check(monkeypatch, check, function, text,
     monkeypatch.setattr(protocol, function, mutant(function, text,
                                                    replacement))
     with pytest.raises(AssertionError):
+        CHECKS[check]()
+
+
+@pytest.mark.parametrize("check, module, function, text, replacement",
+                         LAYER_MUTANTS,
+                         ids=[f"{m[1].__name__}.{m[2]}: "
+                              f"{m[4] or 'no ' + m[3].strip()}"
+                              for m in LAYER_MUTANTS])
+def test_layer_mutant_fails_its_check(monkeypatch, check, module, function,
+                                      text, replacement):
+    original = getattr(module, function)
+    replaced = mutant(function, text, replacement, module)
+    for holder in list(sys.modules.values()):
+        if isinstance(holder, types.ModuleType) \
+                and vars(holder).get(function) is original:
+            monkeypatch.setattr(holder, function, replaced)
+    # A check that calls a test's `pytest.raises` fails with `Failed`.
+    with pytest.raises((AssertionError, pytest.fail.Exception)):
         CHECKS[check]()

@@ -102,6 +102,12 @@ def test_prepare_contradictory_inputs_raise():
         prepare_ground(net)
 
 
+def test_prepare_rejects_unknown_leak_model():
+    # An underscore for the hyphen would otherwise decide as "none".
+    with pytest.raises(ValueError, match="'uniform_excited'"):
+        prepare_ground(builtin_fig1(), "uniform_excited")
+
+
 def test_prepare_stores_only_the_support():
     prep = prepare_ground(builtin_fig1())
     assert prep.state.dim == 256 and prep.support_size == 2
@@ -479,9 +485,16 @@ def wide_networks(draw):
 
     Each gate has 0-3 inputs and 0-2 outputs, not both 0, and 1 to
     2^inputs rows, so the join order, gates shared across several joins,
-    gates without inputs or outputs and free nodes all occur.
+    gates without inputs or outputs and free nodes all occur.  In three
+    draws of four, every gate's table holds the row that a witness
+    assignment takes and every input pin holds the witness's value, so the
+    input-constrained support is not empty; the other draws are
+    unconstrained, and their support is often empty.
     """
     nodes = tuple("abcdefghi"[:draw(st.integers(3, 9))])
+    witness = dict(zip(nodes, draw(st.lists(
+        st.sampled_from("01"), min_size=len(nodes), max_size=len(nodes)))))
+    agree = draw(st.integers(0, 3)) > 0
     gates = []
     for i in range(draw(st.integers(1, 6))):
         n_in = draw(st.integers(0, 3))
@@ -490,19 +503,24 @@ def wide_networks(draw):
         order = draw(st.permutations(nodes))
         ins = draw(st.lists(st.integers(0, 2 ** n_in - 1), min_size=1,
                             unique=True))
-        rows = tuple((format(k, f"0{n_in}b") if n_in else "",
-                      format(draw(st.integers(0, 2 ** n_out - 1)), f"0{n_out}b")
-                      if n_out else "")
-                     for k in sorted(ins))
+        rows = {format(k, f"0{n_in}b") if n_in else "":
+                format(draw(st.integers(0, 2 ** n_out - 1)), f"0{n_out}b")
+                if n_out else "" for k in ins}
+        if agree:
+            rows["".join(witness[x] for x in order[:n_in])] = "".join(
+                witness[x] for x in order[n_in:n_in + n_out])
         gates.append(Gate(f"g{i}", tuple(order[:n_in]),
                           tuple(order[n_in:n_in + n_out]),
-                          TruthTable(n_in, n_out, rows)))
+                          TruthTable(n_in, n_out, tuple(sorted(rows.items())))))
     drive = draw(st.sampled_from(nodes))
     pins = [Pin(drive, draw(st.integers(0, 1)), "output")]
     for node in nodes:
         kind = draw(st.sampled_from((None, None, "input", "output")))
         if node != drive and kind:
-            pins.append(Pin(node, draw(st.integers(0, 1)), kind))
+            value = draw(st.integers(0, 1))
+            if agree and kind == "input":
+                value = int(witness[node])
+            pins.append(Pin(node, value, kind))
     return Network(nodes, tuple(gates), tuple(pins), drive)
 
 
