@@ -3,7 +3,9 @@
 A network of logically reversible gates is encoded as a diagonal constraint
 projector and penalty Hamiltonian over qubit assignments; a continuous
 projection ("watchdog") drive rotates a prepared ground state toward the
-assignments that satisfy every constraint.  Subpackages:
+assignments that satisfy every constraint.  Each name is imported from the
+module that defines it (`from statnet.protocol import run_protocol`); the
+package root imports none of them.  Modules:
 
 - hilbert: state vectors stored on basis codes, basis indexing, a node's
   drive sectors
@@ -15,99 +17,7 @@ assignments that satisfy every constraint.  Subpackages:
 - protocol: prepare / drive / measure / decide with repetition statistics
 - cli: the `statnet` command-line entry point
 - record: the frozen-record base of every value type, and `replace`
+- errors: `StatnetError` and its typed subclasses
 """
-from .errors import (
-    DegenerateDynamicsError,
-    ParseError,
-    StatnetError,
-    UnpreparableNetworkError,
-)
-from .hilbert import (
-    StateVector,
-    basis_index,
-    basis_state,
-    index_assignment,
-    reduced_diag,
-)
-from .network import (
-    Gate,
-    Network,
-    Pin,
-    TruthTable,
-    brute_force_solutions,
-    builtin_fig1,
-    builtin_fig1_unsat,
-    parse_network,
-    render,
-)
-from .statics import (
-    ConstraintMask,
-    PenaltyHamiltonian,
-    gate_hamiltonian,
-    gate_mask,
-    ground_space,
-    network_hamiltonian,
-    network_mask,
-    pin_mask,
-    support,
-)
-from .dynamics import (
-    DriveSchedule,
-    Trajectory,
-    closed_form_link,
-    closed_form_triplet,
-    evolve,
-    q_rs_apply,
-    triplet_watchdog_demo,
-)
-from .protocol import (
-    Preparation,
-    ProtocolResult,
-    prepare_ground,
-    repetition_bound,
-    run_protocol,
-)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConstraintMask",
-    "DegenerateDynamicsError",
-    "DriveSchedule",
-    "Gate",
-    "Network",
-    "ParseError",
-    "PenaltyHamiltonian",
-    "Pin",
-    "Preparation",
-    "ProtocolResult",
-    "StateVector",
-    "StatnetError",
-    "Trajectory",
-    "TruthTable",
-    "UnpreparableNetworkError",
-    "basis_index",
-    "basis_state",
-    "brute_force_solutions",
-    "builtin_fig1",
-    "builtin_fig1_unsat",
-    "closed_form_link",
-    "closed_form_triplet",
-    "evolve",
-    "gate_hamiltonian",
-    "gate_mask",
-    "ground_space",
-    "index_assignment",
-    "network_hamiltonian",
-    "network_mask",
-    "parse_network",
-    "pin_mask",
-    "prepare_ground",
-    "q_rs_apply",
-    "reduced_diag",
-    "render",
-    "repetition_bound",
-    "run_protocol",
-    "support",
-    "triplet_watchdog_demo",
-]

@@ -376,10 +376,9 @@ def final_amps(psi0: np.ndarray, allowed: np.ndarray,
     mass = _grid_targets(schedule)
     empty = mass <= _MASS_EPS
     n = mass.shape[1]
-    projected = psi0 * allowed
     final = np.zeros_like(psi0)
     for s, idx in enumerate(sectors):
-        component = projected[idx]
+        component = psi0[idx] * allowed[idx]
         length = norm(component)
         # Grid position (0-based) from which the sector holds the refill.
         emptied = -1

@@ -55,10 +55,12 @@ class FockVector(Record):
 
 def occupation_state(basis: ModeBasis,
                      modes: tuple[tuple[int, str], ...]) -> FockVector:
-    """Basis configuration with the given modes occupied (canonical sign)."""
+    """Basis configuration with the given modes occupied (canonical sign);
+    the zero state if a mode is listed twice, as a†a† on it gives."""
     amps = np.zeros(2 ** basis.n_modes, dtype=complex)
-    # A set: a mode listed twice sets its bit once.
-    amps[sum({1 << basis.mode_index(chi, site) for chi, site in modes})] = 1.0
+    bits = {1 << basis.mode_index(chi, site) for chi, site in modes}
+    if len(bits) == len(modes):
+        amps[sum(bits)] = 1.0
     return FockVector(basis, amps)
 
 

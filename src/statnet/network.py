@@ -169,8 +169,8 @@ def parse_network(text: str) -> Network:
     """Parse the DSL into a fully validated Network."""
     nodes: tuple[str, ...] | None = None
     gates: list[Gate] = []
-    # (node, value, kind or None, line) of each fix statement.
-    raw_pins: list[tuple[str, int, str | None, int]] = []
+    # (node, value, kind or None) of each fix statement.
+    raw_pins: list[tuple[str, int, str | None]] = []
     drive: str | None = None
 
     # Gate bodies may span lines: join continuation lines until braces balance.
@@ -215,7 +215,7 @@ def parse_network(text: str) -> Network:
                 node, value_raw, kind = m.groups()
                 if value_raw not in ("0", "1"):
                     raise ValueError(f"pin {node}: value must be 0 or 1, got {value_raw!r}")
-                raw_pins.append((node, int(value_raw), kind, lineno))
+                raw_pins.append((node, int(value_raw), kind))
             elif line.startswith("drive"):
                 m = _DRIVE_RE.match(line)
                 if not m:
@@ -231,17 +231,14 @@ def parse_network(text: str) -> Network:
     if nodes is None:
         raise ParseError("missing nodes declaration")
 
+    # `Pin` cannot raise: each value is checked above, each kind is the
+    # statement's or inferred.
     outputs = {n for g in gates for n in g.out_nodes}
-    pins = []
-    for node, value, kind, lineno in raw_pins:
-        kind = kind or ("output" if node in outputs else "input")
-        try:
-            pins.append(Pin(node, value, kind))
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
-
+    pins = tuple(
+        Pin(node, value, kind or ("output" if node in outputs else "input"))
+        for node, value, kind in raw_pins)
     try:
-        return Network(nodes, tuple(gates), tuple(pins), drive)
+        return Network(nodes, tuple(gates), pins, drive)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

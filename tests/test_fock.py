@@ -1,4 +1,5 @@
 """Fermionic mode algebra, (anti)symmetrizers, and the qubit embedding."""
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from statnet.fock import (
     creation_matrix,
     fock_basis_two,
     hrs_fock,
+    occupation_state,
     qubit_first_quantized,
     second_quantized_hrs,
     slater_vector,
@@ -87,6 +89,16 @@ def test_creation_anticommute():
 def test_double_creation_vanishes():
     v = adag(0, "r") @ adag(0, "r") @ VACUUM
     assert not v.any()
+
+
+@pytest.mark.parametrize("first, second",
+                         itertools.combinations_with_replacement(
+                             [(0, "r"), (1, "r"), (0, "s"), (1, "s")], 2))
+def test_occupation_state_is_the_creation_product(first, second):
+    # Canonical order: the higher mode's operator acts first, so a distinct
+    # pair carries sign +1, and a mode listed twice gives the zero state.
+    v = adag(*first) @ adag(*second) @ VACUUM
+    assert np.array_equal(occupation_state(B2, (first, second)).amps, v)
 
 
 def test_creation_canonical_sign():

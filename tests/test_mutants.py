@@ -5,12 +5,13 @@ function's source from `inspect.getsource`, makes the replacement, compiles
 the result into the namespace of the function's module and patches it in.
 The `protocol` mutants are patched into `protocol`, so every caller in
 `protocol` and the CLI reaches them; the mutants of `statics`, `hilbert`,
-`dynamics` and `fock` are patched into every module that holds the name, the
+`dynamics` and `fock`, and those of the canonical argv reader of `cli` and
+the DSL of `network`, are patched into every module that holds the name, the
 test modules whose checks call it included.  The named check must then fail
 with an assertion.  The checks are deterministic: the `_draw` boundary check,
 the leak oracle on fixed nets, oracles and fixed tests on fixed examples, and
 the digests that the run and trace corpora already hold.  No hypothesis draw
-runs inside the gate.
+runs inside the gate: the reader is held to argparse on fixed argv.
 """
 import inspect
 import sys
@@ -20,11 +21,13 @@ from pathlib import Path
 
 import pytest
 
+import test_cli
 import test_dynamics
 import test_fock
+import test_network
 import test_permutations
 import test_protocol
-from statnet import dynamics, fock, hilbert, protocol, statics
+from statnet import cli, dynamics, fock, hilbert, network, protocol, statics
 from statnet.network import builtin_fig1, parse_network
 from test_protocol import (STUCK, check_draw_at_boundaries,
                            check_leak_preparation,
@@ -87,6 +90,30 @@ def check_leak_model_names():
     test_dynamics.test_final_amps_rejects_unknown_leak_model()
 
 
+def check_reader_against_argparse():
+    """The canonical reader on argv that argparse refuses or reads with a
+    switch's default: each namespace it returns is argparse's."""
+    agrees = test_cli.test_canonical_reader_agrees_with_argparse.hypothesis \
+        .inner_test
+    for argv in (["run", "--network", "--dump"], ["run", "--leak", "bogus"],
+                 ["simulate-triplet", "--drive", "p4"], ["check"],
+                 ["simulate-link"]):
+        agrees(argv)
+
+
+def check_argparse_spellings():
+    """The reader leaves each spelling that only argparse reads, a repeated
+    flag among them, to argparse, and reads its canonical twin."""
+    for spelling, canonical in test_cli.ARGPARSE_SPELLINGS:
+        assert cli._read_canonical(spelling) is None
+        assert cli._read_canonical(canonical) is not None
+
+
+def parse_error_check(text):
+    """`parse_network(text)` raises the message that `PARSE_ERRORS` pins."""
+    return lambda: test_network.test_parse_error_message(text)
+
+
 CHECKS = {
     "draw boundaries": check_draw_at_boundaries,
     "leak oracle": check_leak_oracle,
@@ -106,6 +133,12 @@ CHECKS = {
     "3-cycle direction":
         test_permutations.test_three_cycle_moves_slot_perm_i_into_slot_i,
     "leak model names": check_leak_model_names,
+    "reader vs argparse": check_reader_against_argparse,
+    "argparse spellings": check_argparse_spellings,
+    "multi-line gate error line": parse_error_check(
+        "nodes a b\ngate g in(a) out(b) {\n 0->1 ;\n 0->0 }\n"),
+    "nodes declared twice": parse_error_check("nodes a\nnodes b\n"),
+    "pin kind inference": test_network.test_pin_kind_inference,
 }
 
 # (check, function, source text, replacement)
@@ -139,6 +172,29 @@ LAYER_MUTANTS = [
      "perm"),
     ("antisymmetrizer trace", fock, "_projector", "_perm_sign(perm) ** k * ",
      ""),
+]
+
+
+# (check, module, function, source text, replacement): the canonical argv
+# reader of `cli` and the DSL of `network`.
+FRONT_MUTANTS = [
+    ("reader vs argparse", cli, "_read_canonical", 'value.startswith("-")',
+     "False"),
+    ("reader vs argparse", cli, "_read_canonical",
+     '"choices" in spec and value not in spec["choices"]', "False"),
+    ("argparse spellings", cli, "_read_canonical",
+     "        unread.remove(flag)\n", ""),
+    ("reader vs argparse", cli, "_read_canonical",
+     "False if switch else None", "None"),
+    ("multi-line gate error line", network, "parse_network",
+     "            lineno = pending[0]\n", ""),
+    ("nodes declared twice", network, "parse_network",
+     "nodes is not None", "False"),
+    ("pin kind inference", network, "parse_network",
+     '"output" if node in outputs else "input"',
+     '"input" if node in outputs else "output"'),
+    ("run fig1", network, "render", "{g.in_nodes[0]} -> {g.out_nodes[0]}",
+     "{g.in_nodes[0]} ->{g.out_nodes[0]}"),
 ]
 
 
@@ -184,3 +240,13 @@ def test_layer_mutant_fails_its_check(monkeypatch, check, module, function,
     # A check that calls a test's `pytest.raises` fails with `Failed`.
     with pytest.raises((AssertionError, pytest.fail.Exception)):
         CHECKS[check]()
+
+
+@pytest.mark.parametrize("check, module, function, text, replacement",
+                         FRONT_MUTANTS,
+                         ids=[f"{m[1].__name__}.{m[2]}: {m[3].strip()!r} to "
+                              f"{m[4]!r}" for m in FRONT_MUTANTS])
+def test_front_mutant_fails_its_check(monkeypatch, check, module, function,
+                                      text, replacement):
+    test_layer_mutant_fails_its_check(monkeypatch, check, module, function,
+                                      text, replacement)

@@ -43,6 +43,52 @@ def test_parse_error_carries_line_number():
         parse_network("nodes a\nfix a=2\n")
 
 
+# One DSL text per raise site that `parse_network` can reach, with the exact
+# message: a line number wherever a statement is at fault, none for a fault
+# of the whole network.
+PARSE_ERRORS = {
+    "nodes\n": "line 1: malformed nodes declaration",
+    "nodes a\nnodes b\n": "line 2: nodes declared twice",
+    "nodes a a\n": "line 1: duplicate node declaration",
+    "nodes a b\ngate g in(a) out(b) {\n 0->1 ;\n":
+        "line 2: unterminated gate body",
+    "nodes a\ngate g\n": "line 2: malformed gate statement",
+    "nodes a b\nlink a b\n": "line 2: malformed link statement",
+    "nodes a b\ngate g in(a) out(b) { 0-1 }\n":
+        "line 2: malformed table row '0-1'",
+    "nodes a b\ngate g in(a) out(b) { }\n": "line 2: truth table has no rows",
+    "nodes a b\ngate g in(a) out(b) { 00->1 ; 1->0 }\n":
+        "line 2: row 00->1 does not match arities 1/1",
+    "nodes a b\ngate g in(a) out(b) { 0->1 ; 0->0 }\n":
+        "line 2: duplicate input pattern 0",
+    "nodes a b\ngate g in(a) out(b) {\n 0->1 ;\n 0->0 }\n":
+        "line 2: duplicate input pattern 0",
+    "nodes a\ngate g in(a) out(a) { 0->0 }\n":
+        "line 2: gate g: a node appears twice in in()/out()",
+    "nodes a b\nlink a -> b\nlink a -> b\n":
+        "line 3: gate 'link_a_b' declared twice",
+    "nodes a\nfix a\n": "line 2: malformed fix statement",
+    "nodes a\nfix a=2\n": "line 2: pin a: value must be 0 or 1, got '2'",
+    "nodes a\ndrive\n": "line 2: malformed drive statement",
+    "nodes a\ndrive a\ndrive a\n": "line 3: drive declared twice",
+    "nodes a\nfrob a\n": "line 2: unknown statement 'frob'",
+    "link a -> b\n": "missing nodes declaration",
+    "nodes a\ngate g in(a) out(b) { 0->1 }\n":
+        "gate g references undeclared node 'b'",
+    "nodes a\nfix b=1\n": "pin on undeclared node 'b'",
+    "nodes a\nfix a=0\nfix a=1\n": "multiple pins on node 'a'",
+    "nodes a\ndrive b\n": "drive on undeclared node 'b'",
+    "nodes a\ndrive a\n": "drive node 'a' must carry an output pin",
+}
+
+
+@pytest.mark.parametrize("text", PARSE_ERRORS)
+def test_parse_error_message(text):
+    with pytest.raises(ParseError) as info:
+        parse_network(text)
+    assert str(info.value) == PARSE_ERRORS[text]
+
+
 @pytest.mark.parametrize("gate", ["gate g in(a,a) out(b) { 00->0 ; 01->1 }",
                                   "gate g in(a) out(a,b) { 0->00 ; 1->11 }"])
 def test_parse_gate_naming_a_node_twice(gate):
