@@ -60,9 +60,11 @@ def _format_column(column: np.ndarray) -> list[str]:
     """`"%.17g" % x` of each entry, formatting each distinct bit pattern once.
 
     The key is the bit pattern, not the value, so 0.0 and -0.0 stay apart.
+    The distinct values are formatted by one `%` call, one per line.
     """
     bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    text = np.array(["%.17g" % x for x in bits.view(float).tolist()],
+    values = tuple(bits.view(float).tolist())
+    text = np.array((("%.17g\n" * len(values)) % values).splitlines(),
                     dtype=object)
     return text[inverse].tolist()
 

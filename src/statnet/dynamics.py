@@ -17,16 +17,17 @@ the symmetrizer lags the closed form by O(dt).
 
 Both evolutions walk the grid in one loop (`_walk_grid`), one list of Python
 numbers per row, and repeat numpy's arithmetic operation for operation, so
-they give a numpy step's bits.  `evolve` rescales the drive sectors of Python
-complex numbers (`_rescale`).  The triplet's start and every coefficient of
-its step are real, so its fixed point is written out over the four amplitudes
-as Python floats, which carry the real parts of the complex iteration: the
-imaginary parts it would add are zero.  A `Trajectory` is a set of columns:
-the walk's rows become one amplitude matrix, and each diagnostic is computed
-once over that matrix.  Per-row objects (`Trajectory.points`, `final_state`)
-are built only when a caller asks for them.  A decision needs only the final
-state of the diagonal-mask evolution; `final_amps` computes it from the
-stepper's invariant, on numpy arrays, without a trajectory.
+they give a numpy step's bits.  The rows keep the initial state's dtype: a
+real state steps Python floats, which carry the real parts of the complex
+steps, as every factor is real and the imaginary parts would stay zero.
+`evolve` plans its drive sectors once and rescales them each step
+(`_rescale`); the triplet's fixed point is written out over its four real
+amplitudes.  A `Trajectory` is a set of columns: the walk's rows become one
+amplitude matrix, and each diagnostic is computed once over that matrix.
+Per-row objects (`Trajectory.points`, `final_state`) are built only when a
+caller asks for them.  A decision needs only the final state of the
+diagonal-mask evolution; `final_amps` computes it from the stepper's
+invariant, on numpy arrays, without a trajectory.
 
 No reduction goes to BLAS, whose summation order depends on the build and
 the CPU: every norm and mass is `hilbert.sum_sq`/`hilbert.norm`, a sum of
@@ -38,6 +39,7 @@ Python numbers.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -200,16 +202,16 @@ def _refill_indices(idx: np.ndarray, allowed: np.ndarray,
     raise DegenerateDynamicsError(_LOST_SECTOR)
 
 
-def _rescale(amps: list[complex], sectors: tuple[list[int], list[int]],
-             live: tuple[list[int], list[int]], targets: tuple[float, float],
-             allowed: np.ndarray, leak_model: str) -> list[complex]:
+def _rescale(plan: tuple, kind: type, allowed: np.ndarray, leak_model: str,
+             amps: list, targets: tuple[float, float]) -> list:
     """Project onto `allowed`, and place each target mass on its drive sector,
     preserving direction and phase.
 
-    `amps` and the result are lists of Python complex numbers; `sectors`
-    holds the two sectors' positions in `amps`, `live` the allowed ones
-    among them, and `allowed` is the boolean constraint mask.  A sector is
-    scaled as numpy scales its projected component,
+    `amps` and the result are lists of Python numbers of type `kind`, float
+    or complex; `plan` holds, per drive sector, its positions in `amps`, the
+    allowed ones among them and whether it has fewer than _PAIRWISE_FROM
+    entries; `allowed` is the boolean constraint mask.  A sector is scaled
+    as numpy scales its projected component,
     `sqrt(target) * component / norm`: numpy divides a complex number by a
     real one as a product with the reciprocal, and a product with a real
     number, in numpy and in Python alike, adds only products with zero to
@@ -217,31 +219,33 @@ def _rescale(amps: list[complex], sectors: tuple[list[int], list[int]],
     are scaled.  A demanded sector that carries no mass is refilled at
     `_refill_indices`, which raises when there is nowhere to refill.
     """
-    out = [0j] * len(amps)
-    for idx, positions, target in zip(sectors, live, targets):
+    out = [kind()] * len(amps)
+    for (idx, live, short), target in zip(plan, targets):
         if target <= _MASS_EPS:
             continue
-        if len(idx) < _PAIRWISE_FROM:
+        total = 0.0
+        if short:
             # `sum_sq` adds so few terms left to right, as this loop does
             # (Python's `sum` compensates rounding from 3.12 on); a
-            # projected-out entry would add a zero.
-            total = 0.0
-            for i in positions:
+            # projected-out entry would add a zero, and a real z's
+            # re*re + 0.0 is z * z.
+            for i in live:
                 z = amps[i]
-                total += z.real * z.real + z.imag * z.imag
+                total += z * z if kind is float \
+                    else z.real * z.real + z.imag * z.imag
         else:
             # numpy's pairwise order groups the terms by position, zeros too.
             total = float(sum_sq(np.array(
-                [amps[i] if allowed[i] else 0j for i in idx], dtype=complex)))
+                [amps[i] if allowed[i] else kind() for i in idx], dtype=kind)))
         length = math.sqrt(total)
         if length > _MASS_EPS:
             scale, inverse = math.sqrt(target), 1 / length
-            for i in positions:
+            for i in live:
                 out[i] = amps[i] * scale * inverse
         else:
             refill = _refill_indices(np.array(idx, dtype=np.int64), allowed,
                                      leak_model).tolist()
-            value = complex(math.sqrt(target / len(refill)))
+            value = kind(math.sqrt(target / len(refill)))
             for i in refill:
                 out[i] = value
     return out
@@ -260,8 +264,8 @@ def _walk_grid(amps: np.ndarray, schedule: DriveSchedule, step):
     `step(prev, targets)` takes the previous row as a list of Python numbers
     and returns the next one as such a list, for the sector targets at the
     step's end time: complex numbers, or floats when `amps` is real.  Returns
-    the columns t, phi, the complex amplitude matrix (row 0 is `amps`) and
-    step_overlap.
+    the columns t, phi, the amplitude matrix of `amps`'s dtype (row 0 is
+    `amps`) and step_overlap.
     """
     t = [0.0] + _grid_times(schedule).tolist()
     # `schedule.phi` without its range check: the grid lies in [0, tau].
@@ -269,7 +273,7 @@ def _walk_grid(amps: np.ndarray, schedule: DriveSchedule, step):
     rows, theta0 = [amps.tolist()], schedule.theta0
     for angle in phi[1:]:
         rows.append(step(rows[-1], _targets_at(theta0 + angle)))
-    matrix = np.array(rows, dtype=complex)
+    matrix = np.array(rows, dtype=amps.dtype)
     return np.array(t), np.array(phi), matrix, _step_overlaps(matrix)
 
 
@@ -303,22 +307,20 @@ def evolve(psi0: StateVector, mask: ConstraintMask, drive_node: str,
     energy.  Condition (i), the projection onto the mask, is only enforced
     when `enforce_mask` is set (the no-mask variant exists to demonstrate
     when the projection is and is not redundant).  The steps run on Python
-    complex numbers and give the bits of the same steps on numpy arrays.  A
-    caller that needs only the final state computes it with `final_amps`,
-    without stepping.
+    floats for a float64 psi0 and on complex numbers otherwise, and give the
+    bits of the same steps on numpy arrays.  A caller that needs only the
+    final state computes it with `final_amps`, without stepping.
     """
     check_leak_model(leak_model)
     if mask.bits.shape != psi0.amps.shape:
         raise ValueError("mask dimension mismatch")
     allowed = mask.bits if enforce_mask else np.ones(psi0.amps.size, dtype=bool)
-    positions = psi0.sectors(drive_node)
-    sectors = tuple(idx.tolist() for idx in positions)
-    live = tuple(idx[allowed[idx]].tolist() for idx in positions)
-
-    def step(prev, targets):
-        return _rescale(prev, sectors, live, targets, allowed, leak_model)
-
-    t, phi, amps, overlap = _walk_grid(psi0.amps, schedule, step)
+    sectors = psi0.sectors(drive_node)
+    plan = tuple((idx.tolist(), idx[allowed[idx]].tolist(),
+                  idx.size < _PAIRWISE_FROM) for idx in sectors)
+    kind = complex if psi0.amps.dtype.kind == "c" else float
+    t, phi, amps, overlap = _walk_grid(psi0.amps, schedule, partial(
+        _rescale, plan, kind, allowed, leak_model))
     # Each column reduces a contiguous copy of its entries row by row, as a
     # one-dimensional sum of one row would.
     return Trajectory(
@@ -359,18 +361,19 @@ def final_amps(psi0: np.ndarray, allowed: np.ndarray,
                schedule: DriveSchedule, leak_model: str) -> np.ndarray:
     """The amplitudes `evolve` reaches after its last step, without stepping.
 
-    The arguments are those of the stepper: the initial amplitudes, the
-    boolean mask it projects onto (all true without the projection), and
-    the drive sectors' positions.  For diagonal masks each step multiplies a
-    drive sector by a positive factor, so the sector keeps the direction of
-    its component c_s of the projected psi0, and after step k the state is
-    the sum over sectors of sqrt(p_s(t_k)) * c_s/|c_s|, until the sector's
-    target first falls to at most _MASS_EPS.  From then on, or from the
-    start when c_s is empty, the sector holds the uniform refill; a step
-    that needs that refill where there is none raises
-    `DegenerateDynamicsError`, as the stepper would.  Only the sector
-    targets are scanned over the grid, as arrays (`_grid_targets`), so the
-    cost does not grow with the step count beyond a few array passes.
+    The arguments are those of the stepper: the initial amplitudes, whose
+    dtype the result keeps, the boolean mask it projects onto (all true
+    without the projection), and the drive sectors' positions.  For
+    diagonal masks each step multiplies a drive sector by a positive factor,
+    so the sector keeps the direction of its component c_s of the projected
+    psi0, and after step k the state is the sum over sectors of
+    sqrt(p_s(t_k)) * c_s/|c_s|, until the sector's target first falls to at
+    most _MASS_EPS.  From then on, or from the start when c_s is empty, the
+    sector holds the uniform refill; a step that needs that refill where
+    there is none raises `DegenerateDynamicsError`, as the stepper would.
+    Only the sector targets are scanned over the grid, as arrays
+    (`_grid_targets`), so the cost does not grow with the step count beyond
+    a few array passes.
     """
     check_leak_model(leak_model)
     mass = _grid_targets(schedule)
@@ -391,7 +394,8 @@ def final_amps(psi0: np.ndarray, allowed: np.ndarray,
         if empty[s, -1]:
             continue
         if emptied == n:
-            final[idx] = math.sqrt(mass[s, -1]) * component / length
+            # numpy's complex quotient by a real number is this product.
+            final[idx] = math.sqrt(mass[s, -1]) * component * (1 / length)
         else:
             final[refill] = math.sqrt(mass[s, -1] / refill.size)
     return final
@@ -413,15 +417,14 @@ def triplet_amps(c, s) -> list:
 def closed_form_link(theta: float, phi: float) -> StateVector:
     """cos(theta+phi)|01> + sin(theta+phi)|10> on nodes (r, s)."""
     angle = theta + phi
-    return StateVector(("r", "s"), np.array(
-        link_amps(math.cos(angle), math.sin(angle)), dtype=complex))
+    return StateVector(("r", "s"), link_amps(math.cos(angle), math.sin(angle)))
 
 
 def closed_form_triplet(theta: float, phi: float) -> StateVector:
     """The rotated symmetric two-particle state (a product state)."""
     angle = theta + phi
-    return StateVector(("p1", "p2"), np.array(
-        triplet_amps(math.cos(angle), math.sin(angle)), dtype=complex))
+    return StateVector(("p1", "p2"),
+                       triplet_amps(math.cos(angle), math.sin(angle)))
 
 
 def q_rs_apply(phi: float, v: StateVector) -> StateVector:
@@ -507,9 +510,8 @@ def triplet_watchdog_demo(theta: float, schedule: DriveSchedule,
             f"symmetrizer fixed point did not converge in "
             f"{_FIXPOINT_MAX_ITER} iterations")
 
-    # The rows stay real: closed_form_triplet is real, and so is every
-    # coefficient of the step.
-    t, phi, amps, overlap = _walk_grid(psi0.amps.real, schedule, step)
+    # closed_form_triplet is real, and so is every coefficient of the step.
+    t, phi, amps, overlap = _walk_grid(psi0.amps, schedule, step)
     # The symmetrizer (1 + P_12)/2 keeps |00> and |11> and gives |01> and
     # |10> the mean of the two: halving is exact above the subnormal range,
     # so the mean is the matrix product's value in any summation order.

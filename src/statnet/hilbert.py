@@ -4,7 +4,10 @@ Bit convention, shared by every module: a flat basis index (a basis code) is
 the C-order ravel of the `(2,)*n` basis tensor whose axis i is the i-th
 declared node, so the first declared node is the most significant bit.  A
 state stores its amplitudes only on its `codes`, the ascending basis codes
-outside which it is zero; by default that is all 2^n of them.
+outside which it is zero; by default that is all 2^n of them.  Amplitudes
+are float64 when the caller's are, and complex otherwise: the prepared
+ground state, every drive factor and the closed forms are real, so the
+watchdog pipeline carries 8 bytes per stored state, not 16.
 `node_bit` is the one place that turns a node into its bit of a code,
 `probabilities` the one place that turns amplitudes into probabilities, and
 `sum_probs` (with `sum_sq`/`norm` on it) the one place where a mass or a
@@ -33,7 +36,11 @@ def node_bit(node_order: tuple[str, ...], node: str) -> int:
 
 def probabilities(amps: np.ndarray) -> np.ndarray:
     """|a|^2 of each amplitude as re*re + im*im, for any shape: unlike numpy's
-    complex `abs`, a SIMD loop, its bits do not depend on the CPU."""
+    complex `abs`, a SIMD loop, its bits do not depend on the CPU.  A real
+    array gives a*a, the same bits: a*a + 0.0 is a*a, as a*a is never -0.0.
+    """
+    if amps.dtype.kind != "c":
+        return amps * amps
     re, im = amps.real, amps.imag
     return re * re + im * im
 
@@ -55,7 +62,7 @@ def sum_sq(x: np.ndarray) -> np.ndarray:
 
 
 def norm(x: np.ndarray) -> float:
-    """The 2-norm of a complex vector, the square root of `sum_sq`."""
+    """The 2-norm of a vector, the square root of `sum_sq`."""
     return math.sqrt(sum_sq(x))
 
 
@@ -69,10 +76,11 @@ def _checked_codes(codes, n_nodes: int) -> np.ndarray:
 
 
 class StateVector(Record):
-    """Complex amplitudes over the computational basis of the named nodes.
+    """Amplitudes over the computational basis of the named nodes.
 
     `amps[i]` is the amplitude of basis code `codes[i]`; every other basis
-    state has amplitude zero.  `codes` defaults to all 2^n codes.
+    state has amplitude zero.  `codes` defaults to all 2^n codes.  The dtype
+    rule: float64 amplitudes stay float64, and any others become complex.
     """
 
     node_order: tuple[str, ...]
@@ -89,7 +97,8 @@ class StateVector(Record):
             codes = _checked_codes(self.codes, n)
         codes.setflags(write=False)
         object.__setattr__(self, "codes", codes)
-        amps = np.array(self.amps, dtype=complex)
+        amps = np.array(self.amps)
+        amps = amps if amps.dtype == np.float64 else amps.astype(complex)
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
         if amps.shape != codes.shape:

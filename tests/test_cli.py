@@ -351,6 +351,16 @@ def test_trace_csv_bytes_equal_the_per_row_writer(traj, amps_of):
     assert _trace_csv(traj, amps_of) == per_row_trace_csv(traj, amps_of)
 
 
+@given(st.lists(ANY_FLOAT, max_size=30)
+       | st.lists(st.sampled_from(SPECIAL_FLOATS), max_size=30))
+@example([])
+@example(list(SPECIAL_FLOATS) * 2)
+@settings(max_examples=200, deadline=None)
+def test_format_column_is_percent_17g_of_each_entry(values):
+    column = np.array(values, dtype=float)
+    assert _format_column(column) == ["%.17g" % x for x in values]
+
+
 def test_format_column_keeps_both_zeros_apart():
     column = np.array([0.0, -0.0, 0.0, math.nan, -0.0, 0.5])
     assert _format_column(column) == ["0", "-0", "0", "nan", "-0", "0.5"]

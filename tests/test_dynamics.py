@@ -22,7 +22,8 @@ from statnet.dynamics import (
 from statnet.errors import DegenerateDynamicsError
 from statnet.fock import symmetrizer_two
 from statnet.hilbert import StateVector, basis_state, probabilities
-from statnet.network import parse_network
+from statnet.network import builtin_fig1, parse_network
+from statnet.protocol import prepare_ground
 from statnet.record import replace
 from statnet.statics import ConstraintMask, gate_mask
 
@@ -460,9 +461,10 @@ taus = st.sampled_from((1.0, 0.37, 3.0))
 
 
 @st.composite
-def closed_form_cases(draw, max_nodes=4):
+def closed_form_cases(draw, max_nodes=4, real=False):
     """Random stored codes (all 2^n, or a non-empty subset as `run` stores),
-    a mask over them, complex psi0 with mass off the mask, and a schedule."""
+    a mask over them, complex psi0 (float64 with `real`) with mass off the
+    mask, and a schedule."""
     n_nodes = draw(st.integers(2, max_nodes))
     dim = 2 ** n_nodes
     nodes = tuple("abcde"[:n_nodes])
@@ -471,7 +473,11 @@ def closed_form_cases(draw, max_nodes=4):
     size = len(codes)
     bits = draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
     parts = st.sampled_from((0.0, 1.0, -0.5)) | st.floats(-1.0, 1.0)
-    amps = np.array([complex(draw(parts), draw(parts)) for _ in range(size)])
+    if real:
+        amps = np.array([draw(parts) for _ in range(size)], dtype=float)
+    else:
+        amps = np.array([complex(draw(parts), draw(parts))
+                         for _ in range(size)])
     if np.linalg.norm(amps) == 0:
         amps[draw(st.integers(0, size - 1))] = 1.0
     psi0 = StateVector(nodes, amps / np.linalg.norm(amps), codes)
@@ -547,6 +553,80 @@ def test_closed_form_scan_calls_scalar_targets_a_constant_number_of_times(
                        "none")
     assert len(calls) <= 4
     assert np.abs(final - closed_form_link(0.3, 0.9).amps).max() <= 1e-14
+
+
+# --- real amplitudes ---------------------------------------------------------
+
+def test_real_amplitudes_stay_float64_and_complex_ones_complex():
+    net = builtin_fig1()
+    prep = prepare_ground(net)
+    schedule = linear(0.3, 0.9, dt=1e-2)
+    sectors = prep.state.sectors(net.drive_node)
+    link = evolve(closed_form_link(0.3, 0.0), LINK_MASK, "r", schedule)
+    for amps in (prep.state.amps,
+                 final_amps(prep.state.amps, prep.mask.bits, sectors,
+                            schedule, "none"),
+                 link.amps, link.final_state.amps,
+                 triplet_watchdog_demo(0.3, schedule).amps):
+        assert amps.dtype == np.float64
+    psi0 = StateVector(("r", "s"),
+                       closed_form_link(0.3, 0.0).amps.astype(complex))
+    for amps in (psi0.amps,
+                 final_amps(psi0.amps, LINK_MASK.bits, psi0.sectors("r"),
+                            schedule, "none"),
+                 evolve(psi0, LINK_MASK, "r", schedule).amps):
+        assert amps.dtype == np.complex128
+
+
+def real_and_complex_outcomes(compute, psi0):
+    """`compute` of the float state psi0 and of psi0 cast to complex: arrays,
+    or the message of the `DegenerateDynamicsError` each raises."""
+    outcomes = []
+    wide = StateVector(psi0.node_order, psi0.amps.astype(complex), psi0.codes)
+    for state in (psi0, wide):
+        try:
+            outcomes.append(compute(state))
+        except DegenerateDynamicsError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+# The link at theta = 0.4: the float quotient component / length of its
+# final state rounds away from numpy's complex quotient, a product with the
+# reciprocal.
+FLOAT_LINK_CASE = (closed_form_link(0.4, 0.0), LINK_MASK, "r",
+                   linear(0.4, 0.5, dt=0.1), "none", True)
+
+
+@given(closed_form_cases(max_nodes=5, real=True))
+@settings(max_examples=150, deadline=None)
+@example(FLOAT_LINK_CASE)
+def test_float_state_gives_the_real_parts_of_the_complex_state(case):
+    psi0, mask, drive, schedule, leak_model, enforce_mask = case
+    allowed = mask.bits if enforce_mask else np.ones(mask.dim, dtype=bool)
+    assert psi0.amps.dtype == np.float64
+    for compute in (
+            lambda v: evolve(v, mask, drive, schedule, leak_model=leak_model,
+                             enforce_mask=enforce_mask).amps,
+            lambda v: final_amps(v.amps, allowed, v.sectors(drive), schedule,
+                                 leak_model)):
+        real, wide = real_and_complex_outcomes(compute, psi0)
+        if isinstance(wide, str):
+            assert real == wide
+            continue
+        assert real.dtype == np.float64 and wide.dtype == np.complex128
+        assert real.tobytes() == wide.real.tobytes()
+        assert not wide.imag.any()
+
+
+def test_rescale_refills_a_float_row_with_floats():
+    """The link from theta = 0: drive sector r=1 holds no mass, and the
+    float row's refill is a float, as the float amplitude matrix needs."""
+    plan = (([0, 1], [1], True), ([2, 3], [2], True))
+    row = dynamics._rescale(plan, float, LINK_MASK.bits, "none",
+                            [0.0, 1.0, 0.0, 0.0], (0.5, 0.5))
+    assert [type(z) for z in row] == [float] * 4
+    assert row == [0.0, math.sqrt(0.5), math.sqrt(0.5), 0.0]
 
 
 def test_evolve_rejects_unknown_leak_model():
@@ -710,7 +790,8 @@ def reference_triplet_rows(theta, schedule):
             f"symmetrizer fixed point did not converge in "
             f"{dynamics._FIXPOINT_MAX_ITER} iterations")
 
-    return reference_rows(psi0.amps, schedule, step)
+    # The reference keeps numpy's complex arithmetic from the first step.
+    return reference_rows(psi0.amps.astype(complex), schedule, step)
 
 
 def assert_same_outcome(rows, reference_rows):

@@ -139,6 +139,10 @@ CHECKS = {
         "nodes a b\ngate g in(a) out(b) {\n 0->1 ;\n 0->0 }\n"),
     "nodes declared twice": parse_error_check("nodes a\nnodes b\n"),
     "pin kind inference": test_network.test_pin_kind_inference,
+    "float link final state": lambda: test_dynamics
+        .test_float_state_gives_the_real_parts_of_the_complex_state
+        .hypothesis.inner_test(test_dynamics.FLOAT_LINK_CASE),
+    "float refill": test_dynamics.test_rescale_refills_a_float_row_with_floats,
 }
 
 # (check, function, source text, replacement)
@@ -172,6 +176,11 @@ LAYER_MUTANTS = [
      "perm"),
     ("antisymmetrizer trace", fock, "_projector", "_perm_sign(perm) ** k * ",
      ""),
+    ("float link final state", dynamics, "final_amps",
+     "component * (1 / length)", "component / length"),
+    ("float refill", dynamics, "_rescale",
+     "kind(math.sqrt(target / len(refill)))",
+     "complex(math.sqrt(target / len(refill)))"),
 ]
 
 
