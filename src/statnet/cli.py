@@ -2,9 +2,11 @@
 
 Commands: check, solve-brute, simulate-link, simulate-triplet, run.
 All outputs are byte-deterministic given (inputs, flags, seed) and lines end
-with '\\n'.  Trace CSVs print floats with 17 significant digits; the JSON of
-run and check --dump prints each float's shortest repr.  The env var
-STATNET_SEED overrides --seed of the one command that takes it, run.
+with '\\n'.  Trace CSVs print floats as `"%.17g"` does, 17 significant
+digits; that text is built from arrays, with Python's `%` for the entries
+the arrays cannot decide (`_format_17g`).  The JSON of run and check --dump
+prints each float's shortest repr.  The env var STATNET_SEED overrides
+--seed of the one command that takes it, run.
 
 A call whose argv is in the canonical form is read straight from the flag
 table, without argparse: a command, then only that command's flags, each at
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from functools import cache
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -56,23 +59,148 @@ def _write(out_path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _format_column(column: np.ndarray) -> list[str]:
-    """`"%.17g" % x` of each entry, formatting each distinct bit pattern once.
+# 2^27 + 1, Dekker's constant: it splits a double into two halves whose
+# products with another split double are exact.
+_SPLIT = 134217729.0
+# The arrays decide the text of magnitudes in this range; `%` of the rest.
+_DECIDED_RANGE = (1e-280, 1e280)
+# Distinct values formatted at once, and CSV rows gathered at once: the
+# blocks keep the intermediate arrays small beside the trace.
+_FORMAT_BLOCK = 4096
+_ROW_BLOCK = 2048
+# The most bytes a `_format_17g` row can hold: its text columns.
+_TEXT_WIDTH = 28
 
-    The key is the bit pattern, not the value, so 0.0 and -0.0 stay apart.
-    The distinct values are formatted by one `%` call, one per line.
+
+@cache
+def _pow10(k: int) -> tuple[float, float, float, float]:
+    """10^k as hi + lo, with hi's two Dekker halves: hi is the double nearest
+    10^k and lo the double nearest the rest.  Python's true division of
+    integers rounds correctly, so both come from exact integers."""
+    num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+    hi = num / den
+    p, q = hi.as_integer_ratio()
+    split = _SPLIT * hi
+    upper = split - (split - hi)
+    return hi, upper, hi - upper, (num * q - p * den) / (den * q)
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10^k as a double-double (hi, lo): hi is the rounded product and
+    hi + lo lies within about 1e-14 of the exact one where it is near 10^17.
+
+    numpy never fuses a product with a sum, so Dekker's split products are
+    exact.
     """
-    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    values = tuple(bits.view(float).tolist())
-    text = np.array((("%.17g\n" * len(values)) % values).splitlines(),
-                    dtype=object)
-    return text[inverse].tolist()
+    first = int(k.min())
+    table = np.array(list(zip(*map(_pow10, range(first, int(k.max()) + 1)))))
+    h, h_upper, h_lower, lo = table.take(k - first, axis=1)
+    hi = a * h
+    split = _SPLIT * a
+    upper = split - (split - a)
+    lower = a - upper
+    return hi, (((upper * h_upper - hi) + upper * h_lower + lower * h_upper)
+                + lower * h_lower + a * lo)
 
 
-def _trace_csv(traj: dynamics.Trajectory, amps_of) -> str:
-    """The trajectory's columns and, last, the max deviation of each row from
-    the closed form, whose real amplitudes are `amps_of(cos, sin)` of the
-    total angle."""
+def _format_17g(values: np.ndarray) -> np.ndarray:
+    """`"%.17g" % x` of each entry of a float64 array, as the rows of a uint8
+    matrix padded with zero bytes, which may stand anywhere in a row.
+
+    The text of a magnitude |x| in _DECIDED_RANGE comes from arrays.  Its
+    exponent e is floor(log10|x|), moved once where the product
+    |x| * 10^(16-e), before rounding, leaves [10^16, 10^17), and its 17
+    digits are that product rounded half to even; a product that rounds up
+    to 10^17 is one digit of exponent e+1.  Python's `%` formats the rest:
+    zeros, the entries that are not finite or lie outside the range, and
+    each product whose fraction is within 1e-6 of one half, where the
+    product's error could decide the rounding.  The text is fixed notation
+    for -4 <= e < 17 and `e+dd` notation otherwise, without trailing zeros
+    or a bare point, as `%g` writes them.
+    """
+    if not values.size:
+        return np.zeros((0, 0), np.uint8)
+    magnitude = np.fabs(values)
+    decided = (magnitude >= _DECIDED_RANGE[0]) \
+        & (magnitude <= _DECIDED_RANGE[1])
+    # `%` formats the undecided entries; 1.0 keeps their arithmetic finite.
+    magnitude = np.where(decided, magnitude, 1.0)
+    e = np.floor(np.log10(magnitude)).astype(np.int16)
+    hi, lo = _scaled(magnitude, 16 - e)
+    # log10 may round across a power of ten: the product, not its rounded
+    # value, decides whether e moves.
+    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
+    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
+    moved = np.flatnonzero(low | high)
+    if moved.size:
+        e[moved] += np.where(high[moved], 1, -1)
+        hi[moved], lo[moved] = _scaled(magnitude[moved], 16 - e[moved])
+    # hi is an integer at this size, so the fraction is lo's.
+    decided &= np.fabs(lo - np.floor(lo) - 0.5) >= 1e-6
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    carry = n == 10 ** 17
+    e += carry
+    top, bottom = np.divmod(np.where(carry, 10 ** 16, n), 10 ** 9)
+    # Digit k at row k + 1, between two rows of zeros.
+    digits = np.zeros((19, values.size), np.uint8)
+    for part, rows in ((bottom.astype(np.uint32), range(17, 8, -1)),
+                       (top.astype(np.uint32), range(8, 0, -1))):
+        for row in rows:
+            quotient = part // 10
+            digits[row] = part - quotient * 10
+            part = quotient
+    significant = np.max((digits[1:18] != 0)
+                         * np.arange(1, 18, dtype=np.uint8)[:, None], axis=0)
+    digits[1:18] += ord("0")
+
+    # Built column by column, one text column per row: the sign; the digits
+    # with a point before digit `point` unless no digit follows it, keeping
+    # every digit before the point; the exponent.  A fixed number below 1
+    # has its point first, a zero before it and 0 to 3 zeros after it.
+    fixed = (e >= -4) & (e < 17)
+    point = np.where(fixed, np.where(e < 0, 0, e + 1), 1).astype(np.uint8)
+    k = np.arange(18, dtype=np.uint8)[:, None]
+    before = k < point
+    # Products with masks select, as `np.where` would, at a fraction of its
+    # cost on bytes.
+    body = digits[1:] * before
+    body += digits[:-1] * (k > point)
+    body += (k == point) * np.uint8(ord("."))
+    body *= before | ((k <= significant) & (significant > point))
+    columns = np.zeros((_TEXT_WIDTH, values.size), np.uint8)
+    columns[0] = np.signbit(values) * ord("-")
+    columns[1] = (fixed & (e < 0)) * ord("0")
+    columns[2] = body[0]
+    for j in range(2, 5):
+        columns[j + 1] = (fixed & (e <= -j)) * ord("0")
+    columns[6:23] = body[1:]
+    scientific = ~fixed
+    size_e = np.where(e < 0, -e, e)
+    hundreds, tens = np.divmod(size_e, 100)
+    tens, ones = np.divmod(tens, 10)
+    columns[23] = scientific * ord("e")
+    columns[24] = scientific * np.where(e < 0, ord("-"), ord("+"))
+    columns[25] = (scientific & (size_e >= 100)) * (hundreds + ord("0"))
+    columns[26] = scientific * (tens + ord("0"))
+    columns[27] = scientific * (ones + ord("0"))
+
+    undecided = np.flatnonzero(~decided)
+    columns[:, undecided] = 0
+    text = np.ascontiguousarray(columns[columns.any(axis=1)].T)
+    if undecided.size:
+        fallback = np.array((("%.17g\n" * undecided.size)
+                             % tuple(values[undecided].tolist())).encode()
+                            .split())
+        if fallback.itemsize > text.shape[1]:
+            text = np.pad(text, ((0, 0), (0, fallback.itemsize - text.shape[1])))
+        text[undecided, :fallback.itemsize] = fallback.view(np.uint8).reshape(
+            undecided.size, fallback.itemsize)
+    return text
+
+
+def _deviation(traj: dynamics.Trajectory, amps_of) -> np.ndarray:
+    """The max deviation of each row from the closed form, whose real
+    amplitudes are `amps_of(cos, sin)` of the total angle."""
     # libm's cos and sin, as the scalar closed forms call them: numpy's
     # vector loops may round differently.
     angles = (traj.phi + traj.schedule.theta0).tolist()
@@ -80,13 +208,69 @@ def _trace_csv(traj: dynamics.Trajectory, amps_of) -> str:
     sin = np.array(list(map(math.sin, angles)))
     reference = np.stack(np.broadcast_arrays(*amps_of(cos, sin)), axis=1)
     deviation = traj.amps - reference
-    columns = (traj.t, traj.phi, traj.p0, traj.p1, traj.alpha_sq,
-               traj.beta_sq, traj.energy, traj.step_overlap,
-               np.hypot(deviation.real, deviation.imag).max(axis=1))
-    return ("t,phi,p0,p1,alpha_sq,beta_sq,energy,step_overlap,"
-            "deviation_from_closed_form\n"
-            + "\n".join(map(",".join,
-                            zip(*map(_format_column, columns)))) + "\n")
+    # The modulus as `hypot`, as Python's `abs` of a complex number takes it.
+    modulus = np.hypot(deviation.real, deviation.imag) \
+        if deviation.dtype.kind == "c" else np.hypot(deviation, 0.0)
+    return modulus.max(axis=1)
+
+
+def _cell_text(columns) -> tuple[np.ndarray, np.ndarray]:
+    """The `_format_17g` rows of the columns' distinct bit patterns, each
+    with a spare byte set to `,`, and for each cell its row among them.
+
+    Each column's distinct bit patterns are formatted once, so 0.0 and -0.0
+    stay apart, all the columns' together and _FORMAT_BLOCK at a time, into
+    one matrix as wide as the widest text can be.
+    """
+    cells = np.empty((len(columns[0]), len(columns)), np.int32)
+    distinct = []
+    offset = 0
+    for j, column in enumerate(columns):
+        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        cells[:, j] = inverse + offset
+        distinct.append(bits)
+        offset += bits.size
+    values = np.concatenate(distinct).view(float)
+    text = np.zeros((values.size, _TEXT_WIDTH + 1), np.uint8)
+    width = 0
+    for i in range(0, values.size, _FORMAT_BLOCK):
+        block = _format_17g(values[i:i + _FORMAT_BLOCK])
+        text[i:i + len(block), :block.shape[1]] = block
+        width = max(width, block.shape[1])
+    text[:, width] = ord(",")
+    return text[:, :width + 1], cells
+
+
+def _rows_text(header: bytes, text: np.ndarray, cells: np.ndarray) -> bytearray:
+    """`header`, then the cells' text rows gathered _ROW_BLOCK rows at a
+    time: the last spare byte of a row becomes its newline, and the zero
+    bytes are deleted.  One buffer of the most bytes the rows can take
+    holds them, cut to what they took."""
+    out = bytearray(len(header) + cells.size * text.shape[1])
+    out[:len(header)] = header
+    end = len(header)
+    for start in range(0, len(cells), _ROW_BLOCK):
+        block = text[cells[start:start + _ROW_BLOCK]]
+        block[:, -1, -1] = ord("\n")
+        rows = block.tobytes().translate(None, b"\0")
+        out[end:end + len(rows)] = rows
+        end += len(rows)
+    del out[end:]
+    return out
+
+
+def _trace_csv(traj: dynamics.Trajectory, amps_of) -> str:
+    """The trajectory's columns and, last, `_deviation`, as CSV text.
+
+    The text is decoded once `_rows_text` has returned and freed the
+    formatted values.
+    """
+    return _rows_text(
+        b"t,phi,p0,p1,alpha_sq,beta_sq,energy,step_overlap,"
+        b"deviation_from_closed_form\n",
+        *_cell_text((traj.t, traj.phi, traj.p0, traj.p1, traj.alpha_sq,
+                     traj.beta_sq, traj.energy, traj.step_overlap,
+                     _deviation(traj, amps_of)))).decode("ascii")
 
 
 def _schedule_from_args(args, theta0: float = 0.0,

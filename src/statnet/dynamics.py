@@ -17,7 +17,8 @@ the symmetrizer lags the closed form by O(dt).
 
 Both evolutions walk the grid in one loop (`_walk_grid`), one list of Python
 numbers per row, and repeat numpy's arithmetic operation for operation, so
-they give a numpy step's bits.  The rows keep the initial state's dtype: a
+they give a numpy step's bits; the grid's phi and targets come from one pass
+each, with libm's values.  The rows keep the initial state's dtype: a
 real state steps Python floats, which carry the real parts of the complex
 steps, as every factor is real and the imaginary parts would stay zero.
 `evolve` plans its drive sectors once and rescales them each step
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -98,7 +100,8 @@ class DriveSchedule(Record):
     def _ramp(self, x, lib):
         """phi at the fractions x = t/tau, with the cos and exp of `lib`.
 
-        `lib` is `math` for one time and numpy for an array of them.
+        `lib` is `math` for one time, and numpy or libm entry by entry
+        (`_LIBM`) for an array of them.
         """
         if self.kind == "linear-ramp":
             return self.phi_final * x
@@ -117,6 +120,17 @@ def schedule_targets(schedule: DriveSchedule, t: float) -> tuple[float, float]:
 
 def _targets_at(angle: float) -> tuple[float, float]:
     return math.cos(angle) ** 2, math.sin(angle) ** 2
+
+
+def _libm(f):
+    """`f` of `math` applied to each entry of an array, as a float array."""
+    entrywise = np.frompyfunc(f, 1, 1)
+    return lambda x: entrywise(x).astype(float)
+
+
+# `DriveSchedule._ramp`'s `lib` for an array of times with libm's values:
+# numpy's vector loops may round cos and exp differently.
+_LIBM = SimpleNamespace(cos=_libm(math.cos), exp=_libm(math.exp))
 
 
 class TrajectoryPoint(Record):
@@ -263,18 +277,25 @@ def _walk_grid(amps: np.ndarray, schedule: DriveSchedule, step):
 
     `step(prev, targets)` takes the previous row as a list of Python numbers
     and returns the next one as such a list, for the sector targets at the
-    step's end time: complex numbers, or floats when `amps` is real.  Returns
+    step's end time: complex numbers, or floats when `amps` is real.  The
+    grid's phi and targets are computed in one pass each, with libm's cos,
+    sin and exp per entry and C pow for the squares, so they are the values
+    `schedule.phi` and `schedule_targets` give one time at a time.  Returns
     the columns t, phi, the amplitude matrix of `amps`'s dtype (row 0 is
     `amps`) and step_overlap.
     """
-    t = [0.0] + _grid_times(schedule).tolist()
+    t = np.concatenate(([0.0], _grid_times(schedule)))
     # `schedule.phi` without its range check: the grid lies in [0, tau].
-    phi = [schedule._ramp(min(x / schedule.tau, 1.0), math) for x in t]
-    rows, theta0 = [amps.tolist()], schedule.theta0
-    for angle in phi[1:]:
-        rows.append(step(rows[-1], _targets_at(theta0 + angle)))
+    phi = schedule._ramp(np.minimum(t / schedule.tau, 1.0), _LIBM)
+    angles = (schedule.theta0 + phi[1:]).tolist()
+    # Python's x ** 2 calls C pow, which is not always x * x, as numpy's is.
+    targets = zip([c ** 2 for c in map(math.cos, angles)],
+                  [s ** 2 for s in map(math.sin, angles)])
+    rows = [amps.tolist()]
+    for target in targets:
+        rows.append(step(rows[-1], target))
     matrix = np.array(rows, dtype=amps.dtype)
-    return np.array(t), np.array(phi), matrix, _step_overlaps(matrix)
+    return t, phi, matrix, _step_overlaps(matrix)
 
 
 def _step_overlaps(amps: np.ndarray) -> np.ndarray:
@@ -284,8 +305,13 @@ def _step_overlaps(amps: np.ndarray) -> np.ndarray:
     products (numpy's complex product may fuse them into one FMA on one CPU
     and not on another); each part is added in numpy's pairwise order, left
     to right below 8 entries, and the modulus is `hypot`, as Python's `abs`
-    of a complex number takes it.
+    of a complex number takes it.  A real matrix has no imaginary part to
+    add: its real part sums new_i * prev_i alone, the same bits up to the
+    sign of a zero, which `hypot` drops.
     """
+    if amps.dtype.kind != "c":
+        total = np.add.reduce(amps[1:] * amps[:-1], axis=-1)
+        return np.concatenate(([1.0], np.hypot(total, 0.0)))
     re, im = amps.real, amps.imag
     new_re, new_im, prev_re, prev_im = re[1:], im[1:], re[:-1], im[:-1]
     dot_re = np.add.reduce(new_re * prev_re + new_im * prev_im, axis=-1)

@@ -80,6 +80,21 @@ class Pin(Record):
             raise ValueError(f"pin {self.node}: kind must be input or output")
 
 
+class _PartError(ValueError):
+    """A fault of one part of a `Network`: `part` is the field and the
+    position in it, ("gates", i), ("pins", i) or ("drive_node", 0).
+
+    The position is that of `part` itself among `parts`, not of an equal
+    one, and is looked up only when the fault is raised.
+    """
+
+    def __init__(self, message: str, field: str, parts: tuple = (),
+                 part=None):
+        super().__init__(message)
+        self.part = (field, next((i for i, x in enumerate(parts) if x is part),
+                                 0))
+
+
 class Network(Record):
     nodes: tuple[str, ...]
     gates: tuple[Gate, ...] = ()
@@ -93,20 +108,25 @@ class Network(Record):
         for g in self.gates:
             for n in g.nodes:
                 if n not in declared:
-                    raise ValueError(f"gate {g.name} references undeclared node {n!r}")
+                    raise _PartError(f"gate {g.name} references undeclared "
+                                     f"node {n!r}", "gates", self.gates, g)
         pinned = set()
         for p in self.pins:
             if p.node not in declared:
-                raise ValueError(f"pin on undeclared node {p.node!r}")
+                raise _PartError(f"pin on undeclared node {p.node!r}", "pins",
+                                 self.pins, p)
             if p.node in pinned:
-                raise ValueError(f"multiple pins on node {p.node!r}")
+                raise _PartError(f"multiple pins on node {p.node!r}", "pins",
+                                 self.pins, p)
             pinned.add(p.node)
         if self.drive_node is not None:
             if self.drive_node not in declared:
-                raise ValueError(f"drive on undeclared node {self.drive_node!r}")
+                raise _PartError(f"drive on undeclared node {self.drive_node!r}",
+                                 "drive_node")
             kinds = {p.node: p.kind for p in self.pins}
             if kinds.get(self.drive_node) != "output":
-                raise ValueError(f"drive node {self.drive_node!r} must carry an output pin")
+                raise _PartError(f"drive node {self.drive_node!r} must carry an "
+                                 f"output pin", "drive_node")
 
     @property
     def n_nodes(self) -> int:
@@ -129,6 +149,9 @@ _GATE_RE = re.compile(
 _LINK_RE = re.compile(r"link\s+(\w+)\s*->\s*(\w+)\s*$")
 _FIX_RE = re.compile(r"fix\s+(\w+)\s*=\s*(\S+)(?:\s+(input|output))?\s*$")
 _DRIVE_RE = re.compile(r"drive\s+(\w+)\s*$")
+# The statement keywords that give each field of a `Network`, one part per
+# statement.
+_STATEMENT_OF = {"gates": ("gate", "link"), "pins": "fix", "drive_node": "drive"}
 _ROW_RE = re.compile(r"([01]*)\s*->\s*([01]*)\s*$")
 
 
@@ -203,12 +226,12 @@ def parse_network(text: str) -> Network:
                 if len(set(names)) != len(names):
                     raise ValueError("duplicate node declaration")
                 nodes = names
-            elif line.startswith(("gate", "link")):
+            elif line.startswith(_STATEMENT_OF["gates"]):
                 gate = _parse_gate(line)
                 if any(g.name == gate.name for g in gates):
                     raise ValueError(f"gate {gate.name!r} declared twice")
                 gates.append(gate)
-            elif line.startswith("fix"):
+            elif line.startswith(_STATEMENT_OF["pins"]):
                 m = _FIX_RE.match(line)
                 if not m:
                     raise ValueError("malformed fix statement")
@@ -216,7 +239,7 @@ def parse_network(text: str) -> Network:
                 if value_raw not in ("0", "1"):
                     raise ValueError(f"pin {node}: value must be 0 or 1, got {value_raw!r}")
                 raw_pins.append((node, int(value_raw), kind))
-            elif line.startswith("drive"):
+            elif line.startswith(_STATEMENT_OF["drive_node"]):
                 m = _DRIVE_RE.match(line)
                 if not m:
                     raise ValueError("malformed drive statement")
@@ -239,8 +262,12 @@ def parse_network(text: str) -> Network:
         for node, value, kind in raw_pins)
     try:
         return Network(nodes, tuple(gates), pins, drive)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    except _PartError as exc:
+        # The i-th part of a field comes from the i-th statement of its kind.
+        field, index = exc.part
+        kind = _STATEMENT_OF[field]
+        lines = [lineno for lineno, line in statements if line.startswith(kind)]
+        raise ParseError(str(exc), lines[index]) from None
 
 
 def render(net: Network) -> str:

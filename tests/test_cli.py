@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from statnet import dynamics
-from statnet.cli import (_COMMANDS, _FLAGS, DUMP_NODE_LIMIT, _format_column,
+from statnet.cli import (_COMMANDS, _FLAGS, DUMP_NODE_LIMIT, _format_17g,
                          _read_canonical, _trace_csv, build_parser, main)
 
 CSV_HEADER = ("t,phi,p0,p1,alpha_sq,beta_sq,energy,step_overlap,"
@@ -351,19 +351,60 @@ def test_trace_csv_bytes_equal_the_per_row_writer(traj, amps_of):
     assert _trace_csv(traj, amps_of) == per_row_trace_csv(traj, amps_of)
 
 
+def format_17g_texts(values):
+    """`_format_17g` of a float64 array, as one string per entry."""
+    return [row.tobytes().translate(None, b"\0").decode("ascii")
+            for row in _format_17g(np.array(values, dtype=float))]
+
+
 @given(st.lists(ANY_FLOAT, max_size=30)
        | st.lists(st.sampled_from(SPECIAL_FLOATS), max_size=30))
 @example([])
 @example(list(SPECIAL_FLOATS) * 2)
 @settings(max_examples=200, deadline=None)
 def test_format_column_is_percent_17g_of_each_entry(values):
-    column = np.array(values, dtype=float)
-    assert _format_column(column) == ["%.17g" % x for x in values]
+    assert format_17g_texts(values) == ["%.17g" % x for x in values]
 
 
 def test_format_column_keeps_both_zeros_apart():
-    column = np.array([0.0, -0.0, 0.0, math.nan, -0.0, 0.5])
-    assert _format_column(column) == ["0", "-0", "0", "nan", "-0", "0.5"]
+    assert format_17g_texts([0.0, -0.0, 0.0, math.nan, -0.0, 0.5]) \
+        == ["0", "-0", "0", "nan", "-0", "0.5"]
+
+
+@given(st.lists(st.integers(min_value=-2 ** 63, max_value=2 ** 63 - 1),
+                max_size=50))
+@settings(max_examples=300, deadline=None)
+def test_format_17g_of_raw_bit_patterns(patterns):
+    """Every exponent, the subnormals and NaN payloads, as int64 bit
+    patterns viewed as float64."""
+    values = np.array(patterns, dtype=np.int64).view(float)
+    assert format_17g_texts(values) == ["%.17g" % x for x in values.tolist()]
+
+
+def powers_of_ten_and_neighbours():
+    """10^k for k in -300..299, each with its neighbours 1 and 2 ulps away."""
+    powers = np.array([float(f"1e{k}") for k in range(-300, 300)])
+    below, above = np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)
+    return np.concatenate([powers, below, above, np.nextafter(below, 0.0),
+                           np.nextafter(above, np.inf)])
+
+
+# Texts at the edges of the array formatter: the powers of ten, 1e-243
+# among them, whose product rounds up to 10^17; a product that lies below
+# 10^16 after log10 rounded up (9.9999999999999995e-07); the ends of fixed
+# notation, integers around 2^53, the ends of the float range, both zeros
+# and the non-finite values.
+FORMAT_EDGES = np.concatenate([
+    powers_of_ten_and_neighbours(),
+    [9.9999999999999995e-07, 0.5, 100.0, 1e16, 1e17, 1e22, 2.0 ** 53 - 1,
+     2.0 ** 53, 2.0 ** 53 + 2, 5e-324, -5e-324, 1.7976931348623157e308,
+     -1.7976931348623157e308, 0.0, -0.0, math.inf, -math.inf, math.nan]])
+
+
+def test_format_17g_at_its_edges():
+    assert format_17g_texts(FORMAT_EDGES) \
+        == ["%.17g" % x for x in FORMAT_EDGES.tolist()]
+    assert format_17g_texts([]) == []
 
 
 # --- run ---------------------------------------------------------------------

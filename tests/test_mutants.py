@@ -5,9 +5,10 @@ function's source from `inspect.getsource`, makes the replacement, compiles
 the result into the namespace of the function's module and patches it in.
 The `protocol` mutants are patched into `protocol`, so every caller in
 `protocol` and the CLI reaches them; the mutants of `statics`, `hilbert`,
-`dynamics` and `fock`, and those of the canonical argv reader of `cli` and
-the DSL of `network`, are patched into every module that holds the name, the
-test modules whose checks call it included.  The named check must then fail
+`dynamics`, `fock` and the trace formatter of `cli`, and those of the
+canonical argv reader of `cli` and the DSL of `network`, are patched into
+every module that holds the name, the test modules whose checks call it
+included.  The named check must then fail
 with an assertion.  The checks are deterministic: the `_draw` boundary check,
 the leak oracle on fixed nets, oracles and fixed tests on fixed examples, and
 the digests that the run and trace corpora already hold.  No hypothesis draw
@@ -138,11 +139,13 @@ CHECKS = {
     "multi-line gate error line": parse_error_check(
         "nodes a b\ngate g in(a) out(b) {\n 0->1 ;\n 0->0 }\n"),
     "nodes declared twice": parse_error_check("nodes a\nnodes b\n"),
+    "second pin's line": parse_error_check("nodes a\nfix a=0\nfix a=1\n"),
     "pin kind inference": test_network.test_pin_kind_inference,
     "float link final state": lambda: test_dynamics
         .test_float_state_gives_the_real_parts_of_the_complex_state
         .hypothesis.inner_test(test_dynamics.FLOAT_LINK_CASE),
     "float refill": test_dynamics.test_rescale_refills_a_float_row_with_floats,
+    "formatter edges": test_cli.test_format_17g_at_its_edges,
 }
 
 # (check, function, source text, replacement)
@@ -181,6 +184,17 @@ LAYER_MUTANTS = [
     ("float refill", dynamics, "_rescale",
      "kind(math.sqrt(target / len(refill)))",
      "complex(math.sqrt(target / len(refill)))"),
+    # The trace CSV's array formatter: the exponent re-check skipped, fixed
+    # notation ending at e = 15, trailing zeros kept, the non-finite entries
+    # left to the arrays, and a product that rounds to 10^17 kept at e.
+    ("formatter edges", cli, "_format_17g", "    if moved.size:\n",
+     "    if False:\n"),
+    ("formatter edges", cli, "_format_17g", "(e < 17)", "(e < 16)"),
+    ("formatter edges", cli, "_format_17g", "(digits[1:18] != 0)",
+     "(digits[1:18] >= 0)"),
+    ("formatter edges", cli, "_format_17g", "np.flatnonzero(~decided)",
+     "np.flatnonzero(~decided & np.isfinite(values))"),
+    ("formatter edges", cli, "_format_17g", "    e += carry\n", ""),
 ]
 
 
@@ -199,6 +213,8 @@ FRONT_MUTANTS = [
      "            lineno = pending[0]\n", ""),
     ("nodes declared twice", network, "parse_network",
      "nodes is not None", "False"),
+    ("second pin's line", network, "parse_network", "lines[index]",
+     "lines[0]"),
     ("pin kind inference", network, "parse_network",
      '"output" if node in outputs else "input"',
      '"input" if node in outputs else "output"'),

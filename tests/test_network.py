@@ -74,11 +74,13 @@ PARSE_ERRORS = {
     "nodes a\nfrob a\n": "line 2: unknown statement 'frob'",
     "link a -> b\n": "missing nodes declaration",
     "nodes a\ngate g in(a) out(b) { 0->1 }\n":
-        "gate g references undeclared node 'b'",
-    "nodes a\nfix b=1\n": "pin on undeclared node 'b'",
-    "nodes a\nfix a=0\nfix a=1\n": "multiple pins on node 'a'",
-    "nodes a\ndrive b\n": "drive on undeclared node 'b'",
-    "nodes a\ndrive a\n": "drive node 'a' must carry an output pin",
+        "line 2: gate g references undeclared node 'b'",
+    "nodes a\nfix b=1\n": "line 2: pin on undeclared node 'b'",
+    "nodes a\nfix a=0\nfix a=1\n": "line 3: multiple pins on node 'a'",
+    "nodes a\nfix a=0\n# the same pin again\nfix a=0\n":
+        "line 4: multiple pins on node 'a'",
+    "nodes a\ndrive b\n": "line 2: drive on undeclared node 'b'",
+    "nodes a\ndrive a\n": "line 2: drive node 'a' must carry an output pin",
 }
 
 
