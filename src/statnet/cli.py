@@ -199,19 +199,12 @@ def _format_17g(values: np.ndarray) -> np.ndarray:
 
 
 def _deviation(traj: dynamics.Trajectory, amps_of) -> np.ndarray:
-    """The max deviation of each row from the closed form, whose real
-    amplitudes are `amps_of(cos, sin)` of the total angle."""
-    # libm's cos and sin, as the scalar closed forms call them: numpy's
-    # vector loops may round differently.
-    angles = (traj.phi + traj.schedule.theta0).tolist()
-    cos = np.array(list(map(math.cos, angles)))
-    sin = np.array(list(map(math.sin, angles)))
-    reference = np.stack(np.broadcast_arrays(*amps_of(cos, sin)), axis=1)
-    deviation = traj.amps - reference
-    # The modulus as `hypot`, as Python's `abs` of a complex number takes it.
-    modulus = np.hypot(deviation.real, deviation.imag) \
-        if deviation.dtype.kind == "c" else np.hypot(deviation, 0.0)
-    return modulus.max(axis=1)
+    """The max deviation of each row from the closed form, whose amplitudes
+    are `amps_of(cos, sin)` of the total angle, with the walk's libm cos
+    and sin."""
+    reference = np.stack(np.broadcast_arrays(*amps_of(traj.cos, traj.sin)),
+                         axis=1)
+    return np.fabs(traj.amps - reference).max(axis=1)
 
 
 def _cell_text(columns) -> tuple[np.ndarray, np.ndarray]:

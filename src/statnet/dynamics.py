@@ -16,15 +16,14 @@ targets agree.  Rescaling only the named particle and leaving the other to
 the symmetrizer lags the closed form by O(dt).
 
 Both evolutions walk the grid in one loop (`_walk_grid`), one list of Python
-numbers per row, and repeat numpy's arithmetic operation for operation, so
-they give a numpy step's bits; the grid's phi and targets come from one pass
-each, with libm's values.  The rows keep the initial state's dtype: a
-real state steps Python floats, which carry the real parts of the complex
-steps, as every factor is real and the imaginary parts would stay zero.
-`evolve` plans its drive sectors once and rescales them each step
-(`_rescale`); the triplet's fixed point is written out over its four real
-amplitudes.  A `Trajectory` is a set of columns: the walk's rows become one
-amplitude matrix, and each diagnostic is computed once over that matrix.
+floats per row, and repeat numpy's arithmetic operation for operation, so
+they give a numpy step's bits; the grid's phi, cos, sin and targets come from
+one pass each, with libm's values.  Every factor of a step is real, so the
+amplitudes are float64 throughout.  `evolve` plans its drive sectors once
+and rescales them each step (`_rescale`); the triplet's fixed point is
+written out over its four amplitudes.  A `Trajectory` is a set of columns:
+the walk's rows become one amplitude matrix, and each diagnostic is
+computed once over that matrix.
 Per-row objects (`Trajectory.points`, `final_state`) are built only when a
 caller asks for them.  A decision needs only the final state of the
 diagonal-mask evolution; `final_amps` computes it from the stepper's
@@ -32,8 +31,8 @@ invariant, on numpy arrays, without a trajectory.
 
 No reduction goes to BLAS, whose summation order depends on the build and
 the CPU: every norm and mass is `hilbert.sum_sq`/`hilbert.norm`, a sum of
-re*re + im*im in numpy's pairwise order, and every inner product a sum of
-real products in that order (`_step_overlaps`).  numpy adds fewer than 8
+squares in numpy's pairwise order, and every inner product a sum of
+products in that order (`_step_overlaps`).  numpy adds fewer than 8
 terms left to right, so the stepper's short sums run that loop in place on
 Python numbers.
 """
@@ -150,7 +149,8 @@ class Trajectory(Record):
     """A recorded evolution as read-only columns; row k is the state at `t[k]`.
 
     `amps` is the (rows, stored states) amplitude matrix over `codes` of
-    `node_order`.  `p0`/`p1` are the drive sector masses, `alpha_sq` the mass
+    `node_order`.  `cos`/`sin` are libm's cos and sin of the total angle
+    theta0 + phi.  `p0`/`p1` are the drive sector masses, `alpha_sq` the mass
     the watchdog allows, `beta_sq` the rest and `energy` its penalty;
     `step_overlap[k]` is |<row k|row k-1>| (1 at row 0).  `points` and
     `final_state` build per-row objects on demand.
@@ -161,6 +161,8 @@ class Trajectory(Record):
     codes: np.ndarray
     t: np.ndarray
     phi: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
     amps: np.ndarray
     p0: np.ndarray
     p1: np.ndarray
@@ -171,8 +173,8 @@ class Trajectory(Record):
     def __post_init__(self):
         # `beta_sq` is derived from `alpha_sq`, so it is not a field.
         object.__setattr__(self, "beta_sq", 1.0 - self.alpha_sq)
-        for name in ("t", "phi", "amps", "p0", "p1", "alpha_sq", "energy",
-                     "step_overlap", "beta_sq"):
+        for name in ("t", "phi", "cos", "sin", "amps", "p0", "p1",
+                     "alpha_sq", "energy", "step_overlap", "beta_sq"):
             getattr(self, name).setflags(write=False)
 
     def state(self, k: int) -> StateVector:
@@ -216,24 +218,21 @@ def _refill_indices(idx: np.ndarray, allowed: np.ndarray,
     raise DegenerateDynamicsError(_LOST_SECTOR)
 
 
-def _rescale(plan: tuple, kind: type, allowed: np.ndarray, leak_model: str,
+def _rescale(plan: tuple, allowed: np.ndarray, leak_model: str,
              amps: list, targets: tuple[float, float]) -> list:
     """Project onto `allowed`, and place each target mass on its drive sector,
-    preserving direction and phase.
+    preserving direction and signs.
 
-    `amps` and the result are lists of Python numbers of type `kind`, float
-    or complex; `plan` holds, per drive sector, its positions in `amps`, the
-    allowed ones among them and whether it has fewer than _PAIRWISE_FROM
-    entries; `allowed` is the boolean constraint mask.  A sector is scaled
-    as numpy scales its projected component,
-    `sqrt(target) * component / norm`: numpy divides a complex number by a
-    real one as a product with the reciprocal, and a product with a real
-    number, in numpy and in Python alike, adds only products with zero to
-    each part, so a projected-out entry stays zero and only the live ones
-    are scaled.  A demanded sector that carries no mass is refilled at
-    `_refill_indices`, which raises when there is nowhere to refill.
+    `amps` and the result are lists of floats; `plan` holds, per drive
+    sector, its positions in `amps`, the allowed ones among them and whether
+    it has fewer than _PAIRWISE_FROM entries; `allowed` is the boolean
+    constraint mask.  A sector is scaled as numpy scales its projected
+    component, `sqrt(target) * component * (1 / norm)`, so a projected-out
+    entry stays zero and only the live ones are scaled.  A demanded sector
+    that carries no mass is refilled at `_refill_indices`, which raises when
+    there is nowhere to refill.
     """
-    out = [kind()] * len(amps)
+    out = [0.0] * len(amps)
     for (idx, live, short), target in zip(plan, targets):
         if target <= _MASS_EPS:
             continue
@@ -241,16 +240,14 @@ def _rescale(plan: tuple, kind: type, allowed: np.ndarray, leak_model: str,
         if short:
             # `sum_sq` adds so few terms left to right, as this loop does
             # (Python's `sum` compensates rounding from 3.12 on); a
-            # projected-out entry would add a zero, and a real z's
-            # re*re + 0.0 is z * z.
+            # projected-out entry would add a zero.
             for i in live:
                 z = amps[i]
-                total += z * z if kind is float \
-                    else z.real * z.real + z.imag * z.imag
+                total += z * z
         else:
             # numpy's pairwise order groups the terms by position, zeros too.
             total = float(sum_sq(np.array(
-                [amps[i] if allowed[i] else kind() for i in idx], dtype=kind)))
+                [amps[i] if allowed[i] else 0.0 for i in idx])))
         length = math.sqrt(total)
         if length > _MASS_EPS:
             scale, inverse = math.sqrt(target), 1 / length
@@ -259,7 +256,7 @@ def _rescale(plan: tuple, kind: type, allowed: np.ndarray, leak_model: str,
         else:
             refill = _refill_indices(np.array(idx, dtype=np.int64), allowed,
                                      leak_model).tolist()
-            value = kind(math.sqrt(target / len(refill)))
+            value = math.sqrt(target / len(refill))
             for i in refill:
                 out[i] = value
     return out
@@ -275,48 +272,38 @@ def _grid_times(schedule: DriveSchedule) -> np.ndarray:
 def _walk_grid(amps: np.ndarray, schedule: DriveSchedule, step):
     """Step over the schedule's grid from `amps`, keeping every row.
 
-    `step(prev, targets)` takes the previous row as a list of Python numbers
-    and returns the next one as such a list, for the sector targets at the
-    step's end time: complex numbers, or floats when `amps` is real.  The
-    grid's phi and targets are computed in one pass each, with libm's cos,
-    sin and exp per entry and C pow for the squares, so they are the values
-    `schedule.phi` and `schedule_targets` give one time at a time.  Returns
-    the columns t, phi, the amplitude matrix of `amps`'s dtype (row 0 is
-    `amps`) and step_overlap.
+    `step(prev, targets)` takes the previous row as a list of floats and
+    returns the next one as such a list, for the sector targets at the
+    step's end time.  The grid's phi, cos, sin and targets are computed in
+    one pass each, with libm's cos, sin and exp per entry and C pow for the
+    squares, so they are the values `schedule.phi` and `schedule_targets`
+    give one time at a time.  Returns the columns t, phi, cos, sin, the
+    amplitude matrix (row 0 is `amps`) and step_overlap.
     """
     t = np.concatenate(([0.0], _grid_times(schedule)))
     # `schedule.phi` without its range check: the grid lies in [0, tau].
     phi = schedule._ramp(np.minimum(t / schedule.tau, 1.0), _LIBM)
-    angles = (schedule.theta0 + phi[1:]).tolist()
+    angles = (schedule.theta0 + phi).tolist()
+    cos, sin = (np.fromiter(map(f, angles), float, len(angles))
+                for f in (math.cos, math.sin))
     # Python's x ** 2 calls C pow, which is not always x * x, as numpy's is.
-    targets = zip([c ** 2 for c in map(math.cos, angles)],
-                  [s ** 2 for s in map(math.sin, angles)])
+    targets = zip([c ** 2 for c in cos[1:].tolist()],
+                  [s ** 2 for s in sin[1:].tolist()])
     rows = [amps.tolist()]
     for target in targets:
         rows.append(step(rows[-1], target))
-    matrix = np.array(rows, dtype=amps.dtype)
-    return t, phi, matrix, _step_overlaps(matrix)
+    matrix = np.array(rows, dtype=float)
+    return t, phi, cos, sin, matrix, _step_overlaps(matrix)
 
 
 def _step_overlaps(amps: np.ndarray) -> np.ndarray:
     """|<row k|row k-1>| for each row k of an amplitude matrix, and 1 at row 0.
 
-    Term i of the inner product is conj(new_i) * prev_i, written out as real
-    products (numpy's complex product may fuse them into one FMA on one CPU
-    and not on another); each part is added in numpy's pairwise order, left
-    to right below 8 entries, and the modulus is `hypot`, as Python's `abs`
-    of a complex number takes it.  A real matrix has no imaginary part to
-    add: its real part sums new_i * prev_i alone, the same bits up to the
-    sign of a zero, which `hypot` drops.
+    The products new_i * prev_i are added in numpy's pairwise order, left to
+    right below 8 entries.
     """
-    if amps.dtype.kind != "c":
-        total = np.add.reduce(amps[1:] * amps[:-1], axis=-1)
-        return np.concatenate(([1.0], np.hypot(total, 0.0)))
-    re, im = amps.real, amps.imag
-    new_re, new_im, prev_re, prev_im = re[1:], im[1:], re[:-1], im[:-1]
-    dot_re = np.add.reduce(new_re * prev_re + new_im * prev_im, axis=-1)
-    dot_im = np.add.reduce(new_re * prev_im - new_im * prev_re, axis=-1)
-    return np.concatenate(([1.0], np.hypot(dot_re, dot_im)))
+    total = np.add.reduce(amps[1:] * amps[:-1], axis=-1)
+    return np.concatenate(([1.0], np.fabs(total)))
 
 
 def evolve(psi0: StateVector, mask: ConstraintMask, drive_node: str,
@@ -333,9 +320,9 @@ def evolve(psi0: StateVector, mask: ConstraintMask, drive_node: str,
     energy.  Condition (i), the projection onto the mask, is only enforced
     when `enforce_mask` is set (the no-mask variant exists to demonstrate
     when the projection is and is not redundant).  The steps run on Python
-    floats for a float64 psi0 and on complex numbers otherwise, and give the
-    bits of the same steps on numpy arrays.  A caller that needs only the
-    final state computes it with `final_amps`, without stepping.
+    floats and give the bits of the same steps on numpy arrays.  A caller
+    that needs only the final state computes it with `final_amps`, without
+    stepping.
     """
     check_leak_model(leak_model)
     if mask.bits.shape != psi0.amps.shape:
@@ -344,13 +331,12 @@ def evolve(psi0: StateVector, mask: ConstraintMask, drive_node: str,
     sectors = psi0.sectors(drive_node)
     plan = tuple((idx.tolist(), idx[allowed[idx]].tolist(),
                   idx.size < _PAIRWISE_FROM) for idx in sectors)
-    kind = complex if psi0.amps.dtype.kind == "c" else float
-    t, phi, amps, overlap = _walk_grid(psi0.amps, schedule, partial(
-        _rescale, plan, kind, allowed, leak_model))
+    t, phi, cos, sin, amps, overlap = _walk_grid(psi0.amps, schedule, partial(
+        _rescale, plan, allowed, leak_model))
     # Each column reduces a contiguous copy of its entries row by row, as a
     # one-dimensional sum of one row would.
     return Trajectory(
-        schedule, psi0.node_order, psi0.codes, t, phi, amps,
+        schedule, psi0.node_order, psi0.codes, t, phi, cos, sin, amps,
         p0=sum_sq(amps.take(sectors[0], axis=1)),
         p1=sum_sq(amps.take(sectors[1], axis=1)),
         alpha_sq=sum_sq(amps.compress(mask.bits, axis=1)),
@@ -387,19 +373,18 @@ def final_amps(psi0: np.ndarray, allowed: np.ndarray,
                schedule: DriveSchedule, leak_model: str) -> np.ndarray:
     """The amplitudes `evolve` reaches after its last step, without stepping.
 
-    The arguments are those of the stepper: the initial amplitudes, whose
-    dtype the result keeps, the boolean mask it projects onto (all true
-    without the projection), and the drive sectors' positions.  For
-    diagonal masks each step multiplies a drive sector by a positive factor,
-    so the sector keeps the direction of its component c_s of the projected
-    psi0, and after step k the state is the sum over sectors of
-    sqrt(p_s(t_k)) * c_s/|c_s|, until the sector's target first falls to at
-    most _MASS_EPS.  From then on, or from the start when c_s is empty, the
-    sector holds the uniform refill; a step that needs that refill where
-    there is none raises `DegenerateDynamicsError`, as the stepper would.
-    Only the sector targets are scanned over the grid, as arrays
-    (`_grid_targets`), so the cost does not grow with the step count beyond
-    a few array passes.
+    The arguments are those of the stepper: the initial amplitudes, the
+    boolean mask it projects onto (all true without the projection), and the
+    drive sectors' positions.  For diagonal masks each step multiplies a
+    drive sector by a positive factor, so the sector keeps the direction of
+    its component c_s of the projected psi0, and after step k the state is
+    the sum over sectors of sqrt(p_s(t_k)) * c_s/|c_s|, until the sector's
+    target first falls to at most _MASS_EPS.  From then on, or from the
+    start when c_s is empty, the sector holds the uniform refill; a step
+    that needs that refill where there is none raises
+    `DegenerateDynamicsError`, as the stepper would.  Only the sector
+    targets are scanned over the grid, as arrays (`_grid_targets`), so the
+    cost does not grow with the step count beyond a few array passes.
     """
     check_leak_model(leak_model)
     mass = _grid_targets(schedule)
@@ -420,7 +405,8 @@ def final_amps(psi0: np.ndarray, allowed: np.ndarray,
         if empty[s, -1]:
             continue
         if emptied == n:
-            # numpy's complex quotient by a real number is this product.
+            # The stepper's product with the reciprocal: a quotient by
+            # `length` may round otherwise.
             final[idx] = math.sqrt(mass[s, -1]) * component * (1 / length)
         else:
             final[refill] = math.sqrt(mass[s, -1] / refill.size)
@@ -474,10 +460,9 @@ def triplet_watchdog_demo(theta: float, schedule: DriveSchedule,
     `DegenerateDynamicsError`; the demo space has no constraint to refill it
     from.  The fixed point runs, until a change below `_FIXPOINT_TOL`, on
     the four amplitudes as Python floats, in straight-line arithmetic with
-    the operations of the same iteration on complex numpy arrays and so with
-    its bits: every imaginary part stays zero.  It raises after
-    `_FIXPOINT_MAX_ITER` iterations.  `alpha_sq` is min(|S row|^2, 1) for
-    the symmetrizer S, the norm squared as a product.
+    the operations of the same iteration on numpy arrays and so with its
+    bits.  It raises after `_FIXPOINT_MAX_ITER` iterations.  `alpha_sq` is
+    min(|S row|^2, 1) for the symmetrizer S, the norm squared as a product.
     """
     if drive not in ("p1", "p2", "both"):
         raise ValueError("drive must be 'p1', 'p2', or 'both'")
@@ -487,7 +472,7 @@ def triplet_watchdog_demo(theta: float, schedule: DriveSchedule,
     psi0 = closed_form_triplet(theta, 0.0)
 
     def step(current, targets):
-        # The amplitudes of |00>, |01>, |10>, |11> as real floats: c is the
+        # The amplitudes of |00>, |01>, |10>, |11> as floats: c is the
         # current iterate, u its symmetrized and normalised image, v after
         # the rescale of p1's sectors (0, 1) and (2, 3), w after p2's (0, 2)
         # and (1, 3).  Each sector becomes z * sqrt(target) * (1/norm), or
@@ -536,8 +521,7 @@ def triplet_watchdog_demo(theta: float, schedule: DriveSchedule,
             f"symmetrizer fixed point did not converge in "
             f"{_FIXPOINT_MAX_ITER} iterations")
 
-    # closed_form_triplet is real, and so is every coefficient of the step.
-    t, phi, amps, overlap = _walk_grid(psi0.amps, schedule, step)
+    t, phi, cos, sin, amps, overlap = _walk_grid(psi0.amps, schedule, step)
     # The symmetrizer (1 + P_12)/2 keeps |00> and |11> and gives |01> and
     # |10> the mean of the two: halving is exact above the subnormal range,
     # so the mean is the matrix product's value in any summation order.
@@ -548,12 +532,12 @@ def triplet_watchdog_demo(theta: float, schedule: DriveSchedule,
     alpha_sq = np.minimum(norms * norms, 1.0)
     sectors = psi0.sectors("p1")
     return Trajectory(
-        schedule, psi0.node_order, psi0.codes, t, phi, amps,
+        schedule, psi0.node_order, psi0.codes, t, phi, cos, sin, amps,
         p0=sum_sq(amps.take(sectors[0], axis=1)),
         p1=sum_sq(amps.take(sectors[1], axis=1)),
         alpha_sq=alpha_sq, energy=1.0 - alpha_sq, step_overlap=overlap)
 
 
-def singlet_amplitude(state: StateVector) -> complex:
+def singlet_amplitude(state: StateVector) -> float:
     """Amplitude of the antisymmetric channel (|01> - |10>)/sqrt(2)."""
-    return complex((state.amps[1] - state.amps[2]) / math.sqrt(2.0))
+    return float((state.amps[1] - state.amps[2]) / math.sqrt(2.0))

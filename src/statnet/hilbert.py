@@ -5,9 +5,8 @@ the C-order ravel of the `(2,)*n` basis tensor whose axis i is the i-th
 declared node, so the first declared node is the most significant bit.  A
 state stores its amplitudes only on its `codes`, the ascending basis codes
 outside which it is zero; by default that is all 2^n of them.  Amplitudes
-are float64 when the caller's are, and complex otherwise: the prepared
-ground state, every drive factor and the closed forms are real, so the
-watchdog pipeline carries 8 bytes per stored state, not 16.
+are float64: the prepared ground state, every projection, drive factor and
+rotation, and the closed forms are real, so no state needs a phase.
 `node_bit` is the one place that turns a node into its bit of a code,
 `probabilities` the one place that turns amplitudes into probabilities, and
 `sum_probs` (with `sum_sq`/`norm` on it) the one place where a mass or a
@@ -35,14 +34,8 @@ def node_bit(node_order: tuple[str, ...], node: str) -> int:
 
 
 def probabilities(amps: np.ndarray) -> np.ndarray:
-    """|a|^2 of each amplitude as re*re + im*im, for any shape: unlike numpy's
-    complex `abs`, a SIMD loop, its bits do not depend on the CPU.  A real
-    array gives a*a, the same bits: a*a + 0.0 is a*a, as a*a is never -0.0.
-    """
-    if amps.dtype.kind != "c":
-        return amps * amps
-    re, im = amps.real, amps.imag
-    return re * re + im * im
+    """a*a of each amplitude, for any shape."""
+    return amps * amps
 
 
 def sum_probs(probs: np.ndarray) -> np.ndarray:
@@ -79,8 +72,9 @@ class StateVector(Record):
     """Amplitudes over the computational basis of the named nodes.
 
     `amps[i]` is the amplitude of basis code `codes[i]`; every other basis
-    state has amplitude zero.  `codes` defaults to all 2^n codes.  The dtype
-    rule: float64 amplitudes stay float64, and any others become complex.
+    state has amplitude zero.  `codes` defaults to all 2^n codes.  Real
+    amplitudes (float, int or bool) are stored as float64; complex ones are
+    refused, as the cast would drop their imaginary parts.
     """
 
     node_order: tuple[str, ...]
@@ -97,8 +91,9 @@ class StateVector(Record):
             codes = _checked_codes(self.codes, n)
         codes.setflags(write=False)
         object.__setattr__(self, "codes", codes)
-        amps = np.array(self.amps)
-        amps = amps if amps.dtype == np.float64 else amps.astype(complex)
+        if np.iscomplexobj(self.amps):
+            raise ValueError("amplitudes must be real")
+        amps = np.array(self.amps, dtype=np.float64)
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
         if amps.shape != codes.shape:
@@ -152,7 +147,7 @@ def index_assignment(node_order: tuple[str, ...], index: int) -> str:
 
 def basis_state(node_order: tuple[str, ...], assignment: str) -> StateVector:
     """Unit amplitude on one computational basis vector."""
-    amps = np.zeros(2 ** len(node_order), dtype=complex)
+    amps = np.zeros(2 ** len(node_order))
     amps[basis_index(node_order, assignment)] = 1.0
     return StateVector(tuple(node_order), amps)
 

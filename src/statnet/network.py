@@ -82,17 +82,11 @@ class Pin(Record):
 
 class _PartError(ValueError):
     """A fault of one part of a `Network`: `part` is the field and the
-    position in it, ("gates", i), ("pins", i) or ("drive_node", 0).
+    position in it, ("gates", i), ("pins", i) or ("drive_node", 0)."""
 
-    The position is that of `part` itself among `parts`, not of an equal
-    one, and is looked up only when the fault is raised.
-    """
-
-    def __init__(self, message: str, field: str, parts: tuple = (),
-                 part=None):
+    def __init__(self, message: str, field: str, position: int = 0):
         super().__init__(message)
-        self.part = (field, next((i for i, x in enumerate(parts) if x is part),
-                                 0))
+        self.part = (field, position)
 
 
 class Network(Record):
@@ -105,19 +99,19 @@ class Network(Record):
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError("duplicate node declaration")
         declared = set(self.nodes)
-        for g in self.gates:
+        for i, g in enumerate(self.gates):
             for n in g.nodes:
                 if n not in declared:
                     raise _PartError(f"gate {g.name} references undeclared "
-                                     f"node {n!r}", "gates", self.gates, g)
+                                     f"node {n!r}", "gates", i)
         pinned = set()
-        for p in self.pins:
+        for i, p in enumerate(self.pins):
             if p.node not in declared:
-                raise _PartError(f"pin on undeclared node {p.node!r}", "pins",
-                                 self.pins, p)
+                raise _PartError(f"pin on undeclared node {p.node!r}",
+                                 "pins", i)
             if p.node in pinned:
-                raise _PartError(f"multiple pins on node {p.node!r}", "pins",
-                                 self.pins, p)
+                raise _PartError(f"multiple pins on node {p.node!r}",
+                                 "pins", i)
             pinned.add(p.node)
         if self.drive_node is not None:
             if self.drive_node not in declared:

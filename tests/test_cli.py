@@ -289,10 +289,9 @@ def per_row_trace_csv(traj, amps_of):
                           for angle in (traj.schedule.theta0 + phi
                                         for phi in traj.phi.tolist())],
                          dtype=float)
-    deviation = traj.amps - reference
     columns = (traj.t, traj.phi, traj.p0, traj.p1, traj.alpha_sq,
                traj.beta_sq, traj.energy, traj.step_overlap,
-               np.hypot(deviation.real, deviation.imag).max(axis=1))
+               np.abs(traj.amps - reference).max(axis=1))
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     return (CSV_HEADER + "\n"
             + "".join(row % r for r in zip(*(c.tolist() for c in columns))))
@@ -315,7 +314,8 @@ AMP = st.sampled_from((0.0, -0.0, 5e-324, 1e-310, 0.5)) \
 @st.composite
 def trace_columns(draw):
     """A trajectory-like namespace: columns of 1 to 20 rows, each either a
-    few values repeated or a fresh value per row."""
+    few values repeated or a fresh value per row, and libm's cos and sin of
+    theta0 + phi, as the walk computes them."""
     rows = draw(st.integers(min_value=1, max_value=20))
 
     def column(values, shape=(rows,)):
@@ -326,12 +326,12 @@ def trace_columns(draw):
         return np.array(draw(st.lists(values, min_size=size, max_size=size)),
                         dtype=float).reshape(shape)
 
-    amps = column(AMP, (rows, 4))
-    if draw(st.booleans()):
-        amps = amps + 1j * column(AMP, (rows, 4))
+    theta0, phi = draw(st.floats(-1.0, 1.0)), column(ANGLE)
+    angles = (theta0 + phi).tolist()
     return SimpleNamespace(
-        schedule=SimpleNamespace(theta0=draw(st.floats(-1.0, 1.0))),
-        phi=column(ANGLE), amps=amps,
+        schedule=SimpleNamespace(theta0=theta0), phi=phi,
+        cos=np.array(list(map(math.cos, angles))),
+        sin=np.array(list(map(math.sin, angles))), amps=column(AMP, (rows, 4)),
         **{name: column(ANY_FLOAT) for name in (
             "t", "p0", "p1", "alpha_sq", "beta_sq", "energy",
             "step_overlap")})
@@ -341,6 +341,7 @@ def trace_columns(draw):
                                          dynamics.triplet_amps)))
 @example(SimpleNamespace(
     schedule=SimpleNamespace(theta0=0.0), phi=np.array([0.0, -0.0, 0.0]),
+    cos=np.ones(3), sin=np.array([0.0, 0.0, 0.0]),
     amps=np.zeros((3, 4)), t=np.array([-0.0, 0.0, -0.0]),
     p0=np.full(3, math.nan), p1=np.array([math.inf, -math.inf, 5e-324]),
     alpha_sq=np.array([1e-300, 1e300, 1e-300]), beta_sq=np.zeros(3),

@@ -277,11 +277,12 @@ def test_closed_forms_on_arrays_have_the_scalar_bits(kind, dt):
     theta = 0.3
     sched = DriveSchedule(kind=kind, theta0=theta, phi_final=math.pi / 3,
                           dt=dt)
-    phis = evolve(closed_form_link(theta, 0.0), LINK_MASK, "r",
-                  sched).phi.tolist()
+    traj = evolve(closed_form_link(theta, 0.0), LINK_MASK, "r", sched)
+    phis = traj.phi.tolist()
     angles = [theta + phi for phi in phis]
-    cos = np.array(list(map(math.cos, angles)))
-    sin = np.array(list(map(math.sin, angles)))
+    cos, sin = traj.cos, traj.sin
+    assert cos.tolist() == list(map(math.cos, angles))
+    assert sin.tolist() == list(map(math.sin, angles))
 
     def link_at(angle):
         return [0.0, math.cos(angle), math.sin(angle), 0.0]
@@ -295,9 +296,8 @@ def test_closed_forms_on_arrays_have_the_scalar_bits(kind, dt):
             (dynamics.triplet_amps, closed_form_triplet, triplet_at)):
         rows = np.stack(np.broadcast_arrays(*amps_of(cos, sin)), axis=1)
         scalar = np.array([closed_form(theta, phi).amps for phi in phis])
-        assert not scalar.imag.any()
-        assert np.array_equal(float_bits(rows), float_bits(scalar.real))
-        assert np.array_equal(float_bits(scalar.real),
+        assert np.array_equal(float_bits(rows), float_bits(scalar))
+        assert np.array_equal(float_bits(scalar),
                               float_bits([formula(a) for a in angles]))
 
 
@@ -461,10 +461,10 @@ taus = st.sampled_from((1.0, 0.37, 3.0))
 
 
 @st.composite
-def closed_form_cases(draw, max_nodes=4, real=False):
+def closed_form_cases(draw, max_nodes=4):
     """Random stored codes (all 2^n, or a non-empty subset as `run` stores),
-    a mask over them, complex psi0 (float64 with `real`) with mass off the
-    mask, and a schedule."""
+    a mask over them, a psi0 of signed amplitudes with mass off the mask,
+    and a schedule."""
     n_nodes = draw(st.integers(2, max_nodes))
     dim = 2 ** n_nodes
     nodes = tuple("abcde"[:n_nodes])
@@ -473,11 +473,7 @@ def closed_form_cases(draw, max_nodes=4, real=False):
     size = len(codes)
     bits = draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
     parts = st.sampled_from((0.0, 1.0, -0.5)) | st.floats(-1.0, 1.0)
-    if real:
-        amps = np.array([draw(parts) for _ in range(size)], dtype=float)
-    else:
-        amps = np.array([complex(draw(parts), draw(parts))
-                         for _ in range(size)])
+    amps = np.array([draw(parts) for _ in range(size)], dtype=float)
     if np.linalg.norm(amps) == 0:
         amps[draw(st.integers(0, size - 1))] = 1.0
     psi0 = StateVector(nodes, amps / np.linalg.norm(amps), codes)
@@ -499,9 +495,9 @@ def closed_form_cases(draw, max_nodes=4, real=False):
 @settings(max_examples=300, deadline=None)
 # Past the scan's angle limit: where numpy's exp rounds one ulp away from
 # math.exp, the first step's target of sector r=0 comes out at 8e-16 instead
-# of the exact 1.5e-12, so only an exact scan keeps the sector's phase
+# of the exact 1.5e-12, so only an exact scan keeps the sector's sign
 # instead of refilling it.
-@example((StateVector(("r", "s"), [0, 1j * math.cos(0.3), math.sin(0.3), 0]),
+@example((StateVector(("r", "s"), [0, -math.cos(0.3), math.sin(0.3), 0]),
           LINK_MASK, "r",
           DriveSchedule(kind="exponential-relax", theta0=2.684794813487374,
                         phi_final=1e10, tau=1.0, dt=1 / 40),
@@ -555,75 +551,48 @@ def test_closed_form_scan_calls_scalar_targets_a_constant_number_of_times(
     assert np.abs(final - closed_form_link(0.3, 0.9).amps).max() <= 1e-14
 
 
-# --- real amplitudes ---------------------------------------------------------
+# --- float64 amplitudes -----------------------------------------------------
 
-def test_real_amplitudes_stay_float64_and_complex_ones_complex():
+def test_amplitudes_are_float64_everywhere_and_complex_ones_refused():
     net = builtin_fig1()
     prep = prepare_ground(net)
     schedule = linear(0.3, 0.9, dt=1e-2)
     sectors = prep.state.sectors(net.drive_node)
     link = evolve(closed_form_link(0.3, 0.0), LINK_MASK, "r", schedule)
+    triplet = triplet_watchdog_demo(0.3, schedule)
     for amps in (prep.state.amps,
                  final_amps(prep.state.amps, prep.mask.bits, sectors,
                             schedule, "none"),
-                 link.amps, link.final_state.amps,
-                 triplet_watchdog_demo(0.3, schedule).amps):
+                 link.amps, link.final_state.amps, triplet.amps,
+                 basis_state(("r", "s"), "01").amps):
         assert amps.dtype == np.float64
-    psi0 = StateVector(("r", "s"),
-                       closed_form_link(0.3, 0.0).amps.astype(complex))
-    for amps in (psi0.amps,
-                 final_amps(psi0.amps, LINK_MASK.bits, psi0.sectors("r"),
-                            schedule, "none"),
-                 evolve(psi0, LINK_MASK, "r", schedule).amps):
-        assert amps.dtype == np.complex128
+    assert type(singlet_amplitude(triplet.final_state)) is float
+    for amps in ([0, 1j, 0, 0], np.zeros(4, dtype=complex)):
+        with pytest.raises(ValueError, match="amplitudes must be real"):
+            StateVector(("r", "s"), amps)
 
 
-def real_and_complex_outcomes(compute, psi0):
-    """`compute` of the float state psi0 and of psi0 cast to complex: arrays,
-    or the message of the `DegenerateDynamicsError` each raises."""
-    outcomes = []
-    wide = StateVector(psi0.node_order, psi0.amps.astype(complex), psi0.codes)
-    for state in (psi0, wide):
-        try:
-            outcomes.append(compute(state))
-        except DegenerateDynamicsError as exc:
-            outcomes.append(str(exc))
-    return outcomes
-
-
-# The link at theta = 0.4: the float quotient component / length of its
-# final state rounds away from numpy's complex quotient, a product with the
-# reciprocal.
+# The link at theta = 0.4: the quotient component / length of its final
+# state rounds away from the product with the reciprocal that the stepper
+# takes.
 FLOAT_LINK_CASE = (closed_form_link(0.4, 0.0), LINK_MASK, "r",
                    linear(0.4, 0.5, dt=0.1), "none", True)
 
 
-@given(closed_form_cases(max_nodes=5, real=True))
-@settings(max_examples=150, deadline=None)
-@example(FLOAT_LINK_CASE)
-def test_float_state_gives_the_real_parts_of_the_complex_state(case):
-    psi0, mask, drive, schedule, leak_model, enforce_mask = case
-    allowed = mask.bits if enforce_mask else np.ones(mask.dim, dtype=bool)
-    assert psi0.amps.dtype == np.float64
-    for compute in (
-            lambda v: evolve(v, mask, drive, schedule, leak_model=leak_model,
-                             enforce_mask=enforce_mask).amps,
-            lambda v: final_amps(v.amps, allowed, v.sectors(drive), schedule,
-                                 leak_model)):
-        real, wide = real_and_complex_outcomes(compute, psi0)
-        if isinstance(wide, str):
-            assert real == wide
-            continue
-        assert real.dtype == np.float64 and wide.dtype == np.complex128
-        assert real.tobytes() == wide.real.tobytes()
-        assert not wide.imag.any()
+def test_float_link_final_state_has_the_recorded_bits():
+    psi0, mask, drive, schedule, leak_model, _ = FLOAT_LINK_CASE
+    final = final_amps(psi0.amps, mask.bits, psi0.sectors(drive), schedule,
+                       leak_model)
+    assert [x.hex() for x in final.tolist()] == [
+        "0x0.0p+0", "0x1.3e43a9692e21bp-1", "0x1.91103985da841p-1",
+        "0x0.0p+0"]
 
 
 def test_rescale_refills_a_float_row_with_floats():
     """The link from theta = 0: drive sector r=1 holds no mass, and the
     float row's refill is a float, as the float amplitude matrix needs."""
     plan = (([0, 1], [1], True), ([2, 3], [2], True))
-    row = dynamics._rescale(plan, float, LINK_MASK.bits, "none",
+    row = dynamics._rescale(plan, LINK_MASK.bits, "none",
                             [0.0, 1.0, 0.0, 0.0], (0.5, 0.5))
     assert [type(z) for z in row] == [float] * 4
     assert row == [0.0, math.sqrt(0.5), math.sqrt(0.5), 0.0]
@@ -643,12 +612,9 @@ def test_final_amps_rejects_unknown_leak_model():
 
 
 def row_overlap(new, prev):
-    """|<new|prev>| of two rows: the real and imaginary parts of
-    sum conj(new_i) * prev_i as real products, each added as numpy adds one
-    row, and the modulus by hypot."""
-    dot_re = np.add.reduce(new.real * prev.real + new.imag * prev.imag)
-    dot_im = np.add.reduce(new.real * prev.imag - new.imag * prev.real)
-    return abs(complex(dot_re, dot_im))
+    """|<new|prev>| of two rows: sum new_i * prev_i, added as numpy adds one
+    row."""
+    return abs(np.add.reduce(new * prev))
 
 
 def assert_columns_are_row_formulas(traj, sectors, alpha_of, energy_of):
@@ -707,7 +673,7 @@ def test_triplet_columns_match_row_formulas(theta, kind, phi_final, n_steps,
         traj = triplet_watchdog_demo(theta, schedule)
     except DegenerateDynamicsError:
         return
-    sym = symmetrizer_two().matrix
+    sym = real_symmetrizer()
 
     def alpha_of(amps, probs):
         norm = math.sqrt(left_to_right_sum_sq(sym @ amps))
@@ -721,30 +687,36 @@ def test_triplet_columns_match_row_formulas(theta, kind, phi_final, n_steps,
 # --- the float stepper against numpy steps, and no BLAS ----------------------
 
 def left_to_right_sum_sq(amps):
-    """The sum of re^2 + im^2 over complex numbers, added left to right."""
+    """The sum of the squares of floats, added left to right."""
     total = 0.0
     for z in amps:
-        z = complex(z)
-        total += z.real * z.real + z.imag * z.imag
+        total += z * z
     return total
 
 
 def reference_norm(x):
     """`hilbert.norm` as one numpy reduction: numpy's pairwise sum of
-    re^2 + im^2."""
-    return math.sqrt(np.add.reduce(x.real * x.real + x.imag * x.imag))
+    squares."""
+    return math.sqrt(np.add.reduce(x * x))
+
+
+def real_symmetrizer():
+    """The symmetrizer (1 + P_12)/2 of `fock`, whose entries are real."""
+    sym = symmetrizer_two().matrix
+    assert not sym.imag.any()
+    return sym.real
 
 
 def reference_rescale(amps, sectors, targets, allowed, leak_model):
     """The rescale on numpy arrays that the float stepper replaces."""
-    out = np.zeros(amps.size, dtype=complex)
+    out = np.zeros(amps.size)
     for idx, target in zip(sectors, targets):
         if target <= dynamics._MASS_EPS:
             continue
         component = amps[idx]
         norm = reference_norm(component)
         if norm > dynamics._MASS_EPS:
-            out[idx] = math.sqrt(target) * component / norm
+            out[idx] = math.sqrt(target) * component * (1 / norm)
         else:
             refill = dynamics._refill_indices(idx, allowed, leak_model)
             out[refill] = math.sqrt(target / refill.size)
@@ -770,7 +742,7 @@ def reference_evolve_rows(psi0, mask, drive, schedule, leak_model,
 
 def reference_triplet_rows(theta, schedule):
     schedule = replace(schedule, theta0=theta)
-    sym = symmetrizer_two().matrix
+    sym = real_symmetrizer()
     psi0 = closed_form_triplet(theta, 0.0)
     particles = (psi0.sectors("p1"), psi0.sectors("p2"))
     no_refill = np.zeros(4, dtype=bool)
@@ -779,7 +751,7 @@ def reference_triplet_rows(theta, schedule):
         current = prev
         for _ in range(dynamics._FIXPOINT_MAX_ITER):
             nxt = sym @ current
-            nxt = nxt / reference_norm(nxt)
+            nxt = nxt * (1 / reference_norm(nxt))
             for sectors in particles:
                 nxt = reference_rescale(nxt, sectors, targets, no_refill,
                                         "none")
@@ -790,8 +762,7 @@ def reference_triplet_rows(theta, schedule):
             f"symmetrizer fixed point did not converge in "
             f"{dynamics._FIXPOINT_MAX_ITER} iterations")
 
-    # The reference keeps numpy's complex arithmetic from the first step.
-    return reference_rows(psi0.amps.astype(complex), schedule, step)
+    return reference_rows(psi0.amps, schedule, step)
 
 
 def assert_same_outcome(rows, reference_rows):
@@ -817,15 +788,14 @@ def assert_same_outcome(rows, reference_rows):
 @example((closed_form_link(0.3, 0.0), ConstraintMask(4, np.array([0, 0, 1, 0])),
           "r", linear(0.0, math.pi / 2, dt=0.5), "none", True))
 # All 32 codes of five nodes: both drive sectors hold 16 entries.
-@example((StateVector(tuple("abcde"),
-                      np.exp(1j * np.arange(32)) / math.sqrt(32)),
+@example((StateVector(tuple("abcde"), np.cos(np.arange(32)) / 4),
           ConstraintMask(32, np.arange(32) % 3 > 0), "c",
           DriveSchedule(kind="cosine-ramp", theta0=0.3, phi_final=2.0,
                         tau=0.37, dt=0.37 / 10), "none", True))
 # Three nodes: both drive sectors hold 4 entries, and the mask forbids some of
 # each while psi0 carries mass there, so the stepper skips projected-out
 # entries instead of summing their zeros.
-@example((StateVector(tuple("abc"), np.exp(1j * np.arange(8)) / math.sqrt(8)),
+@example((StateVector(tuple("abc"), np.cos(np.arange(8)) / 2),
           ConstraintMask(8, np.array([0, 1, 1, 0, 1, 0, 0, 1])), "b",
           DriveSchedule(kind="exponential-relax", theta0=0.3, phi_final=2.0,
                         dt=0.1), "none", True))
@@ -857,13 +827,6 @@ def test_triplet_rows_equal_numpy_reference_steps(theta, kind, phi_final,
         lambda: reference_triplet_rows(theta, schedule))
 
 
-def test_triplet_amplitudes_are_real():
-    """The triplet stepper's premise: a real start and real step coefficients
-    keep every imaginary part exactly zero."""
-    schedule = linear(0.3, math.pi / 3, dt=1e-2)
-    assert not triplet_watchdog_demo(0.3, schedule).amps.imag.any()
-
-
 def test_triplet_fixed_point_cap_message_equals_reference(monkeypatch):
     monkeypatch.setattr(dynamics, "_FIXPOINT_MAX_ITER", 1)
     schedule = linear(0.3, 0.1, dt=1e-2)
@@ -871,34 +834,31 @@ def test_triplet_fixed_point_cap_message_equals_reference(monkeypatch):
                         lambda: reference_triplet_rows(0.3, schedule))
 
 
-# Real and imaginary parts over many orders of magnitude, squares finite.
+# Amplitudes over many orders of magnitude, squares finite.
 parts = st.sampled_from((0.0, 1.0, -0.5)) | st.floats(-1e100, 1e100)
-complex_lists = st.lists(st.builds(complex, parts, parts), min_size=1,
-                         max_size=7)
 
 
-@given(complex_lists)
+@given(st.lists(parts, min_size=1, max_size=7))
 @settings(max_examples=300, deadline=None)
 def test_norm_is_a_left_to_right_sum_below_eight_entries(amps):
-    x = np.array(amps, dtype=complex)
+    x = np.array(amps, dtype=float)
     want = math.sqrt(left_to_right_sum_sq(amps))
     assert hilbert.norm(x) == want
     assert StateVector(("a", "b", "c"), x, range(len(amps))).norm() == want
 
 
 @given(st.integers(1, 7).flatmap(lambda width: st.lists(
-    st.lists(st.builds(complex, parts, parts), min_size=width,
-             max_size=width), min_size=2, max_size=5)))
+    st.lists(parts, min_size=width, max_size=width), min_size=2,
+    max_size=5)))
 @settings(max_examples=200, deadline=None)
 def test_step_overlap_is_a_left_to_right_sum_below_eight_entries(rows):
-    overlaps = dynamics._step_overlaps(np.array(rows, dtype=complex))
+    overlaps = dynamics._step_overlaps(np.array(rows, dtype=float))
     assert overlaps[0] == 1.0
     for k in range(1, len(rows)):
-        dot_re = dot_im = 0.0
+        dot = 0.0
         for new, prev in zip(rows[k], rows[k - 1]):
-            dot_re += new.real * prev.real + new.imag * prev.imag
-            dot_im += new.real * prev.imag - new.imag * prev.real
-        assert overlaps[k] == abs(complex(dot_re, dot_im))
+            dot += new * prev
+        assert overlaps[k] == abs(dot)
 
 
 # numpy names that reach BLAS (or its LAPACK) for float and complex arrays.
@@ -951,6 +911,43 @@ def test_dynamics_calls_no_blas():
     for name in modules:
         if name != "fock":
             assert blas_uses((package / f"{name}.py").read_text()) == [], name
+
+
+def complex_path_uses(source):
+    """Each name of a complex type (`complex`, `np.complex128`, ...), each
+    `.imag` and `.real`, and each `dtype.kind` in a module's source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            name, owner = node.id, None
+        elif isinstance(node, ast.Attribute):
+            name, owner = node.attr, getattr(node.value, "attr", None)
+        else:
+            continue
+        if name.startswith("complex") or name in ("imag", "real"):
+            found.append(f"{name} at line {node.lineno}")
+        elif (owner, name) == ("dtype", "kind"):
+            found.append(f"dtype.kind at line {node.lineno}")
+    return found
+
+
+def test_complex_path_uses_finds_each_form():
+    source = ("complex(x)\nnp.complex128\nz.imag\nz.real\n"
+              "if a.dtype.kind == 'c':\n    pass\n")
+    assert len(complex_path_uses(source)) == 5
+    assert complex_path_uses("np.iscomplexobj(x)\nkind = 1\n"
+                             "schedule.kind\nreal_part = 0\n") == []
+
+
+def test_no_module_but_fock_has_a_complex_path():
+    """Amplitudes are float64 everywhere but in `fock`, whose matrices are
+    complex: no other module names a complex type or part, or branches on
+    a dtype's kind.  `hilbert.StateVector` refuses complex amplitudes with
+    `np.iscomplexobj`."""
+    package = Path(dynamics.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.stem != "fock":
+            assert complex_path_uses(path.read_text()) == [], path.stem
 
 
 def rows_readers(source):

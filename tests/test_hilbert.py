@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from statnet.fock import FockVector, ModeBasis
 from statnet.hilbert import (
@@ -12,7 +12,6 @@ from statnet.hilbert import (
     basis_state,
     index_assignment,
     node_bit,
-    probabilities,
     reduced_diag,
 )
 from statnet.statics import PenaltyHamiltonian
@@ -22,17 +21,25 @@ TWO = ("r", "s")
 
 
 @pytest.mark.parametrize("stored, dtype", [
-    (lambda a: StateVector(TWO, a).amps, complex),
     (lambda a: StateVector(TWO, a).amps, float),
     (lambda a: FockVector(ModeBasis(("r",)), a).amps, complex),
     (lambda a: PenaltyHamiltonian(4, a).energies, float),
-], ids=["state-complex", "state-float", "fock", "penalty"])
+], ids=["state-float", "fock", "penalty"])
 def test_construction_leaves_caller_array_writeable(stored, dtype):
     caller = np.array([0.5, 0.5, 0.5, 0.5], dtype=dtype)
     kept = stored(caller)
     assert caller.flags.writeable
     caller[0] = 0.0
     assert kept[0] == 0.5 and not kept.flags.writeable
+
+
+@pytest.mark.parametrize("dtype", [float, int, bool])
+def test_statevector_stores_real_input_as_float64(dtype):
+    caller = np.array([0, 1, 1, 0], dtype=dtype)
+    amps = StateVector(TWO, caller).amps
+    assert amps.dtype == np.float64 and amps.tolist() == [0.0, 1.0, 1.0, 0.0]
+    caller[1] = 0
+    assert amps[1] == 1.0 and not amps.flags.writeable
 
 
 def test_basis_index_all_zeros():
@@ -184,19 +191,3 @@ def test_statevector_never_shares_codes():
 def test_statevector_rejects_bad_codes(codes):
     with pytest.raises(ValueError):
         StateVector(TWO, [1.0, 0.0], codes=codes)
-
-
-# Real and imaginary parts over many orders of magnitude, squares finite.
-parts = st.sampled_from((0.0, 1.0, -0.5)) | st.floats(-1e150, 1e150)
-
-
-@given(st.integers(1, 4).flatmap(lambda width: st.lists(
-    st.lists(st.builds(complex, parts, parts), min_size=width,
-             max_size=width), min_size=1, max_size=4)))
-@settings(max_examples=200, deadline=None)
-def test_probabilities_are_re_re_plus_im_im(rows):
-    matrix = np.array(rows, dtype=complex)
-    expected = [[z.real * z.real + z.imag * z.imag for z in row]
-                for row in rows]
-    assert probabilities(matrix).tolist() == expected
-    assert probabilities(matrix[0]).tolist() == expected[0]

@@ -28,6 +28,7 @@ import test_fock
 import test_network
 import test_permutations
 import test_protocol
+import test_statics
 from statnet import cli, dynamics, fock, hilbert, network, protocol, statics
 from statnet.network import builtin_fig1, parse_network
 from test_protocol import (STUCK, check_draw_at_boundaries,
@@ -123,6 +124,12 @@ CHECKS = {
     "run stuck leak": corpus_check("stuck", "uniform-excited"),
     "run wide8": corpus_check("wide8"),
     "support oracles": check_support_oracles,
+    "violations past 255":
+        test_statics.test_violation_count_of_gates_and_pins_past_255,
+    "join refused before built":
+        test_statics.test_support_refuses_join_past_limit_before_building_it,
+    "62-node chain":
+        test_statics.test_support_holds_as_many_nodes_as_codes_hold,
     "fig1 masks oracle": lambda: check_masks_against_string_oracle(
         builtin_fig1()),
     "trace triplet": trace_check(["simulate-triplet", "--schedule",
@@ -141,9 +148,8 @@ CHECKS = {
     "nodes declared twice": parse_error_check("nodes a\nnodes b\n"),
     "second pin's line": parse_error_check("nodes a\nfix a=0\nfix a=1\n"),
     "pin kind inference": test_network.test_pin_kind_inference,
-    "float link final state": lambda: test_dynamics
-        .test_float_state_gives_the_real_parts_of_the_complex_state
-        .hypothesis.inner_test(test_dynamics.FLOAT_LINK_CASE),
+    "float link final state":
+        test_dynamics.test_float_link_final_state_has_the_recorded_bits,
     "float refill": test_dynamics.test_rescale_refills_a_float_row_with_floats,
     "formatter edges": test_cli.test_format_17g_at_its_edges,
 }
@@ -167,6 +173,12 @@ LAYER_MUTANTS = [
     ("support oracles", statics, "support", "    rows = np.sort(rows)\n", ""),
     ("support oracles", statics, "_join", "set(table_keys.tolist())",
      "list(set(table_keys.tolist()))[:8]"),
+    ("violations past 255", statics, "_penalty", "len(gates) + len(pins)",
+     "len(gates) - len(pins)"),
+    ("join refused before built", statics, "_join",
+     "agrees.size * matches.size", "agrees.size / matches.size"),
+    ("62-node chain", statics, "support", "n > MAX_CODE_NODES",
+     "n >= MAX_CODE_NODES"),
     ("fig1 masks oracle", statics, "_allowed",
      "Network(net.nodes, gates, pins)", "Network(net.nodes, gates)"),
     ("trace triplet", hilbert, "sum_probs", "reduce(probs,",
@@ -182,8 +194,8 @@ LAYER_MUTANTS = [
     ("float link final state", dynamics, "final_amps",
      "component * (1 / length)", "component / length"),
     ("float refill", dynamics, "_rescale",
-     "kind(math.sqrt(target / len(refill)))",
-     "complex(math.sqrt(target / len(refill)))"),
+     "value = math.sqrt(target / len(refill))",
+     "value = complex(math.sqrt(target / len(refill)))"),
     # The trace CSV's array formatter: the exponent re-check skipped, fixed
     # notation ending at e = 15, trailing zeros kept, the non-finite entries
     # left to the arrays, and a product that rounds to 10^17 kept at e.

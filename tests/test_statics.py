@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from statnet.hilbert import StateVector, basis_index, basis_state
+from statnet.hilbert import (StateVector, basis_index, basis_state,
+                             index_assignment)
 from statnet.network import (
     Gate,
     Network,
@@ -163,6 +164,18 @@ def test_violation_count_past_255_gates():
     assert network_hamiltonian(net).energies.tolist() == [300, 0, 0, 300]
 
 
+def test_violation_count_of_gates_and_pins_past_255():
+    # 250 gates and 10 input pins: code 0 violates all 260, so the count
+    # array widens with gates and pins together.
+    pins = [f"p{i}" for i in range(10)]
+    net = parse_network(
+        "nodes a b " + " ".join(pins) + "\n"
+        + "".join(f"gate g{i} in(a) out(b) {{ 0->1 ; 1->0 }}\n"
+                  for i in range(250))
+        + "".join(f"fix {p}=1 input\n" for p in pins))
+    assert network_hamiltonian(net).energies[0] == 260.0
+
+
 def test_link_state_energy_zero_for_any_theta():
     h = gate_hamiltonian(LINK_NET, LINK_NET.gates[0])
     for theta in np.linspace(0, math.pi / 2, 7):
@@ -174,7 +187,7 @@ def test_link_state_energy_zero_for_any_theta():
 def test_expected_energy_uniform_state():
     net = parse_network("nodes r s\nfix r=0\n")
     h = network_hamiltonian(net, energy=3.0)  # penalizes basis states 2 and 3
-    v = StateVector(("r", "s"), np.full(4, 0.5, dtype=complex))
+    v = StateVector(("r", "s"), np.full(4, 0.5))
     assert _mean_energy(v, h) == pytest.approx(1.5)
 
 
@@ -284,6 +297,42 @@ def test_support_refuses_join_past_limit():
     net = Network(tuple(n for g in gates for n in g.nodes), gates)
     with pytest.raises(ValueError, match="exceeds enumeration limit 2"):
         support(net)
+
+
+def test_support_refuses_join_past_limit_before_building_it():
+    # Tables of 2^12 and 2^12 + 1 rows that share no node: their join would
+    # hold 2^24 + 2^12 int64 codes, 128 MiB.
+    gates = tuple(
+        Gate(f"g{j}", tuple(f"{x}{i}" for i in range(13)), (),
+             TruthTable(13, 0, tuple((format(k, "013b"), "")
+                                     for k in range(size))))
+        for j, (x, size) in enumerate((("x", 2 ** 12), ("y", 2 ** 12 + 1))))
+    net = Network(tuple(n for g in gates for n in g.nodes), gates)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds enumeration limit 2"):
+            support(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 24, peak
+
+
+def chain_solutions(n_nodes):
+    """The assignments `support` gives a chain of links from n0 = 0, or the
+    message of its refusal."""
+    net = parse_network(
+        "nodes " + " ".join(f"n{i}" for i in range(n_nodes)) + "\n"
+        + "".join(f"link n{i} -> n{i + 1}\n" for i in range(n_nodes - 1))
+        + "fix n0=0 input\n")
+    try:
+        return [index_assignment(net.nodes, k) for k in support(net).tolist()]
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_support_holds_as_many_nodes_as_codes_hold():
+    assert chain_solutions(62) == ["01" * 31]
 
 
 def test_support_refuses_more_nodes_than_codes_hold():
