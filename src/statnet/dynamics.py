@@ -15,15 +15,18 @@ caller names as driven: a symmetric state has equal marginals, so the two
 targets agree.  Rescaling only the named particle and leaving the other to
 the symmetrizer lags the closed form by O(dt).
 
-Both evolutions walk the grid in one loop (`_walk_grid`), one list of Python
-floats per row, and repeat numpy's arithmetic operation for operation, so
-they give a numpy step's bits; the grid's phi, cos, sin and targets come from
-one pass each, with libm's values.  Every factor of a step is real, so the
-amplitudes are float64 throughout.  `evolve` plans its drive sectors once
-and rescales them each step (`_rescale`); the triplet's fixed point is
-written out over its four amplitudes.  A `Trajectory` is a set of columns:
-the walk's rows become one amplitude matrix, and each diagnostic is
-computed once over that matrix.
+Both evolutions read one grid (`_grid`: t, phi, libm's cos and sin, and
+the targets, one pass each) and repeat numpy's arithmetic operation for
+operation on Python floats, so they give a numpy step's bits.  Every factor
+of a step is real, so the amplitudes are float64 throughout.  Under a
+diagonal mask a drive sector's next amplitudes depend only on its own
+previous ones and its own target, so `evolve` walks each sector over all
+steps on its own (`_walk_sector`) and writes its columns into the amplitude
+matrix; a sector with one allowed state, as in the link, is a scalar
+recurrence over one list of floats.  The symmetrizer couples the triplet's
+four amplitudes, so its walk keeps one list per row and writes its fixed
+point out over the four.  A `Trajectory` is a set of columns: each
+diagnostic is computed once over the amplitude matrix.
 Per-row objects (`Trajectory.points`, `final_state`) are built only when a
 caller asks for them.  A decision needs only the final state of the
 diagonal-mask evolution; `final_amps` computes it from the stepper's
@@ -39,7 +42,6 @@ Python numbers.
 from __future__ import annotations
 
 import math
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -218,48 +220,72 @@ def _refill_indices(idx: np.ndarray, allowed: np.ndarray,
     raise DegenerateDynamicsError(_LOST_SECTOR)
 
 
-def _rescale(plan: tuple, allowed: np.ndarray, leak_model: str,
-             amps: list, targets: tuple[float, float]) -> list:
-    """Project onto `allowed`, and place each target mass on its drive sector,
-    preserving direction and signs.
+def _walk_sector(first: np.ndarray, idx: np.ndarray, allowed: np.ndarray,
+                 leak_model: str, targets: list) -> tuple:
+    """One drive sector's amplitudes after steps 1..n, as (positions, values).
 
-    `amps` and the result are lists of floats; `plan` holds, per drive
-    sector, its positions in `amps`, the allowed ones among them and whether
-    it has fewer than _PAIRWISE_FROM entries; `allowed` is the boolean
-    constraint mask.  A sector is scaled as numpy scales its projected
-    component, `sqrt(target) * component * (1 / norm)`, so a projected-out
-    entry stays zero and only the live ones are scaled.  A demanded sector
-    that carries no mass is refilled at `_refill_indices`, which raises when
-    there is nowhere to refill.
+    `first` is row 0, `idx` the sector's positions in it, `allowed` the
+    boolean constraint mask and `targets` the sector's target mass after
+    each step.  Each step projects the previous row onto `allowed` and
+    scales it as numpy scales the projected component,
+    `component * sqrt(target) * (1 / norm)`, or to 0.0 where the target is
+    at most _MASS_EPS; a component without mass is refilled at
+    `_refill_indices`, which raises when there is nowhere to refill.  The
+    sector's other entries are zero after step 1, and `values` is the
+    (n, positions) block of the amplitude matrix: a flat list when one
+    state is allowed, which makes the step a scalar recurrence.
     """
-    out = [0.0] * len(amps)
-    for (idx, live, short), target in zip(plan, targets):
+    live = idx[allowed[idx]]
+    if not live.size:
+        # No mass to keep: every step that demands some refills the sector.
+        mass = np.array(targets)
+        demanded = mass > _MASS_EPS
+        if not demanded.any():
+            return live, 0.0
+        refill = _refill_indices(idx, allowed, leak_model)
+        column = np.where(demanded, np.sqrt(mass / refill.size), 0.0)
+        return refill, column[:, None]
+    roots = np.sqrt(targets).tolist()
+    if live.size == 1:
+        # The norm of one entry is sqrt(z * z) whatever the sector's length:
+        # the pairwise sum of a single square and zeros is that square.
+        z, column = float(first[live[0]]), []
+        for target, root in zip(targets, roots):
+            if target <= _MASS_EPS:
+                z = 0.0
+            else:
+                length = math.sqrt(z * z)
+                # The refill is sqrt(target / 1).
+                z = z * root * (1 / length) if length > _MASS_EPS else root
+            column.append(z)
+        return live[0], column
+    values, rows = first[live].tolist(), []
+    pairwise = idx.size >= _PAIRWISE_FROM
+    if pairwise:
+        # numpy's pairwise order groups the terms by position, zeros too.
+        padded, where = np.zeros(idx.size), np.flatnonzero(allowed[idx])
+    for target, root in zip(targets, roots):
         if target <= _MASS_EPS:
-            continue
-        total = 0.0
-        if short:
-            # `sum_sq` adds so few terms left to right, as this loop does
-            # (Python's `sum` compensates rounding from 3.12 on); a
-            # projected-out entry would add a zero.
-            for i in live:
-                z = amps[i]
-                total += z * z
+            values = [0.0] * live.size
         else:
-            # numpy's pairwise order groups the terms by position, zeros too.
-            total = float(sum_sq(np.array(
-                [amps[i] if allowed[i] else 0.0 for i in idx])))
-        length = math.sqrt(total)
-        if length > _MASS_EPS:
-            scale, inverse = math.sqrt(target), 1 / length
-            for i in live:
-                out[i] = amps[i] * scale * inverse
-        else:
-            refill = _refill_indices(np.array(idx, dtype=np.int64), allowed,
-                                     leak_model).tolist()
-            value = math.sqrt(target / len(refill))
-            for i in refill:
-                out[i] = value
-    return out
+            if pairwise:
+                padded[where] = values
+                total = float(sum_sq(padded))
+            else:
+                # `sum_sq` adds so few terms left to right, as this loop
+                # does (Python's `sum` compensates rounding from 3.12 on); a
+                # projected-out entry would add a zero.
+                total = 0.0
+                for z in values:
+                    total += z * z
+            length = math.sqrt(total)
+            if length > _MASS_EPS:
+                inverse = 1 / length
+                values = [z * root * inverse for z in values]
+            else:
+                values = [math.sqrt(target / live.size)] * live.size
+        rows.append(values)
+    return live, rows
 
 
 def _grid_times(schedule: DriveSchedule) -> np.ndarray:
@@ -269,16 +295,13 @@ def _grid_times(schedule: DriveSchedule) -> np.ndarray:
     return t
 
 
-def _walk_grid(amps: np.ndarray, schedule: DriveSchedule, step):
-    """Step over the schedule's grid from `amps`, keeping every row.
+def _grid(schedule: DriveSchedule) -> tuple:
+    """The schedule's grid: the columns t, phi, cos and sin of rows 0..n, and
+    the sector targets after steps 1..n as two lists of floats.
 
-    `step(prev, targets)` takes the previous row as a list of floats and
-    returns the next one as such a list, for the sector targets at the
-    step's end time.  The grid's phi, cos, sin and targets are computed in
-    one pass each, with libm's cos, sin and exp per entry and C pow for the
-    squares, so they are the values `schedule.phi` and `schedule_targets`
-    give one time at a time.  Returns the columns t, phi, cos, sin, the
-    amplitude matrix (row 0 is `amps`) and step_overlap.
+    phi, cos, sin and the targets are computed in one pass each, with libm's
+    cos, sin and exp per entry and C pow for the squares, so they are the
+    values `schedule.phi` and `schedule_targets` give one time at a time.
     """
     t = np.concatenate(([0.0], _grid_times(schedule)))
     # `schedule.phi` without its range check: the grid lies in [0, tau].
@@ -287,13 +310,9 @@ def _walk_grid(amps: np.ndarray, schedule: DriveSchedule, step):
     cos, sin = (np.fromiter(map(f, angles), float, len(angles))
                 for f in (math.cos, math.sin))
     # Python's x ** 2 calls C pow, which is not always x * x, as numpy's is.
-    targets = zip([c ** 2 for c in cos[1:].tolist()],
-                  [s ** 2 for s in sin[1:].tolist()])
-    rows = [amps.tolist()]
-    for target in targets:
-        rows.append(step(rows[-1], target))
-    matrix = np.array(rows, dtype=float)
-    return t, phi, cos, sin, matrix, _step_overlaps(matrix)
+    targets = ([c ** 2 for c in cos[1:].tolist()],
+               [s ** 2 for s in sin[1:].tolist()])
+    return t, phi, cos, sin, targets
 
 
 def _step_overlaps(amps: np.ndarray) -> np.ndarray:
@@ -319,20 +338,25 @@ def evolve(psi0: StateVector, mask: ConstraintMask, drive_node: str,
     it allows and `energy` the mass on those it forbids, its penalty at unit
     energy.  Condition (i), the projection onto the mask, is only enforced
     when `enforce_mask` is set (the no-mask variant exists to demonstrate
-    when the projection is and is not redundant).  The steps run on Python
-    floats and give the bits of the same steps on numpy arrays.  A caller
-    that needs only the final state computes it with `final_amps`, without
-    stepping.
+    when the projection is and is not redundant).  Each drive sector is
+    walked over all steps on its own (`_walk_sector`), on Python floats,
+    and its columns are written into the (rows, stored states) amplitude
+    matrix; the rows have the bits of the same steps on numpy arrays.  A
+    caller that needs only the final state computes it with `final_amps`,
+    without stepping.
     """
     check_leak_model(leak_model)
     if mask.bits.shape != psi0.amps.shape:
         raise ValueError("mask dimension mismatch")
     allowed = mask.bits if enforce_mask else np.ones(psi0.amps.size, dtype=bool)
     sectors = psi0.sectors(drive_node)
-    plan = tuple((idx.tolist(), idx[allowed[idx]].tolist(),
-                  idx.size < _PAIRWISE_FROM) for idx in sectors)
-    t, phi, cos, sin, amps, overlap = _walk_grid(psi0.amps, schedule, partial(
-        _rescale, plan, allowed, leak_model))
+    t, phi, cos, sin, targets = _grid(schedule)
+    amps = np.zeros((t.size, psi0.amps.size))
+    amps[0] = psi0.amps
+    for idx, sector_targets in zip(sectors, targets):
+        positions, values = _walk_sector(psi0.amps, idx, allowed, leak_model,
+                                         sector_targets)
+        amps[1:, positions] = values
     # Each column reduces a contiguous copy of its entries row by row, as a
     # one-dimensional sum of one row would.
     return Trajectory(
@@ -341,7 +365,7 @@ def evolve(psi0: StateVector, mask: ConstraintMask, drive_node: str,
         p1=sum_sq(amps.take(sectors[1], axis=1)),
         alpha_sq=sum_sq(amps.compress(mask.bits, axis=1)),
         energy=sum_sq(amps.compress(~mask.bits, axis=1)),
-        step_overlap=overlap)
+        step_overlap=_step_overlaps(amps))
 
 
 def _grid_targets(schedule: DriveSchedule) -> np.ndarray:
@@ -521,7 +545,11 @@ def triplet_watchdog_demo(theta: float, schedule: DriveSchedule,
             f"symmetrizer fixed point did not converge in "
             f"{_FIXPOINT_MAX_ITER} iterations")
 
-    t, phi, cos, sin, amps, overlap = _walk_grid(psi0.amps, schedule, step)
+    t, phi, cos, sin, targets = _grid(schedule)
+    rows = [psi0.amps.tolist()]
+    for row_targets in zip(*targets):
+        rows.append(step(rows[-1], row_targets))
+    amps = np.array(rows)
     # The symmetrizer (1 + P_12)/2 keeps |00> and |11> and gives |01> and
     # |10> the mean of the two: halving is exact above the subnormal range,
     # so the mean is the matrix product's value in any summation order.
@@ -535,7 +563,8 @@ def triplet_watchdog_demo(theta: float, schedule: DriveSchedule,
         schedule, psi0.node_order, psi0.codes, t, phi, cos, sin, amps,
         p0=sum_sq(amps.take(sectors[0], axis=1)),
         p1=sum_sq(amps.take(sectors[1], axis=1)),
-        alpha_sq=alpha_sq, energy=1.0 - alpha_sq, step_overlap=overlap)
+        alpha_sq=alpha_sq, energy=1.0 - alpha_sq,
+        step_overlap=_step_overlaps(amps))
 
 
 def singlet_amplitude(state: StateVector) -> float:

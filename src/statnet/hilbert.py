@@ -10,7 +10,10 @@ rotation, and the closed forms are real, so no state needs a phase.
 `node_bit` is the one place that turns a node into its bit of a code,
 `probabilities` the one place that turns amplitudes into probabilities, and
 `sum_probs` (with `sum_sq`/`norm` on it) the one place where a mass or a
-norm is summed.
+norm of an array is summed.  The only other sums are the short in-place
+sums of squares of the `dynamics` steppers (a drive sector of fewer than 8
+entries, the triplet's four amplitudes): they run `sum_probs`'s
+left-to-right order on Python floats.
 All values are immutable after construction and all operations are pure
 functions.  Constructors always copy the caller's arrays and freeze the
 copies, so no two states share an array.

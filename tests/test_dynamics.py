@@ -1,5 +1,6 @@
 """Watchdog stepping, drive schedules, and the two closed-form references."""
 import ast
+import hashlib
 import math
 from pathlib import Path
 
@@ -588,14 +589,40 @@ def test_float_link_final_state_has_the_recorded_bits():
         "0x0.0p+0"]
 
 
-def test_rescale_refills_a_float_row_with_floats():
+def test_walk_refills_an_empty_one_state_sector_with_floats():
     """The link from theta = 0: drive sector r=1 holds no mass, and the
-    float row's refill is a float, as the float amplitude matrix needs."""
-    plan = (([0, 1], [1], True), ([2, 3], [2], True))
-    row = dynamics._rescale(plan, LINK_MASK.bits, "none",
-                            [0.0, 1.0, 0.0, 0.0], (0.5, 0.5))
-    assert [type(z) for z in row] == [float] * 4
-    assert row == [0.0, math.sqrt(0.5), math.sqrt(0.5), 0.0]
+    refill of its one allowed state is a float, as the float amplitude
+    matrix needs."""
+    psi0 = basis_state(("r", "s"), "01")
+    position, column = dynamics._walk_sector(
+        psi0.amps, psi0.sectors("r")[1], LINK_MASK.bits, "none", [0.5])
+    assert position == 2
+    assert [type(z) for z in column] == [float]
+    assert column == [math.sqrt(0.5)]
+
+
+# sha256 of `evolve(...).amps.tobytes()` for the link from
+# closed_form_link(theta0, 0) at dt=1e-4: (theta0, kind, phi_final, digest).
+LINK_WALK_DIGESTS = [
+    (0.3, "linear-ramp", math.pi / 3,
+     "71a54eb91a666986aef6583629072f1572499696a69361f1eb8038432593c33b"),
+    (0.3, "cosine-ramp", math.pi / 3,
+     "70bdad8329b0a1769212b02856080e766c592e4094132c457a5e545c8b7d484d"),
+    (0.3, "exponential-relax", math.pi / 3,
+     "882390453bf47fb7b62ead61c9d1ed96795bc3d44a2eb5fda2d4165a6fb37158"),
+    # Sector r=0 is emptied at step 5000 (angle pi/2) and refilled at 5001.
+    (math.pi / 4, "linear-ramp", math.pi / 2,
+     "6c07b1134debe172bf0520a00c2591c56247acf92c07bc875d4d0cf9bd2327a2"),
+]
+
+
+def test_link_walk_has_the_recorded_bits():
+    for theta, kind, phi_final, digest in LINK_WALK_DIGESTS:
+        schedule = DriveSchedule(kind=kind, theta0=theta, phi_final=phi_final,
+                                 dt=1e-4)
+        amps = evolve(closed_form_link(theta, 0.0), LINK_MASK, "r",
+                      schedule).amps
+        assert hashlib.sha256(amps.tobytes()).hexdigest() == digest, kind
 
 
 def test_evolve_rejects_unknown_leak_model():
@@ -781,17 +808,47 @@ def assert_same_outcome(rows, reference_rows):
         assert np.array_equal(got, want)
 
 
+# All 32 codes of five nodes: both drive sectors hold 16 entries, several of
+# them allowed, so each norm is a pairwise sum.
+PAIRWISE_SECTORS = (
+    StateVector(tuple("abcde"), np.cos(np.arange(32)) / 4),
+    ConstraintMask(32, np.arange(32) % 3 > 0), "c",
+    DriveSchedule(kind="cosine-ramp", theta0=0.3, phi_final=2.0, tau=0.37,
+                  dt=0.37 / 10), "none", True)
+# All 16 codes of four nodes: each drive sector holds 8 entries and allows
+# one, so its step is the scalar recurrence where numpy sums 8 squares
+# pairwise.
+ONE_STATE_LONG_SECTORS = (
+    StateVector(tuple("abcd"), np.cos(np.arange(16)) / 3),
+    ConstraintMask(16, np.arange(16) % 9 == 3), "a",
+    DriveSchedule(kind="cosine-ramp", theta0=0.3, phi_final=2.0, dt=0.1),
+    "none", True)
+# Three nodes: sector a=0 holds 4 entries and allows 3.  At step 5 the angle
+# is pi/2, so the sector is emptied, and step 6 refills it uniformly.
+REFILLED_SHORT_SECTOR = (
+    StateVector(tuple("abc"), np.cos(np.arange(8)) / 2),
+    ConstraintMask(8, np.array([1, 1, 0, 1, 0, 1, 1, 0])), "a",
+    linear(math.pi / 4, math.pi / 2, dt=0.1), "none", True)
+# The link mask without the r=1 states: the uniform-excited leak refills
+# both stored r=1 states at each step but step 5, where the angle is 0.
+LEAK_INTO_EMPTY_SECTOR = (
+    closed_form_link(0.3, 0.0), ConstraintMask(4, np.array([1, 1, 0, 0])),
+    "r", linear(-math.pi / 4, math.pi / 2, dt=0.1), "uniform-excited", True)
+# One case per branch of the sector walk.
+WALK_BRANCH_CASES = (PAIRWISE_SECTORS, ONE_STATE_LONG_SECTORS,
+                     REFILLED_SHORT_SECTOR, LEAK_INTO_EMPTY_SECTOR)
+
+
 # Five nodes give drive sectors of 9-16 entries, whose norms are pairwise sums.
 @given(closed_form_cases(max_nodes=5))
 @settings(max_examples=200, deadline=None)
 # Sector r=0 holds no allowed state and its target is positive: both raise.
 @example((closed_form_link(0.3, 0.0), ConstraintMask(4, np.array([0, 0, 1, 0])),
           "r", linear(0.0, math.pi / 2, dt=0.5), "none", True))
-# All 32 codes of five nodes: both drive sectors hold 16 entries.
-@example((StateVector(tuple("abcde"), np.cos(np.arange(32)) / 4),
-          ConstraintMask(32, np.arange(32) % 3 > 0), "c",
-          DriveSchedule(kind="cosine-ramp", theta0=0.3, phi_final=2.0,
-                        tau=0.37, dt=0.37 / 10), "none", True))
+@example(PAIRWISE_SECTORS)
+@example(ONE_STATE_LONG_SECTORS)
+@example(REFILLED_SHORT_SECTOR)
+@example(LEAK_INTO_EMPTY_SECTOR)
 # Three nodes: both drive sectors hold 4 entries, and the mask forbids some of
 # each while psi0 carries mass there, so the stepper skips projected-out
 # entries instead of summing their zeros.

@@ -111,6 +111,15 @@ def check_argparse_spellings():
         assert cli._read_canonical(canonical) is not None
 
 
+def check_walk_branches():
+    """`evolve` against numpy's steps on one case per branch of the sector
+    walk."""
+    equal = test_dynamics.test_evolve_rows_equal_numpy_reference_steps \
+        .hypothesis.inner_test
+    for case in test_dynamics.WALK_BRANCH_CASES:
+        equal(case)
+
+
 def parse_error_check(text):
     """`parse_network(text)` raises the message that `PARSE_ERRORS` pins."""
     return lambda: test_network.test_parse_error_message(text)
@@ -150,7 +159,10 @@ CHECKS = {
     "pin kind inference": test_network.test_pin_kind_inference,
     "float link final state":
         test_dynamics.test_float_link_final_state_has_the_recorded_bits,
-    "float refill": test_dynamics.test_rescale_refills_a_float_row_with_floats,
+    "float refill":
+        test_dynamics.test_walk_refills_an_empty_one_state_sector_with_floats,
+    "link walk bits": test_dynamics.test_link_walk_has_the_recorded_bits,
+    "walk branches": check_walk_branches,
     "formatter edges": test_cli.test_format_17g_at_its_edges,
 }
 
@@ -193,9 +205,23 @@ LAYER_MUTANTS = [
      ""),
     ("float link final state", dynamics, "final_amps",
      "component * (1 / length)", "component / length"),
-    ("float refill", dynamics, "_rescale",
-     "value = math.sqrt(target / len(refill))",
-     "value = complex(math.sqrt(target / len(refill)))"),
+    # The sector walk: the one-state recurrence's product with the
+    # reciprocal, its refill kept a float and not dropped, the several-state
+    # and leak refills' divisors, the several-state scale's order, and the
+    # pairwise sum of long sectors.
+    ("link walk bits", dynamics, "_walk_sector", "z * root * (1 / length)",
+     "z * root / length"),
+    ("float refill", dynamics, "_walk_sector", "else root",
+     "else complex(root)"),
+    ("link walk bits", dynamics, "_walk_sector", "else root", "else z"),
+    ("walk branches", dynamics, "_walk_sector",
+     "math.sqrt(target / live.size)", "math.sqrt(target)"),
+    ("walk branches", dynamics, "_walk_sector", "mass / refill.size",
+     "mass"),
+    ("walk branches", dynamics, "_walk_sector", "z * root * inverse",
+     "z * inverse * root"),
+    ("walk branches", dynamics, "_walk_sector",
+     "pairwise = idx.size >= _PAIRWISE_FROM", "pairwise = False"),
     # The trace CSV's array formatter: the exponent re-check skipped, fixed
     # notation ending at e = 15, trailing zeros kept, the non-finite entries
     # left to the arrays, and a product that rounds to 10^17 kept at e.
