@@ -377,7 +377,7 @@ _FLAGS = {
     "leak": dict(default="none", choices=dynamics.LEAK_MODELS),
     "no-mask": dict(action="store_true",
                     help="drop condition (i): drive without the projector"),
-    "drive": dict(default="p1", choices=("p1", "p2", "both")),
+    "drive": dict(default="p1", choices=dynamics.DRIVES),
     "dump": dict(action="store_true",
                  help="dump masks/Hamiltonian diagonals as JSON"),
     "out": dict(default=None, help="output path (default stdout)"),

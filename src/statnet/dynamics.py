@@ -53,6 +53,7 @@ from .statics import ConstraintMask
 
 SCHEDULE_KINDS = ("linear-ramp", "cosine-ramp", "exponential-relax")
 LEAK_MODELS = ("none", "uniform-excited")
+DRIVES = ("p1", "p2", "both")
 
 # Empty-sector threshold: below this the previous sector mass counts as zero.
 _MASS_EPS = 1e-14
@@ -477,7 +478,7 @@ def triplet_watchdog_demo(theta: float, schedule: DriveSchedule,
                           drive: str = "p1") -> Trajectory:
     """Two identical two-state particles under the symmetrizer watchdog.
 
-    `drive` names the driven particle: "p1", "p2", or "both".  It is checked
+    `drive` names the driven particle, one of `DRIVES`.  It is checked
     and otherwise unused: every step imposes the sector targets on the reduced
     diagonals of both particles, so the three choices give one trajectory.
     A sector that loses all its mass while its target is positive raises
@@ -488,7 +489,7 @@ def triplet_watchdog_demo(theta: float, schedule: DriveSchedule,
     bits.  It raises after `_FIXPOINT_MAX_ITER` iterations.  `alpha_sq` is
     min(|S row|^2, 1) for the symmetrizer S, the norm squared as a product.
     """
-    if drive not in ("p1", "p2", "both"):
+    if drive not in DRIVES:
         raise ValueError("drive must be 'p1', 'p2', or 'both'")
     if not 0 < theta < math.pi / 2:
         raise ValueError("theta must lie strictly inside (0, pi/2)")

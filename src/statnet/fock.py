@@ -2,16 +2,15 @@
 
 Each particle carries a binary internal degree of freedom ("spin" 0/1) and a
 lattice-site label.  The canonical mode order is site-major with spin 0
-before spin 1 inside each site; that order fixes every fermionic sign.  Two
-layouts hold the states.  A Fock configuration is an occupation number:
-mode m is bit m.  A first-quantized state of n particles over d modes is the
-C-order ravel of the `(d,)*n` tensor whose axis i is particle slot i, the
-layout `hilbert` uses for qubits.  Both projectors are the one sum
-(1/n!) sum_sigma sgn(sigma)^k P_sigma, with k = 0 for the symmetrizer and
-k = 1 for the antisymmetrizer.  With one particle per site the spins behave
-as qubits (`qubit_first_quantized`).  The link Hamiltonian is given by its
-diagonal over the six two-fermion states and checked against its
-normal-ordered operator form.
+before spin 1 inside each site; that order fixes every fermionic sign.
+Every state has `hilbert`'s one layout, a C-order basis tensor.  A Fock
+state's axes are `ModeBasis.mode_nodes`, last mode first: mode m is bit m.
+A first-quantized state has one axis per particle, over the modes.  Both
+projectors are the one sum (1/n!) sum_sigma sgn(sigma)^k P_sigma, with k = 0
+for the symmetrizer and k = 1 for the antisymmetrizer.  With one particle
+per site the spins behave as qubits (`qubit_first_quantized`).  The link
+Hamiltonian is given by its diagonal over the six two-fermion states and
+checked against its normal-ordered operator form.
 """
 from __future__ import annotations
 
@@ -20,48 +19,49 @@ import math
 
 import numpy as np
 
+from .hilbert import StateVector, node_bit
 from .record import Record
 
 PROJECTOR_TOL = 1e-12
 
 
 class ModeBasis(Record):
-    """Ordered single-particle modes (spin, site) for a list of lattice sites."""
+    """Ordered single-particle modes (spin, site) of distinct lattice sites."""
 
     sites: tuple[str, ...]
+
+    def __post_init__(self):
+        if len(set(self.sites)) != len(self.sites):
+            raise ValueError(f"duplicate sites in {self.sites}")
 
     @property
     def n_modes(self) -> int:
         return 2 * len(self.sites)
 
+    @property
+    def mode_nodes(self) -> tuple[str, ...]:
+        """Each mode's label f"{chi}{site}", last mode first: as the node
+        order of a `StateVector`, mode m is bit m."""
+        return tuple(f"{chi}{site}" for site in reversed(self.sites)
+                     for chi in (1, 0))
+
+    def mode_bit(self, chi: int, site: str) -> int:
+        """The bit that mode (chi, site) sets in a configuration's code."""
+        return node_bit(self.mode_nodes, f"{chi}{site}")
+
     def mode_index(self, chi: int, site: str) -> int:
-        return 2 * self.sites.index(site) + chi
-
-
-class FockVector(Record):
-    """Superposition over occupation configurations (bit m = mode m occupied)."""
-
-    basis: ModeBasis
-    amps: np.ndarray
-
-    def __post_init__(self):
-        amps = np.array(self.amps, dtype=complex)
-        if amps.shape != (2 ** self.basis.n_modes,):
-            raise ValueError(f"amps shape {amps.shape} does not match "
-                             f"{self.basis.n_modes} modes")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amps", amps)
+        return self.mode_bit(chi, site).bit_length() - 1
 
 
 def occupation_state(basis: ModeBasis,
-                     modes: tuple[tuple[int, str], ...]) -> FockVector:
+                     modes: tuple[tuple[int, str], ...]) -> StateVector:
     """Basis configuration with the given modes occupied (canonical sign);
     the zero state if a mode is listed twice, as a†a† on it gives."""
-    amps = np.zeros(2 ** basis.n_modes, dtype=complex)
-    bits = {1 << basis.mode_index(chi, site) for chi, site in modes}
+    amps = np.zeros(2 ** basis.n_modes)
+    bits = {basis.mode_bit(chi, site) for chi, site in modes}
     if len(bits) == len(modes):
         amps[sum(bits)] = 1.0
-    return FockVector(basis, amps)
+    return StateVector(basis.mode_nodes, amps)
 
 
 def creation_matrix(basis: ModeBasis, chi: int, site: str) -> np.ndarray:
@@ -70,12 +70,12 @@ def creation_matrix(basis: ModeBasis, chi: int, site: str) -> np.ndarray:
     Jordan-Wigner: the sign is -1 to the number of occupied lower modes.
     """
     dim = 2 ** basis.n_modes
-    m = basis.mode_index(chi, site)
+    bit = basis.mode_bit(chi, site)
     mat = np.zeros((dim, dim))
     for config in range(dim):
-        if not config >> m & 1:
-            below = config & ((1 << m) - 1)
-            mat[config | (1 << m), config] = (-1) ** below.bit_count()
+        if not config & bit:
+            below = config & (bit - 1)
+            mat[config | bit, config] = (-1) ** below.bit_count()
     return mat
 
 
@@ -88,7 +88,7 @@ class PermutationProjector(Record):
         return self.matrix @ vec
 
     def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+        return float(np.trace(self.matrix))
 
 
 def permutation_matrix(d: int, n: int, perm: tuple[int, ...]) -> np.ndarray:
@@ -131,7 +131,7 @@ def antisymmetrizer(n: int) -> PermutationProjector:
 def slater_vector(basis: ModeBasis, modes_ascending: tuple[int, ...]) -> np.ndarray:
     """First-quantization Slater determinant of the given mode indices."""
     shape = (basis.n_modes,) * len(modes_ascending)
-    vec = np.zeros(math.prod(shape), dtype=complex)
+    vec = np.zeros(math.prod(shape))
     norm = 1.0 / math.sqrt(math.factorial(len(shape)))
     for slots in itertools.permutations(modes_ascending):
         vec[np.ravel_multi_index(slots, shape)] += _perm_sign(slots) * norm
@@ -152,15 +152,14 @@ _HRS_TERMS = (((0, "r"), (1, "r")), ((0, "s"), (1, "s")),
               ((0, "r"), (0, "s")), ((1, "r"), (1, "s")))
 
 
-def fock_basis_two() -> dict[str, FockVector]:
+def fock_basis_two() -> dict[str, StateVector]:
     """The six antisymmetric two-fermion states on sites r, s."""
     b = _TWO_SITE_BASIS
     states = {x: occupation_state(b, pair) for x, pair in zip("abcd", _HRS_TERMS)}
     up, down = (occupation_state(b, ((chi, "r"), (1 - chi, "s"))).amps
-                for chi in (0, 1))
-    sqrt2 = np.sqrt(2.0)
-    states["e"] = FockVector(b, (up + down) / sqrt2)
-    states["f"] = FockVector(b, (up - down) / sqrt2)
+                * (1 / math.sqrt(2)) for chi in (0, 1))
+    states["e"] = StateVector(b.mode_nodes, up + down)
+    states["f"] = StateVector(b.mode_nodes, up - down)
     return states
 
 

@@ -6,14 +6,14 @@ declared node, so the first declared node is the most significant bit.  A
 state stores its amplitudes only on its `codes`, the ascending basis codes
 outside which it is zero; by default that is all 2^n of them.  Amplitudes
 are float64: the prepared ground state, every projection, drive factor and
-rotation, and the closed forms are real, so no state needs a phase.
-`node_bit` is the one place that turns a node into its bit of a code,
-`probabilities` the one place that turns amplitudes into probabilities, and
-`sum_probs` (with `sum_sq`/`norm` on it) the one place where a mass or a
-norm of an array is summed.  The only other sums are the short in-place
-sums of squares of the `dynamics` steppers (a drive sector of fewer than 8
-entries, the triplet's four amplitudes): they run `sum_probs`'s
-left-to-right order on Python floats.
+rotation, the closed forms, and `fock`'s states and operators are real, so
+no state needs a phase.  `node_bit` is the one place that turns a node (a
+`fock` mode too) into its bit of a code, `probabilities` the one place that
+turns amplitudes into probabilities, and `sum_probs` (with `sum_sq`/`norm`
+on it) the one place where a mass or a norm of an array is summed.  The only
+other sums are the short in-place sums of squares of the `dynamics` steppers
+(a drive sector of fewer than 8 entries, the triplet's four amplitudes):
+they run `sum_probs`'s left-to-right order on Python floats.
 All values are immutable after construction and all operations are pure
 functions.  Constructors always copy the caller's arrays and freeze the
 copies, so no two states share an array.

@@ -11,6 +11,8 @@ DSL statements (one per line, ``#`` starts a comment):
 A ``link`` is sugar for a two-node NOT gate and is desugared at parse time;
 downstream modules only ever see gates and pins.  Assignment strings are
 ordered by the ``nodes`` declaration (first node = most significant bit).
+`Network` states the naming rules once (distinct nodes and gate names, parts
+on declared nodes), so `render(net)` parses back to `net` if names are words.
 """
 from __future__ import annotations
 
@@ -82,7 +84,7 @@ class Pin(Record):
 
 class _PartError(ValueError):
     """A fault of one part of a `Network`: `part` is the field and the
-    position in it, ("gates", i), ("pins", i) or ("drive_node", 0)."""
+    position in it, ("gates", i) or ("pins", i), or 0 for the other fields."""
 
     def __init__(self, message: str, field: str, position: int = 0):
         super().__init__(message)
@@ -96,14 +98,16 @@ class Network(Record):
     drive_node: str | None = None
 
     def __post_init__(self):
-        if len(set(self.nodes)) != len(self.nodes):
-            raise ValueError("duplicate node declaration")
         declared = set(self.nodes)
+        if len(declared) != len(self.nodes):
+            raise _PartError("duplicate node declaration", "nodes")
         for i, g in enumerate(self.gates):
             for n in g.nodes:
                 if n not in declared:
                     raise _PartError(f"gate {g.name} references undeclared "
                                      f"node {n!r}", "gates", i)
+            if any(h.name == g.name for h in self.gates[:i]):
+                raise _PartError(f"gate {g.name!r} declared twice", "gates", i)
         pinned = set()
         for i, p in enumerate(self.pins):
             if p.node not in declared:
@@ -145,7 +149,8 @@ _FIX_RE = re.compile(r"fix\s+(\w+)\s*=\s*(\S+)(?:\s+(input|output))?\s*$")
 _DRIVE_RE = re.compile(r"drive\s+(\w+)\s*$")
 # The statement keywords that give each field of a `Network`, one part per
 # statement.
-_STATEMENT_OF = {"gates": ("gate", "link"), "pins": "fix", "drive_node": "drive"}
+_STATEMENT_OF = {"nodes": "nodes", "gates": ("gate", "link"), "pins": "fix",
+                 "drive_node": "drive"}
 _ROW_RE = re.compile(r"([01]*)\s*->\s*([01]*)\s*$")
 
 
@@ -183,7 +188,8 @@ def _parse_gate(line: str) -> Gate:
 
 
 def parse_network(text: str) -> Network:
-    """Parse the DSL into a fully validated Network."""
+    """Parse the DSL into a fully validated Network.  A fault in one
+    statement's text comes first; then `Network`'s faults, in field order."""
     nodes: tuple[str, ...] | None = None
     gates: list[Gate] = []
     # (node, value, kind or None) of each fix statement.
@@ -210,21 +216,15 @@ def parse_network(text: str) -> Network:
 
     for lineno, line in statements:
         try:
-            if line.startswith("nodes"):
+            if line.startswith(_STATEMENT_OF["nodes"]):
                 m = _NODES_RE.match(line)
                 if not m:
                     raise ValueError("malformed nodes declaration")
                 if nodes is not None:
                     raise ValueError("nodes declared twice")
-                names = tuple(m.group(1).replace(",", " ").split())
-                if len(set(names)) != len(names):
-                    raise ValueError("duplicate node declaration")
-                nodes = names
+                nodes = tuple(m.group(1).replace(",", " ").split())
             elif line.startswith(_STATEMENT_OF["gates"]):
-                gate = _parse_gate(line)
-                if any(g.name == gate.name for g in gates):
-                    raise ValueError(f"gate {gate.name!r} declared twice")
-                gates.append(gate)
+                gates.append(_parse_gate(line))
             elif line.startswith(_STATEMENT_OF["pins"]):
                 m = _FIX_RE.match(line)
                 if not m:

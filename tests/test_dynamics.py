@@ -996,15 +996,13 @@ def test_complex_path_uses_finds_each_form():
                              "schedule.kind\nreal_part = 0\n") == []
 
 
-def test_no_module_but_fock_has_a_complex_path():
-    """Amplitudes are float64 everywhere but in `fock`, whose matrices are
-    complex: no other module names a complex type or part, or branches on
-    a dtype's kind.  `hilbert.StateVector` refuses complex amplitudes with
-    `np.iscomplexobj`."""
+def test_no_module_has_a_complex_path():
+    """Amplitudes and `fock`'s matrices are float64 everywhere: no module
+    names a complex type or part, or branches on a dtype's kind.
+    `hilbert.StateVector` refuses complex amplitudes with `np.iscomplexobj`."""
     package = Path(dynamics.__file__).parent
     for path in sorted(package.glob("*.py")):
-        if path.stem != "fock":
-            assert complex_path_uses(path.read_text()) == [], path.stem
+        assert complex_path_uses(path.read_text()) == [], path.stem
 
 
 def rows_readers(source):

@@ -1,11 +1,12 @@
-"""State-vector layer: indexing, a node's reduced diagonal and drive sectors."""
+"""State-vector layer: indexing, a node's reduced diagonal, drive sectors and
+the Fock configurations over a `ModeBasis`."""
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from statnet.fock import FockVector, ModeBasis
+from statnet.fock import ModeBasis, occupation_state
 from statnet.hilbert import (
     StateVector,
     basis_index,
@@ -20,13 +21,12 @@ EIGHT = tuple("abcdefgh")
 TWO = ("r", "s")
 
 
-@pytest.mark.parametrize("stored, dtype", [
-    (lambda a: StateVector(TWO, a).amps, float),
-    (lambda a: FockVector(ModeBasis(("r",)), a).amps, complex),
-    (lambda a: PenaltyHamiltonian(4, a).energies, float),
-], ids=["state-float", "fock", "penalty"])
-def test_construction_leaves_caller_array_writeable(stored, dtype):
-    caller = np.array([0.5, 0.5, 0.5, 0.5], dtype=dtype)
+@pytest.mark.parametrize("stored", [
+    lambda a: StateVector(TWO, a).amps,
+    lambda a: PenaltyHamiltonian(4, a).energies,
+], ids=["state-float", "penalty"])
+def test_construction_leaves_caller_array_writeable(stored):
+    caller = np.array([0.5, 0.5, 0.5, 0.5])
     kept = stored(caller)
     assert caller.flags.writeable
     caller[0] = 0.0
@@ -129,6 +129,28 @@ def test_node_bit_rejects_unknown_node():
         node_bit(TWO, "q")
     with pytest.raises(ValueError, match="unknown node 'q'"):
         basis_state(TWO, "00").sectors("q")
+
+
+def test_fock_configuration_is_a_statevector_with_mode_m_at_bit_m():
+    # `mode_nodes` lists the modes last first, so `node_bit` gives mode m
+    # bit m and a configuration's basis code is its occupation number.
+    basis = ModeBasis(("r", "s"))
+    assert basis.mode_nodes == ("1s", "0s", "1r", "0r")
+    modes = ((0, "r"), (1, "r"), (0, "s"), (1, "s"))
+    assert [basis.mode_index(*mode) for mode in modes] == [0, 1, 2, 3]
+    state = occupation_state(basis, ((1, "r"), (0, "s")))
+    assert type(state) is StateVector and state.amps.dtype == np.float64
+    assert state.node_order == basis.mode_nodes
+    assert np.flatnonzero(state.amps).tolist() == [0b0110]
+    assert [s.tolist() for s in state.sectors("1r")] == [
+        [k for k in range(16) if not k & 2], [k for k in range(16) if k & 2]]
+
+
+def test_mode_basis_refuses_a_repeated_site():
+    # A repeated site gives modes that `mode_index` cannot reach, so
+    # `qubit_first_quantized` would put both particles on one site.
+    with pytest.raises(ValueError, match="duplicate sites"):
+        ModeBasis(("r", "r"))
 
 
 def test_statevector_rejects_wrong_shape():

@@ -139,6 +139,7 @@ CHECKS = {
         test_statics.test_support_refuses_join_past_limit_before_building_it,
     "62-node chain":
         test_statics.test_support_holds_as_many_nodes_as_codes_hold,
+    "join order": test_statics.check_join_order,
     "fig1 masks oracle": lambda: check_masks_against_string_oracle(
         builtin_fig1()),
     "trace triplet": trace_check(["simulate-triplet", "--schedule",
@@ -191,6 +192,15 @@ LAYER_MUTANTS = [
      "agrees.size * matches.size", "agrees.size / matches.size"),
     ("62-node chain", statics, "support", "n > MAX_CODE_NODES",
      "n >= MAX_CODE_NODES"),
+    # The join-order key: declaration order only, pinned nodes counted as
+    # shared, ties to the last declared, and every node of a table counted.
+    ("join order", statics, "support",
+     "(tables[i][0] & joined & ~pinned).bit_count(), -i", "0, -i"),
+    ("join order", statics, "support", "joined & ~pinned).bit_count()",
+     "joined).bit_count()"),
+    ("join order", statics, "support", ".bit_count(), -i)", ".bit_count(), i)"),
+    ("join order", statics, "support", "(tables[i][0] & joined & ~pinned)",
+     "(tables[i][0] & ~pinned)"),
     ("fig1 masks oracle", statics, "_allowed",
      "Network(net.nodes, gates, pins)", "Network(net.nodes, gates)"),
     ("trace triplet", hilbert, "sum_probs", "reduce(probs,",

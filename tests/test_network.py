@@ -15,9 +15,12 @@ from statnet.network import (
     brute_force_solutions,
     builtin_fig1,
     builtin_fig1_unsat,
+    link_gate,
     parse_network,
     render,
 )
+from test_protocol import small_networks, wide_networks
+from test_run_corpus import NETS
 
 
 def test_parse_fig1_structure():
@@ -138,6 +141,27 @@ def test_render_roundtrip_fig1():
 def test_render_roundtrip_unsat():
     net = builtin_fig1_unsat()
     assert parse_network(render(net)) == net
+
+
+@given(st.one_of(small_networks(), wide_networks()))
+def test_render_roundtrip_of_drawn_networks(net):
+    assert parse_network(render(net)) == net
+
+
+# "bad-pin" and "twice" are the run corpus's texts that do not parse.
+@pytest.mark.parametrize("name", sorted(NETS.keys() - {"bad-pin", "twice"}))
+def test_render_roundtrip_of_run_corpus_nets(name):
+    net = parse_network(NETS[name])
+    assert parse_network(render(net)) == net
+
+
+def test_network_built_in_code_refuses_a_repeated_gate_name():
+    # The parser's rule is `Network`'s, so `render` never writes a text that
+    # `parse_network` refuses.
+    with pytest.raises(ValueError) as info:
+        Network(("a", "b"), (link_gate("a", "b"),) * 2)
+    text = "nodes a b\nlink a -> b\nlink a -> b\n"
+    assert f"line 3: {info.value}" == PARSE_ERRORS[text]
 
 
 def test_render_roundtrip_link_named_gate_with_reversed_rows():

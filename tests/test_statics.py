@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from statnet import statics
 from statnet.hilbert import (StateVector, basis_index, basis_state,
                              index_assignment)
 from statnet.network import (
@@ -393,3 +394,53 @@ def test_support_of_big_tables_matches_oracles(name, include_output_pins):
     net = parse_network(BIG_TABLE_NETS[name] + "\n")
     assert max(len(g.table.rows) for g in net.gates) == 512
     check_support_against_oracles(net, include_output_pins)
+
+
+# Nets where the join order decides the largest intermediate join, with
+# that join's row count in `support`'s order: next the table that shares the
+# most unpinned nodes with the rows joined so far, ties in declaration order.
+JOIN_ORDER_NETS = {
+    # Two 16-row tables, 4 rows each under their pinned inputs, and a one-row
+    # table that pins one output of each.  Joined second, it halves the rows
+    # before the other table joins; the two tables joined first (in
+    # declaration order, or counting pinned nodes as shared) give 16 rows.
+    "pinned pair": ("\n".join([
+        "nodes a0 a1 p0 p1 x b0 b1 q0 q1 y",
+        _table_gate("ga", ["a0", "a1", "p0", "p1"], "x", _parity),
+        _table_gate("gb", ["b0", "b1", "q0", "q1"], "y", _parity),
+        "gate both in(x) out(y) { 0->0 }",
+        *(f"fix {node}=0 input" for node in ("p0", "p1", "q0", "q1"))]), 4),
+    # After the first table, the one-row table on a1 and the 16-row table on
+    # a0 tie; the first declared halves the rows before the wide one joins.
+    # Starting from the wide table (the last declared, or the one with the
+    # most nodes) gives 32 rows.
+    "tie": ("\n".join([
+        "nodes a0 a1 x c d0 d1 d2 e",
+        _table_gate("g", ["a0", "a1"], "x", _parity),
+        "gate low in(a1) out(c) { 0->0 }",
+        _table_gate("wide", ["a0", "d0", "d1", "d2"], "e", _parity)]), 16),
+}
+
+
+def largest_join(net):
+    """The row count of the largest `_join` result while `support(net)` runs."""
+    sizes, join = [], statics._join
+
+    def recording(rows, table, shared):
+        joined = join(rows, table, shared)
+        sizes.append(joined.size)
+        return joined
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(statics, "_join", recording)
+        support(net)
+    return max(sizes)
+
+
+def check_join_order():
+    """On each of `JOIN_ORDER_NETS`, no join is larger than its bound."""
+    for name, (text, bound) in JOIN_ORDER_NETS.items():
+        assert largest_join(parse_network(text + "\n")) <= bound, name
+
+
+def test_support_join_order_keeps_each_join_small():
+    check_join_order()
